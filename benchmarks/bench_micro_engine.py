@@ -2,7 +2,8 @@
 
 Performance-regression coverage for the three hot paths every FLoS
 query exercises thousands of times: visited-set expansion
-(``LocalView._visit``), the matrix-free mat-vec (``CooOperator``), and
+(``LocalView._visit``), the store-backed mat-vec
+(``LocalView.transition_operator``), and
 the warm-started Jacobi solve — plus the serving layer: a
 :class:`~repro.core.session.QuerySession` replaying a repeated-query
 workload against per-request ``flos_top_k`` calls, which quantifies the
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.api import flos_top_k
 from repro.core.flos import FLoSOptions, PHPSpaceEngine
-from repro.core.iterative import CooOperator, jacobi_solve
+from repro.core.iterative import jacobi_solve
 from repro.core.localgraph import LocalView
 from repro.core.session import QuerySession
 from repro.graph.generators import rmat

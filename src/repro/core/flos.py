@@ -107,12 +107,12 @@ class FLoSOptions:
     max_inner_iterations: int = 10_000
     #: Bound-refresh kernel (see :mod:`repro.core.kernels`):
     #: ``"fused"`` (default) block-solves both bound systems in one
-    #: ``(m, 2)`` sweep over a CSR-cached operator, ``"selective"``
+    #: ``(m, 2)`` sweep over the view's symmetric store, ``"selective"``
     #: additionally confines sweeps to rows the last expansion actually
     #: moved (wins only when the active set stays small — see
     #: ``docs/performance.md``), ``"gauss_seidel"`` uses within-sweep
     #: values to cut sweep counts at a higher per-sweep cost, and
-    #: ``"jacobi"`` is the legacy matrix-free pair of solves.  All modes
+    #: ``"jacobi"`` is the legacy pair of solves.  All modes
     #: converge to the same ``tau`` criterion and return interchangeable
     #: bounds; for THT the stationary-solver modes all map to the fused
     #: finite-horizon DP.

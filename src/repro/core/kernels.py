@@ -1,18 +1,17 @@
 """Hot-path solver kernels for the bound refreshes.
 
 The legacy refresh path (``solver="jacobi"``) runs two independent
-warm-started Jacobi solves per expansion round over a matrix-free COO
-operator (:mod:`repro.core.iterative`).  That is already O(E) per sweep,
-but it leaves three structural savings on the table, which the kernels
-here collect:
+warm-started Jacobi solves per expansion round
+(:mod:`repro.core.iterative`).  That is already O(E) per sweep, but it
+leaves three structural savings on the table, which the kernels here
+collect:
 
 * **fused dual-bound solve** (``solver="fused"``) — the lower and upper
   systems share the operator ``c·T_S`` and differ only in the constant
-  term, so both are iterated as one ``(m, 2)`` block sweep: a single
-  compiled sparse matmul per iteration instead of two Python-level
-  scatter passes, with per-column convergence (a converged column is
-  frozen, so each column's iterate sequence is exactly what an
-  independent solve would produce);
+  term, so both are iterated as one ``(m, 2)`` block sweep: one
+  operator application per iteration instead of two, with per-column
+  convergence (a converged column is frozen, so each column's iterate
+  sequence is exactly what an independent solve would produce);
 * **Gauss–Seidel** (``solver="gauss_seidel"``) — split ``A = L + D + U``
   by local-id order and iterate ``r ← (I − L − D)⁻¹ (U r + e)`` via a
   cached triangular factorization.  Using within-sweep values typically
@@ -39,23 +38,24 @@ here collect:
   below ``tau``) closes every refresh, so the returned bounds satisfy
   the *same* convergence criterion as the legacy path.
 
-Sweeping from a CSR matrix is several times faster than the bincount
-scatter (compiled row loop, no index temporaries), but assembling a CSR
-from COO triplets costs a multiple of one sweep — and warm-started
-refreshes need only a handful of sweeps, which is exactly why the legacy
-path went matrix-free.  :class:`_AppendOnlyOperator` resolves the
-tension by exploiting that the view's edge set is append-only: it keeps
-a CSR *snapshot* plus a small COO *tail* of edges appended since, and
-only folds the tail in when it outgrows a fixed fraction of the
-snapshot — geometric rebuilds, amortized O(1) work per edge.  Applying
-the operator is one compiled matmul over the snapshot plus a cheap
-scatter over the tail.  The self-loop tightening terms change value
-without changing structure and are kept out of all caches, applied as a
-separate diagonal vector.
+Every mode, the legacy path included, applies one operator,
+:class:`~repro.core.localgraph.TransitionOperator`, straight from the
+view's append-only store of symmetric edge weights (each undirected edge
+written once, in the CSR row of its later-visited endpoint, so the store
+is strictly lower-triangular ``L`` and restoration only appends rows):
+``c·T_S x = s ⊙ (L x + Lᵀ x)`` with ``s = c / w`` and the query row
+zeroed — one compiled CSR product plus one compiled CSC product over the
+same three arrays.  Nothing is ever re-assembled on the hot path: the
+store *is* the operator, so a refresh costs its sweeps and nothing else.
+The self-loop tightening terms change value without changing structure
+and are kept out of the store, applied as a separate diagonal vector.
+The Gauss–Seidel and selective modes need row access to ``c·T_S``
+itself; they assemble it from the store on demand, once per change of
+the visited set.
 
 :class:`THTDPKernel` is the finite-horizon analogue for the truncated
 hitting time engine: the DP is run fused over both columns with the same
-two-part operator.  Gauss–Seidel and selective refresh do not apply
+operator.  Gauss–Seidel and selective refresh do not apply
 there — the DP's ``L`` steps are the *definition* of the measure, not an
 iteration converging to a fixed point, so every row must be swept
 exactly ``L`` times; requesting those modes silently uses the fused DP.
@@ -68,18 +68,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import ConvergenceError
-from repro.nputil import concatenated_ranges
-
-try:  # pragma: no cover - trivially exercised on import
-    # The compiled CSR kernels behind scipy's ``@``.  Going straight to
-    # them skips ~15µs of Python dispatch per product, which outweighs
-    # the actual compute for the small systems most refreshes solve.
-    from scipy.sparse import _sparsetools as _spt
-
-    _csr_matvec = _spt.csr_matvec
-    _csr_matvecs = _spt.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - scipy internals moved
-    _csr_matvec = _csr_matvecs = None
 
 #: Recognised values of :attr:`repro.core.flos.FLoSOptions.solver`.
 SOLVERS = ("jacobi", "fused", "gauss_seidel", "selective")
@@ -90,196 +78,13 @@ SOLVERS = ("jacobi", "fused", "gauss_seidel", "selective")
 SELECTIVE_FULL_FRACTION = 0.5
 
 
-class _AppendOnlyOperator:
-    """``c·T_S`` over an append-only edge list: CSR snapshot + COO tail.
-
-    The snapshot covers the first ``_snap_nnz`` triplets of the view
-    (shape ``(_snap_m, _snap_m)``); every triplet appended since lives in
-    the tail, kept as raw arrays with pre-scaled values.  The snapshot is
-    refolded only when the tail outgrows ``REBUILD_FRACTION`` of it, so
-    total rebuild work is linear in the final edge count.
-    """
-
-    #: Fold the tail into the snapshot once it exceeds this fraction of
-    #: the snapshot's nnz (but never below ``MIN_TAIL`` edges, so tiny
-    #: views don't rebuild on every refresh).
-    REBUILD_FRACTION = 0.25
-    MIN_TAIL = 512
-
-    def __init__(self, view, decay: float):
-        self.view = view
-        self.decay = decay
-        self._snap: sp.csr_matrix | None = None
-        self._snap_nnz = 0
-        self._snap_m = 0
-        self._tail_rows = np.empty(0, dtype=np.int64)
-        self._tail_cols = np.empty(0, dtype=np.int64)
-        self._tail_vals = np.empty(0, dtype=np.float64)
-        self._synced_nnz = -1
-
-    def sync(self) -> bool:
-        """Refresh the tail; fold it into the snapshot when it outgrew
-        the rebuild threshold.  Returns True when a rebuild happened."""
-        rows, cols, probs = self.view.triplets()
-        nnz = len(probs)
-        tail_nnz = nnz - self._snap_nnz
-        if self._snap is None or tail_nnz > max(
-            self.MIN_TAIL, self.REBUILD_FRACTION * self._snap_nnz
-        ):
-            m = self.view.size
-            self._snap = sp.csr_matrix(
-                (self.decay * probs, (rows, cols)), shape=(m, m)
-            )
-            self._snap_nnz = nnz
-            self._snap_m = m
-            self._tail_rows = np.empty(0, dtype=np.int64)
-            self._tail_cols = np.empty(0, dtype=np.int64)
-            self._tail_vals = np.empty(0, dtype=np.float64)
-            self._synced_nnz = nnz
-            return True
-        if nnz != self._synced_nnz:
-            self._tail_rows = rows[self._snap_nnz :]
-            self._tail_cols = cols[self._snap_nnz :]
-            self._tail_vals = self.decay * probs[self._snap_nnz :]
-            self._synced_nnz = nnz
-        return False
-
-    def apply(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``c·T_S @ x`` for ``x`` of shape ``(m,)`` or ``(m, k)``.
-
-        Rows/columns beyond the snapshot (nodes visited since the last
-        rebuild) are covered entirely by the tail — an edge can only
-        reference nodes that existed when it was appended.
-        """
-        mo = self._snap_m
-        out_shape = (m,) if x.ndim == 1 else (m, x.shape[1])
-        y = np.zeros(out_shape)
-        snap = self._snap
-        head = np.ascontiguousarray(x[:mo])
-        if x.ndim == 1:
-            if _csr_matvec is not None:
-                _csr_matvec(
-                    mo, mo, snap.indptr, snap.indices, snap.data,
-                    head, y[:mo],
-                )
-            else:
-                y[:mo] = snap @ head
-        else:
-            if _csr_matvecs is not None:
-                _csr_matvecs(
-                    mo, mo, x.shape[1], snap.indptr, snap.indices, snap.data,
-                    head.reshape(-1), y[:mo].reshape(-1),
-                )
-            else:
-                y[:mo] = snap @ head
-        if len(self._tail_rows):
-            trows, tcols, tvals = (
-                self._tail_rows,
-                self._tail_cols,
-                self._tail_vals,
-            )
-            if x.ndim == 1:
-                y += np.bincount(
-                    trows, weights=tvals * x[tcols], minlength=m
-                )[:m]
-            else:
-                for c in range(x.shape[1]):
-                    y[:, c] += np.bincount(
-                        trows, weights=tvals * x[tcols, c], minlength=m
-                    )[:m]
-        return y
-
-    def row_subset_product(
-        self, active: np.ndarray, x: np.ndarray
-    ) -> np.ndarray:
-        """Rows ``active`` of ``c·T_S @ x`` without a full sweep.
-
-        ``active`` must be sorted ascending (rows from the snapshot come
-        first, split by one ``searchsorted``).
-        """
-        m, k = x.shape
-        n = len(active)
-        out = np.zeros((n, k))
-        split = int(np.searchsorted(active, self._snap_m))
-        old = active[:split]
-        if split:
-            indptr = self._snap.indptr
-            starts = indptr[old]
-            counts = indptr[old + 1] - starts
-            take = concatenated_ranges(starts, counts)
-            seg = np.repeat(np.arange(split, dtype=np.int64), counts)
-            vals = self._snap.data[take]
-            cols = self._snap.indices[take]
-            for c in range(k):
-                out[:split, c] = np.bincount(
-                    seg, weights=vals * x[cols, c], minlength=split
-                )[:split]
-        if len(self._tail_rows):
-            pos = np.full(m, -1, dtype=np.int64)
-            pos[active] = np.arange(n)
-            seg_all = pos[self._tail_rows]
-            sel = seg_all >= 0
-            if sel.any():
-                seg = seg_all[sel]
-                cols = self._tail_cols[sel]
-                vals = self._tail_vals[sel]
-                for c in range(k):
-                    out[:, c] += np.bincount(
-                        seg, weights=vals * x[cols, c], minlength=n
-                    )[:n]
-        return out
-
-    def dependents(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Rows whose sweep reads any of ``rows`` (sorted input).
-
-        The transition structure within S is symmetric apart from the
-        query row (row 0 is zeroed but column 0 is not), so the columns
-        of ``rows`` cover every true in-neighbor; the only
-        over-approximation is occasionally including row 0, whose sweep
-        is a no-op.
-        """
-        if len(rows) == 0:
-            return rows
-        parts = []
-        split = int(np.searchsorted(rows, self._snap_m))
-        old = rows[:split]
-        if split:
-            indptr = self._snap.indptr
-            starts = indptr[old]
-            counts = indptr[old + 1] - starts
-            parts.append(self._snap.indices[concatenated_ranges(starts, counts)])
-        if len(self._tail_rows):
-            member = np.zeros(m, dtype=bool)
-            member[rows] = True
-            sel = member[self._tail_rows]
-            if sel.any():
-                parts.append(self._tail_cols[sel])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-    def full_csr(self, m: int) -> sp.csr_matrix:
-        """The complete current matrix (folds any tail in)."""
-        if self._snap is None or len(self._tail_rows) or self._snap_m != m:
-            rows, cols, probs = self.view.triplets()
-            self._snap = sp.csr_matrix(
-                (self.decay * probs, (rows, cols)), shape=(m, m)
-            )
-            self._snap_nnz = len(probs)
-            self._snap_m = m
-            self._tail_rows = np.empty(0, dtype=np.int64)
-            self._tail_cols = np.empty(0, dtype=np.int64)
-            self._tail_vals = np.empty(0, dtype=np.float64)
-            self._synced_nnz = self._snap_nnz
-        return self._snap
-
-
 class DualBoundKernel:
-    """Fused lower/upper bound refresh over cached operators.
+    """Fused lower/upper bound refresh over the view's store.
 
     One instance lives on a :class:`~repro.core.flos.PHPSpaceEngine` for
-    the whole search; it owns the operator caches and (for selective
-    refresh) the previous refresh's constant terms.
+    the whole search; it owns the operator, the Gauss–Seidel/selective
+    matrix caches and (for selective refresh) the previous refresh's
+    constant terms.
     """
 
     def __init__(self, view, decay: float, solver: str):
@@ -290,11 +95,14 @@ class DualBoundKernel:
         self.solver = solver
         self.rows_swept = 0
 
-        self._op = _AppendOnlyOperator(view, decay)
+        self._op = view.transition_operator(decay)
+        # ``c·T_S`` assembled from the store for the Gauss–Seidel and
+        # selective modes, rebuilt when the visited set grows (the store
+        # only changes then).
+        self._csr: sp.csr_matrix | None = None
         # Gauss–Seidel split (no diagonal: transition matrices of simple
         # graphs have none; tightening arrives as a separate vector and
         # is merged into the triangular factor).
-        self._split_nnz = -1
         self._lower: sp.csr_matrix | None = None
         self._upper_tri: sp.csr_matrix | None = None
         self._gs_factor = None
@@ -375,20 +183,36 @@ class DualBoundKernel:
             diag = np.zeros(m)
         R = np.column_stack([lb, ub])
         E = np.column_stack([e_lower, e_upper])
-        res = np.abs(R - (self._op.apply(R, m) + diag[:, None] * R + E))
+        res = np.abs(R - (self._op.apply(R) + diag[:, None] * R + E))
         return float(res[:, 0].max()), float(res[:, 1].max())
 
     # ------------------------------------------------------------------
-    # Gauss–Seidel cache
+    # Matrix caches (Gauss–Seidel, selective)
     # ------------------------------------------------------------------
+
+    def _full_csr(self) -> sp.csr_matrix:
+        """``c·T_S`` as a CSR matrix, assembled once per visited-set size."""
+        m = self.view.size
+        if self._csr is None or self._csr.shape[0] != m:
+            self._csr = self.decay * self.view.transition_csr()
+        return self._csr
+
+    def _dependents(self, rows: np.ndarray) -> np.ndarray:
+        """Rows whose sweep reads any of ``rows``.
+
+        ``T_S`` has the symmetric structure of ``L + Lᵀ`` apart from the
+        zeroed query row, so the columns of ``rows`` cover every true
+        in-neighbor; the only over-approximation is occasionally
+        including row 0, whose sweep is a no-op.
+        """
+        return np.unique(self._full_csr()[rows].indices)
 
     def _ensure_split(self, diag: np.ndarray) -> None:
         m = self.view.size
-        csr = self._op.full_csr(m)
-        if self._lower is None or csr.nnz != self._split_nnz or self._lower.shape[0] != m:
+        if self._lower is None or self._lower.shape[0] != m:
+            csr = self._full_csr()
             self._lower = sp.tril(csr, k=-1, format="csr")
             self._upper_tri = sp.triu(csr, k=1, format="csr")
-            self._split_nnz = csr.nnz
         # The triangular factor I − L − D depends on the tightening
         # diagonal, whose *values* change every refresh.  Natural-order
         # SuperLU on a triangular matrix incurs no fill, and its
@@ -406,10 +230,10 @@ class DualBoundKernel:
     def _jacobi_step(
         self, R: np.ndarray, E: np.ndarray, diag: np.ndarray
     ) -> np.ndarray:
-        y = self._op.apply(R, len(diag))
-        if R.ndim == 2:
-            return y + diag[:, None] * R + E
-        return y + diag * R + E
+        y = self._op.apply(R)
+        y += (diag[:, None] if R.ndim == 2 else diag) * R
+        y += E
+        return y
 
     def _gs_step(
         self, R: np.ndarray, E: np.ndarray, diag: np.ndarray
@@ -435,40 +259,44 @@ class DualBoundKernel:
         counts match the legacy pair of ``jacobi_solve`` calls.
         """
         m = R.shape[0]
-        counts = [0, 0]
         remaining = max_iterations
-        delta = np.inf
-        done = (False, False)
+        paired = 0
+        d_lower = d_upper = np.inf
+        cur = R
         while remaining > 0:
-            nxt = step(R, E, diag)
+            nxt = step(cur, E, diag)
             remaining -= 1
-            deltas = np.abs(nxt - R).max(axis=0)
-            R[:] = nxt
-            counts[0] += 1
-            counts[1] += 1
+            paired += 1
             self.rows_swept += 2 * m
-            done = (deltas[0] < tau, deltas[1] < tau)
-            if done[0] or done[1]:
+            diff = nxt - cur
+            np.abs(diff, out=diff)
+            d_lower, d_upper = np.maximum.reduce(diff, axis=0).tolist()
+            cur = nxt
+            if d_lower < tau or d_upper < tau:
                 break
-            delta = float(deltas.max())
         else:
-            raise ConvergenceError(max_iterations, delta, tau)
-        if done[0] and done[1]:
-            return counts[0] + counts[1]
+            raise ConvergenceError(max_iterations, max(d_lower, d_upper), tau)
+        R[:] = cur
+        if d_lower < tau and d_upper < tau:
+            return 2 * paired
 
-        col = 1 if done[0] else 0
+        col = 1 if d_lower < tau else 0
         r = R[:, col].copy()
         e = E[:, col].copy()
+        single = 0
+        delta = np.inf
         while remaining > 0:
             nxt = step(r, e, diag)
             remaining -= 1
-            delta = float(np.abs(nxt - r).max())
-            r = nxt
-            counts[col] += 1
+            single += 1
             self.rows_swept += m
+            diff = nxt - r
+            np.abs(diff, out=diff)
+            delta = float(np.maximum.reduce(diff))
+            r = nxt
             if delta < tau:
                 R[:, col] = r
-                return counts[0] + counts[1]
+                return 2 * paired + single
         raise ConvergenceError(max_iterations, delta, tau)
 
     # ------------------------------------------------------------------
@@ -486,7 +314,7 @@ class DualBoundKernel:
         max_iterations: int,
     ) -> int:
         m = R.shape[0]
-        op = self._op
+        csr = self._full_csr()
 
         # Seed: new rows, their dependents, and old rows whose constant
         # term or self-loop moved by at least tau since the previous
@@ -500,7 +328,7 @@ class DualBoundKernel:
             | (np.abs(diag[:prev_m] - self._prev_diag) >= tau)
         )
         seed[changed] = True
-        seed[op.dependents(np.arange(prev_m, m, dtype=np.int64), m)] = True
+        seed[self._dependents(np.arange(prev_m, m, dtype=np.int64))] = True
 
         sweeps = 0
         active = np.flatnonzero(seed)
@@ -520,7 +348,7 @@ class DualBoundKernel:
                     max_iterations=max_iterations,
                 )
             nxt = (
-                op.row_subset_product(active, R)
+                csr[active] @ R
                 + diag[active, None] * R[active]
                 + E[active]
             )
@@ -535,7 +363,7 @@ class DualBoundKernel:
             # back) along with every row that reads it.
             nxt_active = np.zeros(m, dtype=bool)
             nxt_active[moved] = True
-            nxt_active[op.dependents(moved, m)] = True
+            nxt_active[self._dependents(moved)] = True
             active = np.flatnonzero(nxt_active)
         else:
             raise ConvergenceError(max_iterations, float("inf"), tau)
@@ -556,31 +384,35 @@ class DualBoundKernel:
 class THTDPKernel:
     """Fused finite-horizon DP for the THT engine (non-jacobi solvers).
 
-    Runs the lower and upper DP columns through one two-part-operator
-    sweep per step.  The lower column carries the step-indexed dummy
-    sequence ``Dᵗ`` of :mod:`repro.core.flos_tht`; the upper column's
-    dummy is the constant horizon.
+    Runs the lower and upper DP columns through one operator application
+    per step.  The lower column carries the step-indexed dummy sequence
+    ``Dᵗ`` of :mod:`repro.core.flos_tht`; the upper column's dummy is the
+    constant horizon.
     """
 
     def __init__(self, view):
         self.view = view
         self.rows_swept = 0
-        self._op = _AppendOnlyOperator(view, 1.0)
+        self._op = view.transition_operator()
 
     def run(
         self, e: np.ndarray, mass: np.ndarray, boundary: np.ndarray, horizon: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(lb, ub)`` after exactly ``horizon`` fused DP steps."""
-        m = len(e)
-        self._op.sync()
+        m = self._op.sync()
         R = np.zeros((m, 2))
-        dummies = np.array([0.0, float(horizon)])
+        # Constant terms: the upper column's dummy never changes, the
+        # lower column adds ``Dᵗ · mass`` on top of ``e`` each step.
+        const = np.column_stack([e, e + mass * float(horizon)])
+        lower_dummy = 0.0
         for _ in range(horizon):
             step_min = (
                 float(R[boundary, 0].min()) if len(boundary) else np.inf
             )
-            R = self._op.apply(R, m) + e[:, None] + mass[:, None] * dummies
+            R = self._op.apply(R)
+            R += const
+            R[:, 0] += lower_dummy * mass
             R[0] = 0.0  # the query's hitting time is identically zero
-            dummies[0] = 1.0 + min(dummies[0], step_min)
-            self.rows_swept += 2 * m
+            lower_dummy = 1.0 + min(lower_dummy, step_min)
+        self.rows_swept += 2 * horizon * m
         return R[:, 0], R[:, 1]

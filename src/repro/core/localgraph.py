@@ -4,9 +4,9 @@
 bound computations of paper Sec. 4–5 need:
 
 * the visited set ``S`` with a global↔local id mapping;
-* the directed transition edges *within* ``S`` (appended as they are
-  restored — Theorem 4 guarantees restoration only tightens bounds, so the
-  edge set is append-only);
+* the edges *within* ``S`` as one append-only store of symmetric weights
+  ``A_uv = p_uv · w_u`` (Theorem 4 guarantees restoration only tightens
+  bounds, so the edge set is append-only);
 * per visited node, the residual transition mass to unvisited neighbors
   (the ``T_{i,d}`` dummy column of Algorithm 5);
 * the boundary ``δS`` (visited nodes with at least one unvisited neighbor);
@@ -21,14 +21,24 @@ edge and never renormalizes the rest (paper Sec. 4.1).  This also gives a
 search-free identity used throughout: for an undirected edge,
 ``p_{v,u} = w_uv / w_v = p_{u,v} · w_u / w_v``.
 
-Everything lives in growing numpy buffers so per-iteration matrix assembly
-is vectorised.  Restoration itself comes in two implementations:
+It is also why the store keeps weights, not probabilities: ``A`` is
+symmetric, so each undirected edge is written once, as a CSR entry in
+the row of its later-visited endpoint.  That makes the store strictly
+lower-triangular in local ids (``L``), and a batch of new nodes only
+appends rows.  The transition matrix is recovered by row scaling,
+``T_S x = (L x + Lᵀ x) / w`` with the query row zeroed — see
+:class:`TransitionOperator`, the one reader of the store.
+
+Everything lives in growing numpy buffers, so nothing is ever
+re-assembled.  Restoration itself comes in two implementations:
 
 * the **vectorized** path (default) visits a whole batch of nodes at once —
-  membership resolution is one lookup-table gather, incoming-edge
-  restoration, dummy-mass retraction and star-to-mesh retraction are
-  bincount scatter ops, and the batch's own dummy/boundary/tightening
-  state is computed by segment sums over the concatenated adjacency;
+  membership resolution is one int32 lookup-table gather (the table and
+  the global-id buffer are its only membership structures), the batch's
+  store rows are one masked append, dummy-mass and star-to-mesh
+  retractions are bincount scatter ops, and the batch's own
+  dummy/boundary/tightening state is computed by segment sums over the
+  concatenated adjacency;
 * the **scalar** path (``vectorized=False``) is the original one-node-at-
   a-time loop, kept as the executable reference: the property tests assert
   both paths produce the same state, and the benchmarks use it to measure
@@ -45,6 +55,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+# The compiled CSR/CSC kernels behind scipy's ``@``.  Calling them
+# directly skips ~15µs of Python dispatch per product, which outweighs
+# the compute for the small systems most refreshes solve — but they
+# trust their arguments, so :meth:`TransitionOperator.sync` checks the
+# store's shape first.
+from scipy.sparse import _sparsetools
+
+from repro.errors import TransitionStoreError
 from repro.graph.base import GraphAccess
 from repro.graph.memory import CSRGraph
 from repro.nputil import concatenated_ranges, segment_sums
@@ -112,17 +130,18 @@ class LocalView:
             LocalView.DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
         )
 
-        self._local_of: dict[int, int] = {}
-        self._global_of: list[int] = []
-        # Cached global-id array (satellite of the kernel PR): grown in
-        # step with the view so ``global_ids()`` never rebuilds it.
+        # Global id per local id, grown in step with the view.
         self._gids = _GrowingBuffer(np.int64)
-        # Vectorized membership: local id per global id, -1 = unvisited.
-        # int32 halves the memset cost; node counts beyond 2**31 are far
-        # outside this reproduction's reach.
+        # Membership.  Vectorized path: local id per global id, -1 =
+        # unvisited (int32 halves the memset cost; node counts beyond
+        # 2**31 are far outside this reproduction's reach).  The scalar
+        # reference path keeps its own dict instead.
         self._lut: np.ndarray | None = None
+        self._local_of: dict[int, int] | None = None
         if self._vectorized:
             self._lut = np.full(graph.num_nodes, -1, dtype=np.int32)
+        else:
+            self._local_of = {}
 
         # Cached full adjacency of each visited node, stored concatenated
         # (global ids / probs) with per-node offsets so batch expansion
@@ -133,11 +152,12 @@ class LocalView:
         self._adj_offsets.append_scalar(0)
         self._degrees = _GrowingBuffer(np.float64)
 
-        # Directed transition edges within S, in local ids.  Row ``query``
-        # is never stored: the modified matrix T zeroes it (Table 1).
-        self._rows = _GrowingBuffer(np.int64)
-        self._cols = _GrowingBuffer(np.int64)
-        self._probs = _GrowingBuffer(np.float64)
+        # Symmetric edge weights within S as a strictly lower-triangular
+        # CSR in local ids (module docstring): ``len(indptr) == |S| + 1``.
+        self._indptr = _GrowingBuffer(np.int32)
+        self._indptr.append_scalar(0)
+        self._indices = _GrowingBuffer(np.int32)
+        self._weights = _GrowingBuffer(np.float64)
 
         # Residual transition mass to unvisited neighbors, per local node.
         self._dummy_mass = _GrowingBuffer(np.float64)
@@ -150,7 +170,8 @@ class LocalView:
         self._loop_sum = _GrowingBuffer(np.float64)
         self._tight_sum = _GrowingBuffer(np.float64)
 
-        # Degrees of seen-but-unvisited nodes (needed for p_{j,i}).
+        # Degrees of seen-but-unvisited nodes (needed for p_{j,i}); only
+        # filled for graphs without a vectorized degree lookup.
         self._outside_degree: dict[int, float] = {}
 
         self.neighbor_queries = 0
@@ -166,7 +187,7 @@ class LocalView:
     @property
     def size(self) -> int:
         """|S| — number of visited nodes."""
-        return len(self._global_of)
+        return len(self._gids)
 
     def is_visited(self, node: int) -> bool:
         if self._lut is not None:
@@ -174,7 +195,13 @@ class LocalView:
         return node in self._local_of
 
     def local_id(self, node: int) -> int:
-        return self._local_of[node]
+        """Local id of a visited node; ``KeyError`` if it is unvisited."""
+        if self._lut is None:
+            return self._local_of[node]
+        local = int(self._lut[node])
+        if local < 0:
+            raise KeyError(node)
+        return local
 
     def global_ids(self) -> np.ndarray:
         """Global id per local id (read-only view, cached incrementally)."""
@@ -207,9 +234,13 @@ class LocalView:
         lo, hi = offsets[local], offsets[local + 1]
         return self._adj_ids.view()[lo:hi], self._adj_probs.view()[lo:hi]
 
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO ``(rows, cols, probs)`` of the restored transitions in S."""
-        return self._rows.view(), self._cols.view(), self._probs.view()
+    def symmetric_store(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, weights)`` of the lower-triangular ``L``.
+
+        Each undirected edge within S appears once, in the row of its
+        later-visited endpoint, with weight ``A_uv = p_uv · w_u``.
+        """
+        return self._indptr.view(), self._indices.view(), self._weights.view()
 
     def closed_ball(self) -> np.ndarray:
         """Sorted closed visited ball ``S ∪ N(S)`` as global ``int32`` ids.
@@ -255,13 +286,17 @@ class LocalView:
         both the scalar and vectorized paths; a drift in either silently
         corrupts every bound built on top.  Checked here:
 
+        * store shape: ``indptr`` starts at 0, is monotone and ends at
+          the entry count, and every column lies below its row (each
+          edge sits in the row of its later-visited endpoint);
         * transition-mass conservation: for every visited non-query node
-          with positive degree, restored in-S mass plus dummy mass is 1
-          (the query row of ``T`` is zeroed, so its total is 0);
+          with positive degree, restored row mass ``(L + Lᵀ)·1 / w``
+          plus dummy mass is 1 (the query row of ``T`` is zeroed, so its
+          total is 0);
         * dummy masses lie in ``[0, 1]`` and unvisited counts are
           non-negative;
         * settled nodes (``unvisited_count == 0``) carry no dummy mass;
-        * restored probabilities are positive and finite;
+        * restored weights are positive and finite;
         * when tightening is tracked, the star-to-mesh sums are finite
           and non-negative up to retraction round-off.
 
@@ -272,7 +307,7 @@ class LocalView:
         dummy = self._dummy_mass.view()
         counts = self._unvisited_count.view()
         degrees = self._degrees.view()
-        probs = self._probs.view()
+        indptr, indices, weights = self.symmetric_store()
 
         if (counts < 0).any():
             bad = int(np.flatnonzero(counts < 0)[0])
@@ -293,15 +328,42 @@ class LocalView:
                 f"settled node at local {bad} still carries dummy mass "
                 f"{float(dummy[bad]):.3e}"
             )
-        if len(probs) and (
-            (probs <= 0).any() or not np.isfinite(probs).all()
+        if len(weights) and (
+            (weights <= 0).any() or not np.isfinite(weights).all()
         ):
-            problems.append("restored transition probabilities must be "
-                            "positive and finite")
+            problems.append("restored edge weights must be positive and finite")
 
-        row_mass = np.bincount(
-            self._rows.view(), weights=probs, minlength=m
-        )[:m]
+        row_len = np.diff(indptr)
+        if (
+            len(indptr) != m + 1
+            or indptr[0] != 0
+            or (row_len < 0).any()
+            or indptr[-1] != len(indices)
+            or len(weights) != len(indices)
+            or indptr.dtype != indices.dtype
+        ):
+            problems.append(
+                f"symmetric store is mis-shaped: {len(indptr)} {indptr.dtype} "
+                f"row pointers for {m} nodes, {len(indices)} {indices.dtype} "
+                f"columns, {len(weights)} weights"
+            )
+            return problems
+        rows = np.repeat(np.arange(m), row_len)
+        above = (indices < 0) | (indices >= rows)
+        if above.any():
+            bad = int(np.flatnonzero(above)[0])
+            problems.append(
+                f"store entry ({int(rows[bad])}, {int(indices[bad])}) is not "
+                f"below the diagonal"
+            )
+            return problems
+
+        sym_mass = np.bincount(rows, weights=weights, minlength=m) + np.bincount(
+            indices, weights=weights, minlength=m
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row_mass = np.where(degrees > 0, sym_mass / degrees, 0.0)
+        row_mass[0] = 0.0  # the operator zeroes the query row of T
         total = row_mass + dummy
         expected = (degrees > 0).astype(np.float64)
         expected[0] = 0.0  # the query row of T is zeroed (Table 1)
@@ -377,35 +439,30 @@ class LocalView:
         uniq, first_pos = np.unique(candidates, return_index=True)
         new_nodes = uniq[np.argsort(first_pos, kind="stable")]
         self._visit_batch(new_nodes)
-        return [int(v) for v in new_nodes]
+        return new_nodes.tolist()
 
     # ------------------------------------------------------------------
-    # Matrix assembly
+    # Transition matrix
     # ------------------------------------------------------------------
 
     def transition_csr(self) -> sp.csr_matrix:
-        """Sparse ``T_S``: transitions within S, query row zeroed."""
-        m = self.size
-        return sp.csr_matrix(
-            (self._probs.view(), (self._rows.view(), self._cols.view())),
-            shape=(m, m),
-        )
+        """Sparse ``T_S``: transitions within S, query row zeroed.
 
-    def transition_operator(self, scale: float = 1.0, diag=None):
-        """Matrix-free ``scale · T_S`` (plus optional diagonal).
-
-        Avoids the O(E log E) CSR assembly that would otherwise be paid
-        on every bound refresh; see
-        :class:`repro.core.iterative.CooOperator`.
+        Assembled from the store on demand (audits, tests and the
+        Gauss–Seidel/selective solver modes); the hot paths apply
+        :meth:`transition_operator` instead.
         """
-        from repro.core.iterative import CooOperator
+        m = self.size
+        indptr, indices, weights = self.symmetric_store()
+        lower = sp.csr_matrix((weights, indices, indptr), shape=(m, m))
+        row_scale = TransitionOperator(self).row_scale
+        return (sp.diags(row_scale) @ (lower + lower.T)).tocsr()
 
-        vals = self._probs.view()
-        if scale != 1.0:
-            vals = scale * vals
-        return CooOperator(
-            self._rows.view(), self._cols.view(), vals, self.size, diag
-        )
+    def transition_operator(
+        self, scale: float = 1.0, diag: np.ndarray | None = None
+    ) -> "TransitionOperator":
+        """``scale · T_S`` (plus optional diagonal) over the live store."""
+        return TransitionOperator(self, scale, diag)
 
     def self_loop_terms(
         self, decay: float
@@ -446,16 +503,9 @@ class LocalView:
         n_new = len(nodes)
         lut = self._lut
         lut[nodes] = base + np.arange(n_new, dtype=np.int32)
-        local_of = self._local_of
-        global_of = self._global_of
-        for node in nodes:
-            node = int(node)
-            local_of[node] = len(global_of)
-            global_of.append(node)
-            self._outside_degree.pop(node, None)
         self._gids.append(nodes)
 
-        ids, probs, counts = self._fetch_adjacency(nodes)
+        ids, probs, counts = self.graph.transition_probabilities_many(nodes)
         self.neighbor_queries += n_new
         self._adj_ids.append(ids)
         self._adj_probs.append(probs)
@@ -465,43 +515,32 @@ class LocalView:
         self._degrees.append(w_new)
 
         owner_rel = np.repeat(np.arange(n_new, dtype=np.int64), counts)
-        owner_local = base + owner_rel
         w_owner = np.repeat(w_new, counts)
-        # The query is always local id 0, so "owner is the query" can only
-        # happen in the initial batch.
-        owner_is_q = (
-            owner_local == 0 if base == 0 else np.zeros(len(ids), dtype=bool)
-        )
 
-        visited = lut[ids].astype(np.int64)
+        visited = lut[ids]
         old_mask = (visited >= 0) & (visited < base)
-        batch_mask = visited >= base
         outside = visited < 0
 
-        # Outgoing transitions into already-visited nodes and between batch
-        # members (each ordered pair of batch members appears exactly once,
-        # owned by its source); the query row of T stays zero.
-        keep = (old_mask | batch_mask) & ~owner_is_q
-        if keep.any():
-            self._rows.append(owner_local[keep])
-            self._cols.append(visited[keep])
-            self._probs.append(probs[keep])
+        # Every edge into an earlier-visited node — already visited, or
+        # earlier in this batch — becomes one entry of the owner's new
+        # store row.  Rows are appended in local-id order because
+        # ``owner_rel`` is non-decreasing.
+        lower = (visited >= 0) & (visited < base + owner_rel)
+        row_len = np.bincount(owner_rel[lower], minlength=n_new)
+        self._indptr.append(self._indptr.view()[-1] + np.cumsum(row_len))
+        self._indices.append(visited[lower])
+        self._weights.append(probs[lower] * w_owner[lower])
 
         # Incoming transitions from already-visited neighbors — the
-        # "restoration" step of Sec. 5.2.  No adjacency search is needed:
-        # by symmetry of edge weights, p_{v,u} = p_{u,v} · w_u / w_v.
+        # "restoration" step of Sec. 5.2 — retract mass from their dummy
+        # columns.  No adjacency search is needed: by symmetry of edge
+        # weights, p_{v,u} = p_{u,v} · w_u / w_v.
         if old_mask.any():
-            v_local = visited[old_mask]
-            o_local = owner_local[old_mask]
+            v_local = visited[old_mask].astype(np.int64)
             p_uv = probs[old_mask]
             w_v = self._degrees.raw[v_local]
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_vu = np.where(w_v > 0, p_uv * w_owner[old_mask] / w_v, 0.0)
-            not_into_q = v_local != 0
-            if not_into_q.any():
-                self._rows.append(v_local[not_into_q])
-                self._cols.append(o_local[not_into_q])
-                self._probs.append(p_vu[not_into_q])
 
             dummy = self._dummy_mass.raw
             dummy[:base] -= segment_sums(p_vu, v_local, base)
@@ -545,38 +584,14 @@ class LocalView:
         self._loop_sum.append(loop_new)
         self._tight_sum.append(tight_new)
 
-    def _fetch_adjacency(
-        self, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(ids, probs, counts)`` of a batch's neighborhoods."""
-        if isinstance(self.graph, CSRGraph):
-            return self.graph.transition_probabilities_many(nodes)
-        parts_ids, parts_probs = [], []
-        counts = np.empty(len(nodes), dtype=np.int64)
-        for i, node in enumerate(nodes):
-            ids, probs = self.graph.transition_probabilities(int(node))
-            parts_ids.append(ids)
-            parts_probs.append(probs)
-            counts[i] = len(ids)
-        return (
-            np.concatenate(parts_ids) if parts_ids else np.empty(0, np.int64),
-            np.concatenate(parts_probs)
-            if parts_probs
-            else np.empty(0, np.float64),
-            counts,
-        )
-
     # ------------------------------------------------------------------
     # Scalar restoration (reference path, kept for cross-checking)
     # ------------------------------------------------------------------
 
     def _visit(self, node: int) -> None:
-        local = len(self._global_of)
+        local = self.size
         self._local_of[node] = local
-        self._global_of.append(node)
         self._gids.append_scalar(node)
-        if self._lut is not None:
-            self._lut[node] = local
 
         ids, probs = self.graph.transition_probabilities(node)
         self.neighbor_queries += 1
@@ -587,7 +602,6 @@ class LocalView:
         )
         w_u = self.graph.degree(node)
         self._degrees.append_scalar(w_u)
-        self._outside_degree.pop(node, None)
 
         local_of = self._local_of
         visited_locals = np.fromiter(
@@ -597,13 +611,11 @@ class LocalView:
         )
         inside = visited_locals >= 0
 
-        # Outgoing transitions of the new node into S (skip if node is q:
-        # the query row of T stays zero).
-        if node != self.query and inside.any():
-            count = int(inside.sum())
-            self._rows.append(np.full(count, local, dtype=np.int64))
-            self._cols.append(visited_locals[inside])
-            self._probs.append(probs[inside])
+        # Every edge into S becomes one entry of the new node's store row
+        # (all of S was visited earlier).
+        self._indptr.append_scalar(self._indptr.view()[-1] + int(inside.sum()))
+        self._indices.append(visited_locals[inside])
+        self._weights.append(probs[inside] * w_u)
 
         # Incoming transitions from already-visited neighbors.
         degrees = self._degrees.raw
@@ -617,10 +629,6 @@ class LocalView:
             p_uv = float(probs[idx])
             w_v = float(degrees[v_local])
             p_vu = p_uv * w_u / w_v if w_v > 0 else 0.0
-            if self._global_of[v_local] != self.query:
-                self._rows.append_scalar(v_local)
-                self._cols.append_scalar(local)
-                self._probs.append_scalar(p_vu)
             dummy[v_local] = max(dummy[v_local] - p_vu, 0.0)
             counts[v_local] -= 1
             if track:
@@ -671,3 +679,87 @@ class LocalView:
                 cache[gid] = w
             out[i] = w
         return out
+
+
+class TransitionOperator:
+    """``scale · T_S`` (plus an optional diagonal) over a view's store.
+
+    With the store's lower-triangular weights ``L`` and ``s = scale / w``
+    (zero on the query row, which ``T`` zeroes, and on zero-degree rows),
+
+        ``scale · T_S x = s ⊙ (L x + Lᵀ x)``,
+
+    one compiled CSR product plus one compiled CSC product over the same
+    three arrays (the CSR arrays of ``L`` are the CSC arrays of ``Lᵀ``).
+    The view only appends to its store, so there is nothing to rebuild:
+    :meth:`sync` re-reads the arrays and extends ``s`` once per refresh.
+    """
+
+    def __init__(self, view, scale: float = 1.0, diag: np.ndarray | None = None):
+        self.view = view
+        self.factor = scale
+        self.diag = diag
+        self.size = -1
+        self.sync()
+
+    def sync(self) -> int:
+        """Bind the view's current store; returns ``|S|``.
+
+        Raises :class:`~repro.errors.TransitionStoreError` when the
+        store's shape does not match the view — the compiled products
+        would otherwise read out of bounds.
+        """
+        indptr, indices, weights = self.view.symmetric_store()
+        m = self.view.size
+        if (
+            len(indptr) != m + 1
+            or indptr[-1] != len(indices)
+            or len(indices) != len(weights)
+            or indptr.dtype != indices.dtype
+            or weights.dtype != np.float64
+        ):
+            raise TransitionStoreError(
+                f"transition store does not match the visited set: {m} "
+                f"nodes, {len(indptr)} row pointers ending at "
+                f"{int(indptr[-1]) if len(indptr) else None}, "
+                f"{len(indices)} {indices.dtype} columns, "
+                f"{len(weights)} {weights.dtype} weights "
+                f"(pointers are {indptr.dtype})"
+            )
+        if m != self.size:
+            degrees = self.view.degrees_array()
+            with np.errstate(divide="ignore"):
+                row_scale = np.where(degrees > 0, self.factor / degrees, 0.0)
+            row_scale[0] = 0.0  # the query row of T is zero (Table 1)
+            self.row_scale = row_scale
+            self._row_scale_col = row_scale[:, None]
+            self.size = m
+        self._store = (indptr, indices, weights)
+        return m
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``scale · T_S @ x`` for ``x`` of shape ``(m,)`` or ``(m, k)``."""
+        m = self.size
+        if x.shape[0] != m:
+            raise TransitionStoreError(
+                f"operator over {m} nodes applied to {x.shape[0]} rows"
+            )
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.zeros(x.shape)
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(m, m, *self._store, x, y)
+            _sparsetools.csc_matvec(m, m, *self._store, x, y)
+            y *= self.row_scale
+        else:
+            k = x.shape[1]
+            flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+            _sparsetools.csr_matvecs(m, m, k, *self._store, flat_x, flat_y)
+            _sparsetools.csc_matvecs(m, m, k, *self._store, flat_x, flat_y)
+            y *= self._row_scale_col
+        return y
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.apply(x)
+        if self.diag is not None:
+            y += self.diag * x
+        return y

@@ -59,6 +59,16 @@ class ConvergenceError(SearchError):
         self.tol = tol
 
 
+class TransitionStoreError(SearchError):
+    """A visited subgraph's transition store is inconsistent.
+
+    Raised before a compiled sparse product would read the store out of
+    bounds: its row pointers do not match the visited-set size or its
+    entry arrays, or an input vector has the wrong length.  It always
+    means a restoration bug, never bad user input.
+    """
+
+
 class AuditError(SearchError):
     """A runtime invariant audit detected a certification violation.
 

@@ -9,8 +9,10 @@ Three contracts are pinned here:
   bounds that sandwich the exact proximity values, and ``flos_top_k``
   returns the same certified top-k under every mode — with ``"fused"``
   bit-identical to the legacy ``"jacobi"`` path (same iterate sequence);
-* the ``_AppendOnlyOperator`` snapshot+tail product equals the full
-  matrix product at every growth stage.
+* the store-backed ``TransitionOperator`` equals dense ``decay·T_S``
+  built straight from the graph at every growth stage, on both
+  restoration paths, and refuses a mis-sized store instead of handing
+  it to the compiled products.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FLoSOptions, flos_top_k
-from repro.core.kernels import SOLVERS, _AppendOnlyOperator
+from repro.core.kernels import SOLVERS, DualBoundKernel, THTDPKernel
 from repro.core.localgraph import LocalView
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransitionStoreError
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.memory import CSRGraph
 from repro.measures import PHP, RWR, THT, solve_direct
@@ -135,9 +137,9 @@ class TestSolverModes:
 
     def test_fused_matches_jacobi_exactly(self, rmat_graph):
         """Fused freezes converged columns, so each column runs the same
-        iterate sequence as the legacy pair of solves — node lists are
-        identical and values agree to summation-order rounding (the CSR
-        matvec and the legacy bincount scatter sum in different orders)."""
+        iterate sequence as the legacy pair of solves over the same
+        store-backed operator — node lists are identical and values
+        agree to rounding."""
         for measure in (PHP(0.5), RWR(0.9), THT(10)):
             a = flos_top_k(
                 rmat_graph, measure, 7, 8, options=FLoSOptions(solver="jacobi")
@@ -237,39 +239,79 @@ class TestSandwichProperty:
 
 
 # ----------------------------------------------------------------------
-# _AppendOnlyOperator: snapshot + tail == full matrix
+# TransitionOperator: symmetric store == dense decay·T_S
 # ----------------------------------------------------------------------
 
 
-class TestAppendOnlyOperator:
-    def grow(self, graph, query, rounds):
-        view = LocalView(graph, query)
-        op = _AppendOnlyOperator(view, decay=0.5)
-        rng = np.random.default_rng(1)
-        for _ in range(rounds):
-            op.sync()
-            m = view.size
-            full = 0.5 * view.transition_csr()
+def dense_transition(graph, view):
+    """``T_S`` over the view's visited set, straight from the graph."""
+    gids = [int(g) for g in view.global_ids()]
+    local_of = {g: i for i, g in enumerate(gids)}
+    t = np.zeros((len(gids), len(gids)))
+    for i, g in enumerate(gids[1:], start=1):  # the query row stays zero
+        ids, probs = graph.transition_probabilities(g)
+        for v, p in zip(ids, probs):
+            if int(v) in local_of:
+                t[i, local_of[int(v)]] += p
+    return t
+
+
+class TestTransitionOperator:
+    @SETTINGS
+    @given(
+        connected_graph_query(),
+        st.booleans(),
+        st.integers(0, 2**31),
+        st.sampled_from([0.5, 0.9, 1.0]),
+    )
+    def test_matches_dense_through_growth(self, case, vectorized, seed, decay):
+        """1-D and ``(m, 2)`` products, both restoration paths, random
+        expansion orders; row 0 (the query) always comes out zero."""
+        graph, q, _ = case
+        view = LocalView(graph, q, vectorized=vectorized)
+        op = view.transition_operator(decay)
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            m = op.sync()
+            dense = decay * dense_transition(graph, view)
             x = rng.standard_normal((m, 2))
-            np.testing.assert_allclose(op.apply(x, m), full @ x, atol=1e-12)
+            y = op.apply(x)
+            np.testing.assert_allclose(y, dense @ x, atol=1e-12)
             np.testing.assert_allclose(
-                op.apply(x[:, 0], m), full @ x[:, 0], atol=1e-12
+                op.apply(x[:, 0]), dense @ x[:, 0], atol=1e-12
             )
-            active = np.flatnonzero(rng.random(m) < 0.4)
+            assert not y[0].any()
+            diag = rng.random(m)
             np.testing.assert_allclose(
-                op.row_subset_product(active, x), (full @ x)[active], atol=1e-12
+                view.transition_operator(decay, diag) @ x[:, 1],
+                dense @ x[:, 1] + diag * x[:, 1],
+                atol=1e-12,
             )
             frontier = np.flatnonzero(view.boundary_mask())
             if len(frontier) == 0:
                 break
-            view.expand_batch(frontier[:2])
-        return op
+            order = rng.permutation(frontier)
+            view.expand_batch(order[: rng.integers(1, len(order) + 1)])
+        np.testing.assert_allclose(
+            view.transition_csr().toarray(),
+            dense_transition(graph, view),
+            atol=1e-12,
+        )
 
-    def test_matches_full_matrix_through_growth(self):
-        g = erdos_renyi(150, 500, seed=11)
-        self.grow(g, query=2, rounds=10)
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_zero_degree_query(self, vectorized):
+        graph = CSRGraph.from_edges(4, np.array([[0, 1], [1, 2]]))
+        view = LocalView(graph, 3, vectorized=vectorized)
+        op = view.transition_operator(0.5)
+        assert op.sync() == 1
+        np.testing.assert_array_equal(op.apply(np.ones(1)), [0.0])
+        np.testing.assert_array_equal(op.apply(np.ones((1, 2))), [[0.0, 0.0]])
+        assert view.check_invariants() == []
 
     def test_dependents_cover_in_neighbors(self):
+        """The selective mode's dependency closure, now read from the
+        matrix assembled out of the store, still covers every row whose
+        sweep reads one of the given rows."""
         g = erdos_renyi(100, 300, seed=5)
         view = LocalView(g, 0)
         for _ in range(5):
@@ -277,12 +319,71 @@ class TestAppendOnlyOperator:
             if len(frontier) == 0:
                 break
             view.expand_batch(frontier[:3])
-        op = _AppendOnlyOperator(view, decay=0.5)
-        op.sync()
+        kernel = DualBoundKernel(view, 0.5, "selective")
         m = view.size
         full = view.transition_csr().tocsc()
         rows = np.arange(m // 2, m, dtype=np.int64)
-        deps = set(map(int, op.dependents(rows, m)))
-        # every row whose sweep reads one of `rows` must be included
+        deps = set(map(int, kernel._dependents(rows)))
         true_deps = set(map(int, full[:, rows].tocoo().row))
         assert true_deps <= deps
+
+
+# Ways a restoration bug could leave the store out of step with the view.
+
+
+def _drop_store_row(view):
+    view._gids.append_scalar(int(view.global_ids()[-1]))
+
+
+def _short_columns(view):
+    view._indices._size -= 1
+
+
+def _short_weights(view):
+    view._weights._size -= 1
+
+
+def _wide_columns(view):
+    view._indices._data = view._indices._data.astype(np.int64)
+
+
+class TestStoreGuard:
+    """A mis-sized store must raise before the compiled products run —
+    unchecked, they read out of bounds and can take the process down."""
+
+    @pytest.fixture
+    def view(self):
+        view = LocalView(erdos_renyi(60, 200, seed=1), 0)
+        view.expand_batch(np.arange(view.size))
+        view.expand_batch(np.flatnonzero(view.boundary_mask())[:4])
+        return view
+
+    @pytest.mark.parametrize(
+        "corrupt", [_drop_store_row, _short_columns, _short_weights, _wide_columns]
+    )
+    def test_mis_sized_store_raises(self, view, corrupt):
+        corrupt(view)
+        with pytest.raises(TransitionStoreError):
+            view.transition_operator(0.5)
+        with pytest.raises(TransitionStoreError):
+            DualBoundKernel(view, 0.5, "fused")
+        with pytest.raises(TransitionStoreError):
+            THTDPKernel(view)
+        assert view.check_invariants()
+
+    def test_stale_store_caught_at_refresh(self, view):
+        kernel = DualBoundKernel(view, 0.5, "fused")
+        _drop_store_row(view)
+        m = view.size
+        e = np.zeros(m)
+        with pytest.raises(TransitionStoreError):
+            kernel.refresh(
+                np.zeros(m), np.ones(m), None, e, e, tau=1e-5, max_iterations=50
+            )
+
+    def test_wrong_length_vector_raises(self, view):
+        op = view.transition_operator(0.5)
+        with pytest.raises(TransitionStoreError):
+            op.apply(np.ones(view.size + 1))
+        with pytest.raises(TransitionStoreError):
+            op.apply(np.ones((view.size - 1, 2)))

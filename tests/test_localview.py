@@ -143,3 +143,86 @@ def test_degrees_array_matches_graph():
     view.expand(0)
     for local, gid in enumerate(view.global_ids()):
         assert view.local_degree(local) == pytest.approx(g.degree(int(gid)))
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_local_id_raises_for_unvisited(vectorized):
+    g = erdos_renyi(40, 120, seed=3)
+    view = LocalView(g, 0, vectorized=vectorized)
+    view.expand(0)
+    for local, gid in enumerate(view.global_ids()):
+        assert view.local_id(int(gid)) == local
+    unvisited = next(u for u in range(g.num_nodes) if not view.is_visited(u))
+    with pytest.raises(KeyError):
+        view.local_id(unvisited)
+
+
+def grown_view(vectorized, seed=4):
+    g = rmat(7, 400, seed=seed, weighted=True)
+    view = LocalView(g, 1, vectorized=vectorized)
+    for _ in range(4):
+        boundary = np.flatnonzero(view.boundary_mask())
+        if not len(boundary):
+            break
+        view.expand_batch(boundary[:3])
+    return view
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_store_is_strictly_lower_triangular(vectorized):
+    view = grown_view(vectorized)
+    indptr, indices, weights = view.symmetric_store()
+    assert len(indptr) == view.size + 1
+    rows = np.repeat(np.arange(view.size), np.diff(indptr))
+    assert (indices < rows).all()
+    assert (weights > 0).all()
+    assert view.check_invariants() == []
+
+
+def _column_above_row(view):
+    indptr, indices, _ = view.symmetric_store()
+    row = int(np.flatnonzero(np.diff(indptr))[0])
+    indices[indptr[row]] = row
+
+
+def _pointers_not_monotone(view):
+    indptr, _, _ = view.symmetric_store()
+    row = int(np.flatnonzero(np.diff(indptr))[-1])
+    indptr[row], indptr[row + 1] = indptr[row + 1], indptr[row]
+
+
+def _weight_drift(view):
+    view.symmetric_store()[2][-1] *= 1.5
+
+
+def _query_dummy(view):
+    view.dummy_mass()[0] = 0.25
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_column_above_row, "below the diagonal"),
+        (_pointers_not_monotone, "mis-shaped"),
+        (_weight_drift, "transition mass"),
+        (_query_dummy, "transition mass of local 0"),
+    ],
+)
+def test_invariants_catch_store_corruption(corrupt, message):
+    view = grown_view(vectorized=True)
+    corrupt(view)
+    problems = view.check_invariants()
+    assert any(message in p for p in problems), problems
+
+
+def test_audit_off_never_checks_the_view(monkeypatch):
+    from repro import FLoSOptions, flos_top_k
+    from repro.measures import RWR
+
+    def fail(self, **kwargs):
+        raise AssertionError("check_invariants ran with audit='off'")
+
+    monkeypatch.setattr(LocalView, "check_invariants", fail)
+    g = erdos_renyi(60, 200, seed=2)
+    result = flos_top_k(g, RWR(0.5), 3, 5, options=FLoSOptions(audit="off"))
+    assert len(result.nodes) == 5
