@@ -1,21 +1,20 @@
-"""Kernel-layer benchmark: solver modes and restoration cost (PR 3).
+"""Kernel-layer benchmark: bound refresh and restoration cost.
 
-Runs three comparisons on synthetic R-MAT graphs and writes a JSON
+Runs three measurements on synthetic R-MAT graphs and writes a JSON
 report (``BENCH_PR3.json``) so the perf trajectory accumulates across
-PRs:
+changes:
 
-* **solver modes** — every :data:`repro.core.kernels.SOLVERS` entry on
-  the same query workload: queries/sec, mean sweeps, mean visited
-  nodes, mean rows swept, and whether the top-k node lists match the
-  legacy ``"jacobi"`` reference;
+* **refresh** — the one bound-refresh path on an RWR + PHP query
+  workload: queries/sec, mean sweeps, mean visited nodes, mean rows
+  swept;
 * **restoration** — vectorized vs scalar ``LocalView`` restoration
   (``LocalView.DEFAULT_VECTORIZED``), everything else held fixed;
 * **session-amortized RWR workload** — the acceptance workload of
   ``bench_micro_engine.py`` (25 distinct queries x 3 repeats through a
   :class:`~repro.core.session.QuerySession`): the PR-2 baseline
-  emulation (scalar restoration + ``solver="jacobi"``) against the
-  new default path, with the required >= 2x speedup and identical
-  top-k checked by ``--check``.
+  emulation (scalar restoration) against the default vectorized path,
+  with the required >= 2x speedup and identical top-k checked by
+  ``--check``.
 
 Usage::
 
@@ -37,7 +36,6 @@ import numpy as np
 
 from repro.core.api import flos_top_k
 from repro.core.flos import FLoSOptions
-from repro.core.kernels import SOLVERS
 from repro.core.localgraph import LocalView
 from repro.core.session import QuerySession
 from repro.bench.workload import sample_queries
@@ -51,9 +49,9 @@ PRESETS = {
 }
 
 
-def _run_queries(graph, measure, queries, k, *, solver, vectorized=True):
+def _run_queries(graph, measure, queries, k, *, vectorized=True):
     """Time a workload; returns (results, elapsed_seconds)."""
-    options = FLoSOptions(solver=solver, tie_epsilon=1e-5)
+    options = FLoSOptions(tie_epsilon=1e-5)
     LocalView.DEFAULT_VECTORIZED = vectorized
     try:
         started = time.perf_counter()
@@ -67,59 +65,36 @@ def _run_queries(graph, measure, queries, k, *, solver, vectorized=True):
     return results, elapsed
 
 
-def bench_solver_modes(graph, queries, k):
-    """Every solver on the same RWR + PHP workload.
-
-    Agreement is checked on the certified top-k *sets*: with
-    ``tie_epsilon > 0`` two modes may order a within-epsilon tie
-    differently (both orders are certified), and Gauss–Seidel's
-    tighter per-sweep iterates occasionally do.  The strict node-list
-    comparison against the legacy path lives in the session-amortized
-    section, which exercises the default solver.
-    """
-    out = {}
-    reference = {}
-    for solver in SOLVERS:
-        per_measure = []
-        topk_matches = True
-        for measure in (RWR(0.5), PHP(0.5)):
-            results, elapsed = _run_queries(
-                graph, measure, queries, k, solver=solver
-            )
-            if solver == "jacobi":
-                reference[measure.name] = [r.node_set() for r in results]
-            else:
-                topk_matches &= reference[measure.name] == [
-                    r.node_set() for r in results
-                ]
-            per_measure.append((results, elapsed))
-        all_results = [r for results, _ in per_measure for r in results]
-        total = sum(elapsed for _, elapsed in per_measure)
-        out[solver] = {
-            "queries_per_second": len(all_results) / total,
-            "total_seconds": total,
-            "mean_sweeps": float(
-                np.mean([r.stats.solver_iterations for r in all_results])
-            ),
-            "mean_visited": float(
-                np.mean([r.stats.visited_nodes for r in all_results])
-            ),
-            "mean_rows_swept": float(
-                np.mean([r.stats.rows_swept for r in all_results])
-            ),
-            "topk_matches_jacobi": bool(topk_matches),
-        }
-    return out
+def bench_refresh(graph, queries, k):
+    """The bound-refresh path on the same RWR + PHP workload."""
+    per_measure = [
+        _run_queries(graph, measure, queries, k)
+        for measure in (RWR(0.5), PHP(0.5))
+    ]
+    all_results = [r for results, _ in per_measure for r in results]
+    total = sum(elapsed for _, elapsed in per_measure)
+    return {
+        "queries_per_second": len(all_results) / total,
+        "total_seconds": total,
+        "mean_sweeps": float(
+            np.mean([r.stats.solver_iterations for r in all_results])
+        ),
+        "mean_visited": float(
+            np.mean([r.stats.visited_nodes for r in all_results])
+        ),
+        "mean_rows_swept": float(
+            np.mean([r.stats.rows_swept for r in all_results])
+        ),
+    }
 
 
 def bench_restoration(graph, queries, k):
-    """Scalar vs vectorized restoration, solver held at the default."""
-    default_solver = FLoSOptions().solver
+    """Scalar vs vectorized restoration, everything else held fixed."""
     vec_results, vec_seconds = _run_queries(
-        graph, RWR(0.5), queries, k, solver=default_solver, vectorized=True
+        graph, RWR(0.5), queries, k, vectorized=True
     )
     scal_results, scal_seconds = _run_queries(
-        graph, RWR(0.5), queries, k, solver=default_solver, vectorized=False
+        graph, RWR(0.5), queries, k, vectorized=False
     )
     identical = all(
         list(a.nodes) == list(b.nodes)
@@ -134,16 +109,16 @@ def bench_restoration(graph, queries, k):
 
 
 def bench_session_amortized(graph, distinct, repeats, k):
-    """The acceptance workload: PR-2 baseline emulation vs new default.
+    """The acceptance workload: PR-2 baseline emulation vs the default.
 
-    The PR-2 code had scalar restoration and only the jacobi solver, so
-    ``DEFAULT_VECTORIZED=False`` + ``solver="jacobi"`` reproduces its
-    hot path on today's engine.
+    The PR-2 code had scalar restoration and the same per-column Jacobi
+    refresh, so ``DEFAULT_VECTORIZED=False`` reproduces its hot path on
+    today's engine.
     """
     workload = [int(q) for q in distinct] * repeats
 
-    def serve(*, solver, vectorized):
-        options = FLoSOptions(solver=solver, tie_epsilon=1e-5)
+    def serve(*, vectorized):
+        options = FLoSOptions(tie_epsilon=1e-5)
         LocalView.DEFAULT_VECTORIZED = vectorized
         try:
             session = QuerySession(graph, RWR(0.5), options=options)
@@ -154,10 +129,8 @@ def bench_session_amortized(graph, distinct, repeats, k):
             LocalView.DEFAULT_VECTORIZED = True
         return batch, elapsed
 
-    baseline, baseline_seconds = serve(solver="jacobi", vectorized=False)
-    default, default_seconds = serve(
-        solver=FLoSOptions().solver, vectorized=True
-    )
+    baseline, baseline_seconds = serve(vectorized=False)
+    default, default_seconds = serve(vectorized=True)
     identical = all(
         list(a.nodes) == list(b.nodes) for a, b in zip(default, baseline)
     )
@@ -170,7 +143,7 @@ def bench_session_amortized(graph, distinct, repeats, k):
             if default_seconds
             else float("inf")
         ),
-        "topk_identical_to_jacobi": bool(identical),
+        "topk_identical_to_baseline": bool(identical),
     }
 
 
@@ -180,7 +153,7 @@ def run(preset: str) -> dict:
     queries = sample_queries(graph, cfg["queries"], seed=20140622)
     k = 10
     payload = {
-        "bench": "bench_kernels (PR 3)",
+        "bench": "bench_kernels",
         "preset": preset,
         "graph": {
             "model": "rmat",
@@ -189,8 +162,7 @@ def run(preset: str) -> dict:
             "seed": 21,
         },
         "k": k,
-        "default_solver": FLoSOptions().solver,
-        "solvers": bench_solver_modes(graph, queries, k),
+        "refresh": bench_refresh(graph, queries, k),
         "restoration": bench_restoration(graph, queries, k),
         "session_amortized_rwr": bench_session_amortized(
             graph, queries, cfg["repeats"], k
@@ -208,11 +180,8 @@ def check(payload: dict) -> list[str]:
             "session-amortized RWR speedup "
             f"{amortized['speedup']:.2f}x < required 2x"
         )
-    if not amortized["topk_identical_to_jacobi"]:
+    if not amortized["topk_identical_to_baseline"]:
         failures.append("default path top-k differs from the PR-2 baseline")
-    for solver, row in payload["solvers"].items():
-        if not row["topk_matches_jacobi"]:
-            failures.append(f"solver {solver!r} top-k differs from jacobi")
     if not payload["restoration"]["topk_identical"]:
         failures.append("scalar and vectorized restoration disagree")
     return failures
@@ -240,13 +209,12 @@ def main(argv=None) -> int:
         f"{amortized['default_seconds']:.3f}s "
         f"({amortized['speedup']:.1f}x)"
     )
-    for solver, row in payload["solvers"].items():
-        print(
-            f"  {solver:>12}: {row['queries_per_second']:8.2f} q/s, "
-            f"mean sweeps {row['mean_sweeps']:6.1f}, "
-            f"mean visited {row['mean_visited']:7.1f}, "
-            f"match={row['topk_matches_jacobi']}"
-        )
+    row = payload["refresh"]
+    print(
+        f"refresh: {row['queries_per_second']:.2f} q/s, "
+        f"mean sweeps {row['mean_sweeps']:.1f}, "
+        f"mean visited {row['mean_visited']:.1f}"
+    )
 
     if args.check:
         failures = check(payload)

@@ -26,7 +26,6 @@ from pathlib import Path
 from repro import __version__
 from repro.core.api import QueryOverrides, flos_top_k
 from repro.core.flos import FLoSOptions
-from repro.core.kernels import SOLVERS
 from repro.core.session import QuerySession
 from repro.errors import ReproError
 from repro.graph.base import GraphAccess
@@ -131,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "anytime answer (default: degrade)",
     )
     qy.add_argument(
-        "--solver",
-        choices=SOLVERS,
-        default=None,
-        help="bound-refresh kernel (default: the library default, "
-        '"fused"; "jacobi" is the legacy reference path)',
-    )
-    qy.add_argument(
         "--memory-budget",
         type=int,
         default=64 * 1024 * 1024,
@@ -210,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-size", type=int, default=256, help="LRU result-cache entries"
-    )
-    serve.add_argument(
-        "--solver",
-        choices=SOLVERS,
-        default=None,
-        help="bound-refresh kernel (default: the library default, "
-        '"fused"; "jacobi" is the legacy reference path)',
     )
     serve.add_argument("--seed", type=int, default=20140622)
     serve.add_argument(
@@ -336,7 +321,6 @@ def cmd_query(args) -> int:
     overrides = QueryOverrides(
         deadline_seconds=args.deadline,
         on_budget=args.on_budget,
-        solver=args.solver,
     )
     graph = open_graph(args.input, memory_budget=args.memory_budget)
     try:
@@ -362,7 +346,7 @@ def cmd_query(args) -> int:
         f"in {stats.wall_time_seconds * 1e3:.1f} ms"
     )
     print(
-        f"solver {stats.solver}: {stats.solver_iterations} sweeps, "
+        f"bound refresh: {stats.solver_iterations} sweeps, "
         f"{stats.rows_swept} row updates"
     )
     if not result.exact:
@@ -398,7 +382,6 @@ def _bench_serve_options(args) -> tuple[Measure, FLoSOptions, QueryOverrides]:
     overrides = QueryOverrides(
         deadline_seconds=args.deadline,
         on_budget=args.on_budget,
-        solver=args.solver,
     )
     return measure, options, overrides
 
@@ -888,7 +871,7 @@ def cmd_fuzz(args) -> int:
 
     print(
         f"fuzzing {args.cases} cases (seed {args.seed}): "
-        "4 solvers + scalar view + anytime, vs direct solve + GI oracle"
+        "default + scalar view + anytime runs, vs direct solve + GI oracle"
     )
     summary = run_fuzz(
         args.cases, args.seed, out_dir=args.out_dir, progress=heartbeat

@@ -7,20 +7,13 @@ same request shape, defined here:
 
 * :class:`QueryOverrides` — the per-call knobs a *request* may carry on
   top of the session-level :class:`~repro.core.flos.FLoSOptions`:
-  ``deadline_seconds``, ``on_budget``, ``solver``, ``audit``.  Overrides
+  ``deadline_seconds``, ``on_budget``, ``audit``.  Overrides
   are applied with :meth:`QueryOverrides.apply`, which re-validates the
   resulting options, so a bad override fails with
   :class:`~repro.errors.ConfigurationError` before any engine runs.
 * :class:`QueryRequest` — ``(query, k, exclude, overrides)``: the full
   picklable request, used verbatim as the wire format between the
   serving dispatcher and its worker processes.
-
-Historically each layer re-spelled these knobs differently
-(``flos_top_k`` took ``deadline_seconds``/``on_budget`` keywords,
-sessions took the same pair but not ``solver``, the CLI re-spelled all
-of it as flags).  The scattered per-call keywords still work but emit
-:class:`DeprecationWarning`; pass ``overrides=QueryOverrides(...)``
-instead.
 
 :func:`flos_top_k` accepts any supported measure — an instance or a name
 string — and answers one query through a throwaway
@@ -47,7 +40,6 @@ search statistics.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping
 
@@ -65,9 +57,9 @@ class QueryOverrides:
     """Per-request overrides of the session-level :class:`FLoSOptions`.
 
     Every field defaults to ``None`` ("inherit the session setting").
-    The four knobs are exactly the ones a *request* may reasonably
+    The three knobs are exactly the ones a *request* may reasonably
     carry — a latency budget and what to do when it fires, plus the
-    bound-refresh kernel and the runtime audit mode:
+    runtime audit mode:
 
     ``deadline_seconds``
         Wall-clock budget for this query.  ``float("inf")`` lifts a
@@ -77,8 +69,6 @@ class QueryOverrides:
         as a configuration error, like :class:`FLoSOptions` does).
     ``on_budget``
         ``"raise"`` or ``"degrade"`` (see :class:`FLoSOptions`).
-    ``solver``
-        Bound-refresh kernel name (:data:`repro.core.kernels.SOLVERS`).
     ``audit``
         Runtime invariant audit: ``"off"``, ``"record"``, ``"check"``.
 
@@ -88,7 +78,6 @@ class QueryOverrides:
 
     deadline_seconds: float | None = None
     on_budget: str | None = None
-    solver: str | None = None
     audit: str | None = None
 
     def is_empty(self) -> bool:
@@ -112,8 +101,6 @@ class QueryOverrides:
             updates["deadline_seconds"] = float(self.deadline_seconds)
         if self.on_budget is not None:
             updates["on_budget"] = str(self.on_budget)
-        if self.solver is not None:
-            updates["solver"] = str(self.solver)
         if self.audit is not None:
             updates["audit"] = str(self.audit)
         return replace(options, **updates)
@@ -193,41 +180,6 @@ class QueryRequest:
         )
 
 
-def resolve_overrides(
-    overrides: QueryOverrides | None,
-    deadline_seconds: float | None,
-    on_budget: str | None,
-    *,
-    caller: str,
-) -> QueryOverrides:
-    """Fold deprecated per-call keywords into one :class:`QueryOverrides`.
-
-    Shared by every entry point that still accepts the pre-1.5 scattered
-    ``deadline_seconds`` / ``on_budget`` keywords.  Passing both the old
-    keywords and ``overrides`` is ambiguous and raises; the old keywords
-    alone emit a :class:`DeprecationWarning` naming the caller.
-    """
-    legacy = deadline_seconds is not None or on_budget is not None
-    if not legacy:
-        return overrides if overrides is not None else NO_OVERRIDES
-    if overrides is not None:
-        raise SearchError(
-            f"{caller}: pass either overrides=QueryOverrides(...) or the "
-            "legacy deadline_seconds/on_budget keywords, not both"
-        )
-    warnings.warn(
-        f"{caller}: the per-call deadline_seconds/on_budget keywords are "
-        "deprecated; pass overrides=QueryOverrides(deadline_seconds=..., "
-        "on_budget=...) instead (see docs/api.md, 'Migrating to "
-        "QueryOverrides')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return QueryOverrides(
-        deadline_seconds=deadline_seconds, on_budget=on_budget
-    )
-
-
 def flos_top_k(
     graph: GraphAccess,
     measure: MeasureSpec,
@@ -237,8 +189,6 @@ def flos_top_k(
     options: FLoSOptions | None = None,
     exclude: set[int] | frozenset[int] | Iterable[int] | None = None,
     overrides: QueryOverrides | None = None,
-    deadline_seconds: float | None = None,
-    on_budget: str | None = None,
     **measure_params,
 ) -> TopKResult:
     """Exact top-k proximity query by fast local search (Algorithm 2).
@@ -268,7 +218,7 @@ def flos_top_k(
         from the candidate set, not from the graph.
     overrides:
         :class:`QueryOverrides` — per-call ``deadline_seconds`` /
-        ``on_budget`` / ``solver`` / ``audit`` on top of ``options``.
+        ``on_budget`` / ``audit`` on top of ``options``.
         The same object is accepted by
         :meth:`QuerySession.top_k <repro.core.session.QuerySession.top_k>`
         and the :class:`~repro.serve.ShardedServer` dispatcher, so a
@@ -277,9 +227,6 @@ def flos_top_k(
         *anytime* result — the current best-k with certified bounds,
         ``exact=False``, and ``stats.termination`` naming the budget
         that fired — instead of raising.
-    deadline_seconds / on_budget:
-        Deprecated spellings of the corresponding ``overrides`` fields
-        (kept working for one minor version; they warn).
 
     Returns
     -------
@@ -306,10 +253,7 @@ def flos_top_k(
     # stays importable from the session module without a cycle.
     from repro.core.session import QuerySession
 
-    resolved = resolve_overrides(
-        overrides, deadline_seconds, on_budget, caller="flos_top_k"
-    )
     session = QuerySession(
         graph, measure, options=options, cache_size=0, **measure_params
     )
-    return session.top_k(query, k, exclude=exclude, overrides=resolved)
+    return session.top_k(query, k, exclude=exclude, overrides=overrides)

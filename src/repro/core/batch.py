@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.api import QueryOverrides, resolve_overrides
+from repro.core.api import QueryOverrides
 from repro.core.flos import FLoSOptions
 from repro.core.result import BatchSummary
 from repro.core.session import QuerySession
@@ -39,8 +39,6 @@ def flos_top_k_batch(
     options: FLoSOptions | None = None,
     workers: int = 1,
     overrides: QueryOverrides | None = None,
-    deadline_seconds: float | None = None,
-    on_budget: str | None = None,
     **measure_params,
 ) -> BatchSummary:
     """Run :func:`~repro.core.api.flos_top_k` for every query node.
@@ -52,13 +50,9 @@ def flos_top_k_batch(
     (:class:`~repro.core.api.QueryOverrides`) applies per query (see
     :meth:`~repro.core.session.QuerySession.top_k_many`), so one
     pathological query degrades to an anytime result instead of
-    stalling the batch.  The bare ``deadline_seconds`` / ``on_budget``
-    keywords are the deprecated pre-1.5 spelling (they warn).
+    stalling the batch.
     """
-    resolved = resolve_overrides(
-        overrides, deadline_seconds, on_budget, caller="flos_top_k_batch"
-    )
     session = QuerySession(
         graph, measure, options=options, cache_size=0, **measure_params
     )
-    return session.top_k_many(queries, k, workers=workers, overrides=resolved)
+    return session.top_k_many(queries, k, workers=workers, overrides=overrides)

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.iterative import jacobi_solve
-from repro.core.kernels import SOLVERS, DualBoundKernel
+from repro.core.kernels import DualBoundKernel
 from repro.core.localgraph import LocalView
 from repro.core.result import IterationSnapshot, SearchStats
 from repro.nputil import top_k_indices
@@ -105,18 +104,6 @@ class FLoSOptions:
     on_budget: str = "raise"
     #: Inner-solver iteration cap.
     max_inner_iterations: int = 10_000
-    #: Bound-refresh kernel (see :mod:`repro.core.kernels`):
-    #: ``"fused"`` (default) block-solves both bound systems in one
-    #: ``(m, 2)`` sweep over the view's symmetric store, ``"selective"``
-    #: additionally confines sweeps to rows the last expansion actually
-    #: moved (wins only when the active set stays small — see
-    #: ``docs/performance.md``), ``"gauss_seidel"`` uses within-sweep
-    #: values to cut sweep counts at a higher per-sweep cost, and
-    #: ``"jacobi"`` is the legacy pair of solves.  All modes
-    #: converge to the same ``tau`` criterion and return interchangeable
-    #: bounds; for THT the stationary-solver modes all map to the fused
-    #: finite-horizon DP.
-    solver: str = "fused"
     #: Tie tolerance of the termination certificate.  With the default 0
     #: the returned set is strictly exact, but an *exact tie* between the
     #: k-th and (k+1)-th proximity values can only be resolved by
@@ -181,10 +168,6 @@ class FLoSOptions:
             )
         if self.max_inner_iterations < 1:
             raise ConfigurationError("max_inner_iterations must be >= 1")
-        if self.solver not in SOLVERS:
-            raise ConfigurationError(
-                f"solver must be one of {SOLVERS}, got {self.solver!r}"
-            )
         if self.audit not in ("off", "record", "check"):
             raise ConfigurationError(
                 f"audit must be 'off', 'record' or 'check', got "
@@ -360,11 +343,7 @@ class PHPSpaceEngine(SoftBudgetMixin):
             self._lb = np.array([1.0])
             self._ub = np.array([1.0])
         self._dummy_value = 1.0
-        self._kernel = (
-            None
-            if self.options.solver == "jacobi"
-            else DualBoundKernel(self.view, decay, self.options.solver)
-        )
+        self._kernel = DualBoundKernel(self.view, decay)
         # Excluded-locals mask, extended as nodes are visited, so the
         # termination check never rescans the whole visited set.
         if warm_start is not None and exclude:
@@ -376,9 +355,7 @@ class PHPSpaceEngine(SoftBudgetMixin):
         else:
             self._excluded = np.zeros(self.view.size, dtype=bool)
             self._excluded[0] = query in exclude
-        self.stats = SearchStats(
-            solver=self.options.solver, warm_started=warm_start is not None
-        )
+        self.stats = SearchStats(warm_started=warm_start is not None)
         self.trace: list[IterationSnapshot] = []
         # Lazy import keeps audit="off" runs free of the audit package
         # (and avoids a core <-> audit import cycle at module load).
@@ -607,51 +584,31 @@ class PHPSpaceEngine(SoftBudgetMixin):
 
         e_upper = e_lower + self.decay * dummy_probs * self._dummy_value
 
-        if self._kernel is None:
-            a = self.view.transition_operator(self.decay, diag)
-            self._lb, it_lb = jacobi_solve(
-                a,
-                e_lower,
-                self._lb,
-                tau=opts.tau,
-                max_iterations=opts.max_inner_iterations,
-            )
-            self._ub, it_ub = jacobi_solve(
-                a,
-                e_upper,
-                self._ub,
-                tau=opts.tau,
-                max_iterations=opts.max_inner_iterations,
-            )
-            self.stats.solver_iterations += it_lb + it_ub
-            self.stats.rows_swept += m * (it_lb + it_ub)
-        else:
-            self._lb, self._ub, sweeps = self._kernel.refresh(
-                self._lb,
-                self._ub,
-                diag,
-                e_lower,
-                e_upper,
-                tau=opts.tau,
-                max_iterations=opts.max_inner_iterations,
-            )
-            self.stats.solver_iterations += sweeps
-            self.stats.rows_swept = self._kernel.rows_swept
+        self._lb, self._ub, sweeps = self._kernel.refresh(
+            self._lb,
+            self._ub,
+            diag,
+            e_lower,
+            e_upper,
+            tau=opts.tau,
+            max_iterations=opts.max_inner_iterations,
+        )
+        self.stats.solver_iterations += sweeps
+        self.stats.rows_swept += m * sweeps
         # Audit before the consistency clamp below — clamping would mask
         # exactly the bound-order inversions the audit exists to catch.
         if self._auditor is not None:
             self._auditor.on_refresh(
                 self._lb, self._ub, self._dummy_value, self.view
             )
-            if self._kernel is not None:
-                res_lb, res_ub = self._kernel.residual_norms(
-                    self._lb, self._ub, diag, e_lower, e_upper
-                )
-                self._auditor.on_solver_residuals(
-                    res_lb,
-                    res_ub,
-                    opts.tau * (1.0 + self.decay) + 1e-12,
-                )
+            res_lb, res_ub = self._kernel.residual_norms(
+                self._lb, self._ub, diag, e_lower, e_upper
+            )
+            self._auditor.on_solver_residuals(
+                res_lb,
+                res_ub,
+                opts.tau * (1.0 + self.decay) + 1e-12,
+            )
         # The bounds sandwich the same fixed point; keep them consistent
         # against solver-tolerance noise.
         np.minimum(self._lb, self._ub, out=self._lb)
@@ -685,9 +642,9 @@ class PHPSpaceEngine(SoftBudgetMixin):
         lb_score, ub_score = self._ranking_bounds()
 
         # Deterministic tie-breaking by *global* node id: local ids
-        # reflect visitation order, which differs across solvers and
-        # LocalView paths, so breaking score ties on them would let the
-        # returned set at an exact rank-k tie depend on the kernel.
+        # reflect visitation order, which differs across LocalView paths
+        # and warm starts, so breaking score ties on them would let the
+        # returned set at an exact rank-k tie depend on the path taken.
         gids = self.view.global_ids()
         top = candidates[
             top_k_indices(lb_score[candidates], gids[candidates], self.k)

@@ -54,7 +54,6 @@ from repro.core.flos import (
     SoftBudgetMixin,
     WarmStart,
 )
-from repro.core.iterative import finite_horizon_solve
 from repro.core.kernels import THTDPKernel
 from repro.core.localgraph import LocalView
 from repro.core.result import IterationSnapshot, SearchStats
@@ -111,12 +110,7 @@ class THTEngine(SoftBudgetMixin):
         else:
             self._lb = np.array([0.0])  # hitting time of q is 0 by definition
             self._ub = np.array([0.0])
-        # The finite-horizon DP has no fixed point to converge to, so the
-        # stationary solver modes collapse to two choices here: the
-        # legacy per-step matvec pair, or the fused cached-CSR DP.
-        self._kernel = (
-            None if self.options.solver == "jacobi" else THTDPKernel(self.view)
-        )
+        self._kernel = THTDPKernel(self.view)
         if warm_start is not None and exclude:
             self._excluded = np.fromiter(
                 (int(gid) in exclude for gid in warm_start.nodes),
@@ -126,9 +120,7 @@ class THTEngine(SoftBudgetMixin):
         else:
             self._excluded = np.zeros(self.view.size, dtype=bool)
             self._excluded[0] = query in exclude
-        self.stats = SearchStats(
-            solver=self.options.solver, warm_started=warm_start is not None
-        )
+        self.stats = SearchStats(warm_started=warm_start is not None)
         self.trace: list[IterationSnapshot] = []
         # Lazy import: audit="off" runs never load the audit package.
         self._auditor = None
@@ -136,7 +128,7 @@ class THTEngine(SoftBudgetMixin):
             from repro.audit.trace import AuditRecorder
 
             # The DP is exact (no tau truncation) — the only refresh-to-
-            # refresh noise is float summation order across CSR rebuilds,
+            # refresh noise is float summation order as the view grows,
             # so the slack is a pure round-off allowance scaled to the
             # measure's range [0, L].
             slack = 1e-9 * max(1.0, float(horizon))
@@ -244,29 +236,8 @@ class THTEngine(SoftBudgetMixin):
         e = np.ones(m)
         e[0] = 0.0  # the query's hitting time is identically zero
 
-        if self._kernel is not None:
-            lb, ub = self._kernel.run(e, mass, boundary, self.horizon)
-            self.stats.rows_swept = self._kernel.rows_swept
-        else:
-            t_s = self.view.transition_operator()
-            # Lower bound: L DP steps with the step-indexed dummy
-            # sequence D^t (module docstring) multiplying the
-            # boundary-crossing mass.
-            lb = np.zeros(m)
-            dummy = 0.0
-            for _ in range(self.horizon):
-                step_min = (
-                    float(lb[boundary].min()) if len(boundary) else np.inf
-                )
-                nxt = (t_s @ lb) + e + mass * dummy
-                nxt[0] = 0.0
-                dummy = 1.0 + min(dummy, step_min)
-                lb = nxt
-
-            e_upper = e + mass * float(self.horizon)
-            e_upper[0] = 0.0
-            ub = finite_horizon_solve(t_s, e_upper, self.horizon)
-            self.stats.rows_swept += 2 * self.horizon * m
+        lb, ub = self._kernel.run(e, mass, boundary, self.horizon)
+        self.stats.rows_swept += 2 * self.horizon * m
         # Domain clamps first (the measure's range is [0, L] by
         # definition), then the monotone envelope, then audit *before*
         # the cross-clamp below — that clamp would mask exactly the
@@ -305,7 +276,7 @@ class THTEngine(SoftBudgetMixin):
         if len(candidates) < self.k:
             return False, candidates
         # Tie-break by global node id, not local id (visitation order),
-        # so tied ranks agree across solver kernels — see the PHP
+        # so tied ranks agree across LocalView paths — see the PHP
         # engine's _check_termination.
         gids = self.view.global_ids()
         top = candidates[

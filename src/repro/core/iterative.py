@@ -22,7 +22,6 @@ close" — without ever compromising exactness.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 
@@ -30,44 +29,8 @@ DEFAULT_TAU = 1e-5
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
-class CooOperator:
-    """Matrix-free linear operator over COO triplet arrays.
-
-    FLoS re-solves its bound systems after every expansion; building a
-    ``scipy.sparse.csr_matrix`` each time costs an O(E log E) sort that
-    dominates the warm-started solves (which need only a few sweeps).
-    This operator applies ``y = Σ vals[e] · x[cols[e]]`` scattered into
-    ``rows`` via ``np.bincount`` — no assembly, O(E) per product — and
-    supports an optional diagonal (the self-loop tightening terms).
-    """
-
-    __slots__ = ("rows", "cols", "vals", "size", "diag")
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        size: int,
-        diag: np.ndarray | None = None,
-    ):
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.size = size
-        self.diag = diag
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.bincount(
-            self.rows, weights=self.vals * x[self.cols], minlength=self.size
-        )
-        if self.diag is not None:
-            y += self.diag * x
-        return y
-
-
 def jacobi_solve(
-    a: sp.csr_matrix,
+    a,
     e: np.ndarray,
     initial: np.ndarray,
     *,
@@ -76,6 +39,8 @@ def jacobi_solve(
 ) -> tuple[np.ndarray, int]:
     """Iterate ``r ← A r + e`` from ``initial`` until ``‖Δr‖∞ < tau``.
 
+    ``a`` is anything that supports ``a @ r``: a scipy sparse matrix or
+    the engines' :class:`~repro.core.localgraph.TransitionOperator`.
     Returns ``(r, iterations)``; raises
     :class:`~repro.errors.ConvergenceError` past ``max_iterations``.
     """
@@ -88,17 +53,3 @@ def jacobi_solve(
         if delta < tau:
             return r, iteration
     raise ConvergenceError(max_iterations, delta, tau)
-
-
-def finite_horizon_solve(
-    a: sp.csr_matrix, e: np.ndarray, steps: int
-) -> np.ndarray:
-    """Run ``r ← A r + e`` exactly ``steps`` times from the zero vector.
-
-    This *is* the definition of L-truncated hitting time (Appendix 10.1),
-    not an approximation, so there is no tolerance parameter.
-    """
-    r = np.zeros_like(e)
-    for _ in range(steps):
-        r = a @ r + e
-    return r

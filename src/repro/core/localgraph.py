@@ -448,9 +448,8 @@ class LocalView:
     def transition_csr(self) -> sp.csr_matrix:
         """Sparse ``T_S``: transitions within S, query row zeroed.
 
-        Assembled from the store on demand (audits, tests and the
-        Gauss–Seidel/selective solver modes); the hot paths apply
-        :meth:`transition_operator` instead.
+        Assembled from the store on demand (audits and tests); the hot
+        paths apply :meth:`transition_operator` instead.
         """
         m = self.size
         indptr, indices, weights = self.symmetric_store()

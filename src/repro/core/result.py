@@ -39,14 +39,10 @@ class SearchStats:
     node's bound.  It is 0 for exact results and shrinks toward 0 as an
     anytime search is given more budget.
 
-    ``solver`` names the bound-refresh kernel that ran (one of
-    :data:`repro.core.kernels.SOLVERS`); ``solver_iterations`` counts
-    per-column sweeps (two warm-started systems per refresh, so a single
-    refresh contributes at least 2) and ``rows_swept`` counts actual row
-    updates — a full sweep over ``m`` visited nodes adds ``m`` per
-    column, while selective refresh adds only the active rows, so
-    ``rows_swept / (solver_iterations · visited_nodes)`` below 1 is the
-    fraction of work the active-set pruning skipped.
+    ``solver_iterations`` counts per-column sweeps (two warm-started
+    systems per refresh, so a single refresh contributes at least 2;
+    THT counts ``2L`` DP steps per refresh) and ``rows_swept`` counts
+    row updates — a sweep over ``m`` visited nodes adds ``m``.
 
     ``audit_checks`` counts the invariant checks the runtime audit layer
     ran for this query (0 when ``FLoSOptions.audit="off"``);
@@ -62,7 +58,6 @@ class SearchStats:
     wall_time_seconds: float = 0.0
     termination: str = "exact"
     bound_gap: float = 0.0
-    solver: str = "jacobi"
     rows_swept: int = 0
     audit_checks: int = 0
     audit_violations: int = 0
@@ -87,7 +82,6 @@ class SearchStats:
             "wall_time_seconds": float(self.wall_time_seconds),
             "termination": str(self.termination),
             "bound_gap": float(self.bound_gap),
-            "solver": str(self.solver),
             "rows_swept": int(self.rows_swept),
             "audit_checks": int(self.audit_checks),
             "audit_violations": int(self.audit_violations),

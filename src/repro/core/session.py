@@ -29,7 +29,7 @@ bounds tail latency on pathological queries (e.g. near-ties that would
 otherwise force visiting the whole component).  ``top_k`` and
 ``top_k_many`` take a per-call
 :class:`~repro.core.api.QueryOverrides` (``deadline_seconds``,
-``on_budget``, ``solver``, ``audit``) — the same contract the one-shot
+``on_budget``, ``audit``) — the same contract the one-shot
 helpers and the multi-process :class:`repro.serve.ShardedServer`
 accept.
 
@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.api import QueryOverrides, QueryRequest, resolve_overrides
+from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
 from repro.core.degree_index import DegreeIndex, degree_descending_order
 from repro.core.flos import (
     EngineOutcome,
@@ -328,8 +328,6 @@ class QuerySession:
         *,
         exclude: set[int] | frozenset[int] | None = None,
         overrides: QueryOverrides | None = None,
-        deadline_seconds: float | None = None,
-        on_budget: str | None = None,
     ) -> TopKResult:
         """Top-k for one query (Algorithm 2), cache-aware.
 
@@ -341,7 +339,7 @@ class QuerySession:
 
         ``overrides`` is the unified per-call contract
         (:class:`~repro.core.api.QueryOverrides`): ``deadline_seconds``
-        / ``on_budget`` / ``solver`` / ``audit`` applied on top of the
+        / ``on_budget`` / ``audit`` applied on top of the
         session-level :class:`~repro.core.flos.FLoSOptions` for this
         call only — e.g. a latency-sensitive caller passes
         ``overrides=QueryOverrides(deadline_seconds=0.05,
@@ -349,27 +347,20 @@ class QuerySession:
         can buy (``exact=False`` when the budget fires; see
         ``stats.termination``).  To lift a session-level deadline for
         one call, use ``deadline_seconds=float("inf")``.  Anytime
-        results are never cached, and calls whose overrides change the
-        result payload (``solver``, ``audit``) are cached under their
-        own key.
-
-        The bare ``deadline_seconds`` / ``on_budget`` keywords are the
-        deprecated pre-1.5 spelling (they warn).
+        results are never cached, and calls whose ``audit`` override
+        changes the result payload are cached under their own key.
         """
         started = time.monotonic()
-        resolved = resolve_overrides(
-            overrides, deadline_seconds, on_budget,
-            caller="QuerySession.top_k",
-        )
+        resolved = overrides if overrides is not None else NO_OVERRIDES
         options = self._per_call_options(resolved)
         options.validate(k)
         excluded = (
             frozenset(int(v) for v in exclude) if exclude else frozenset()
         )
-        # solver and audit change the result payload (stats.solver, the
-        # attached audit report), so they partition the cache; budget
-        # overrides do not — a cached exact answer satisfies any budget.
-        key = (int(query), int(k), excluded, resolved.solver, resolved.audit)
+        # audit changes the result payload (the attached audit report),
+        # so it partitions the cache; budget overrides do not — a cached
+        # exact answer satisfies any budget.
+        key = (int(query), int(k), excluded, resolved.audit)
 
         # Cache lookup, validation against the graph's update log, hit
         # accounting, and the defensive copy happen under one lock
@@ -455,8 +446,6 @@ class QuerySession:
         workers: int = 1,
         exclude: set[int] | frozenset[int] | None = None,
         overrides: QueryOverrides | None = None,
-        deadline_seconds: float | None = None,
-        on_budget: str | None = None,
     ) -> BatchSummary:
         """Serve a workload; results come back in workload order.
 
@@ -478,14 +467,8 @@ class QuerySession:
         *per query* (each query gets the full deadline), exactly as in
         :meth:`top_k` — under ``on_budget="degrade"`` a pathological
         query in the workload degrades to an anytime result instead of
-        stalling its worker, so batch latency stays bounded.  The bare
-        ``deadline_seconds`` / ``on_budget`` keywords are the
-        deprecated pre-1.5 spelling (they warn).
+        stalling its worker, so batch latency stays bounded.
         """
-        resolved = resolve_overrides(
-            overrides, deadline_seconds, on_budget,
-            caller="QuerySession.top_k_many",
-        )
         query_list = [int(q) for q in queries]
         if not query_list:
             raise SearchError("query batch must not be empty")
@@ -493,7 +476,7 @@ class QuerySession:
             raise SearchError("workers must be >= 1")
 
         def one(q: int) -> TopKResult:
-            return self.top_k(q, k, exclude=exclude, overrides=resolved)
+            return self.top_k(q, k, exclude=exclude, overrides=overrides)
 
         effective = min(workers, len(query_list))
         if effective <= 1 or not self.graph.supports_concurrent_reads:

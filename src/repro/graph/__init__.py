@@ -2,7 +2,7 @@
 
 from repro.graph.base import GraphAccess
 from repro.graph.builder import GraphBuilder
-from repro.graph.dynamic import DeltaGraph, DynamicGraph
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.memory import CSRGraph
 from repro.graph.stats import GraphStats, degree_histogram, graph_stats
 from repro.graph.updates import (
@@ -16,7 +16,6 @@ __all__ = [
     "GraphAccess",
     "GraphBuilder",
     "CSRGraph",
-    "DeltaGraph",
     "DynamicGraph",
     "EdgeEvent",
     "EdgeUpdate",

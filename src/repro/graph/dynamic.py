@@ -288,8 +288,3 @@ class DynamicGraph(GraphAccess):
     def _set_delta(self, u: int, v: int, weight: float | None) -> None:
         self._delta.setdefault(u, {})[v] = weight
         self._delta_arrays.pop(u, None)
-
-
-#: ISSUE/paper alias — the overlay is called a "delta graph" in the
-#: incremental-serving write-up.
-DeltaGraph = DynamicGraph

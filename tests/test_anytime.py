@@ -24,6 +24,7 @@ import pytest
 from repro import (
     RWR,
     FLoSOptions,
+    QueryOverrides,
     QuerySession,
     flos_top_k,
     flos_top_k_batch,
@@ -38,6 +39,7 @@ from repro.graph.generators import erdos_renyi, rmat
 from repro.measures import PHP, solve_direct
 
 QUERY, K = 7, 5
+DEADLINE_1MS_DEGRADE = QueryOverrides(deadline_seconds=0.001, on_budget="degrade")
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +232,7 @@ class TestSessionIntegration:
     def test_per_call_deadline_override(self, hard_graph):
         session = QuerySession(hard_graph, RWR(0.9))
         degraded = session.top_k(
-            QUERY, K, deadline_seconds=0.001, on_budget="degrade"
+            QUERY, K, overrides=DEADLINE_1MS_DEGRADE
         )
         assert degraded.exact is False
         m = session.metrics()
@@ -240,12 +242,12 @@ class TestSessionIntegration:
     def test_degraded_results_never_cached(self, hard_graph):
         session = QuerySession(hard_graph, RWR(0.9))
         first = session.top_k(
-            QUERY, K, deadline_seconds=0.001, on_budget="degrade"
+            QUERY, K, overrides=DEADLINE_1MS_DEGRADE
         )
         assert first.exact is False
         assert session.cache_size == 0
         second = session.top_k(
-            QUERY, K, deadline_seconds=0.001, on_budget="degrade"
+            QUERY, K, overrides=DEADLINE_1MS_DEGRADE
         )
         assert second is not first  # recomputed, not replayed
         assert session.metrics().cache_hits == 0
@@ -279,8 +281,7 @@ class TestSessionIntegration:
             [QUERY, 11, 23],
             K,
             c=0.9,
-            deadline_seconds=0.001,
-            on_budget="degrade",
+            overrides=DEADLINE_1MS_DEGRADE,
         )
         assert len(batch) == 3
         assert not batch.all_exact

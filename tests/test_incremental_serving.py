@@ -28,7 +28,7 @@ from repro import flos_top_k
 from repro.core.flos import FLoSOptions, WarmStart
 from repro.core.session import QuerySession
 from repro.errors import ConfigurationError, GraphError, SearchError
-from repro.graph.dynamic import DeltaGraph, DynamicGraph
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import (
     EdgeEvent,
@@ -102,9 +102,9 @@ class TestUpdateLog:
         with pytest.raises(GraphError, match="kind"):
             EdgeUpdate(0, 1, "tweak")
 
-    def test_delta_graph_alias_and_injected_log(self):
+    def test_injected_update_log(self):
         log = UpdateLog(window=4)
-        dyn = DeltaGraph(path_graph(4), update_log=log)
+        dyn = DynamicGraph(path_graph(4), update_log=log)
         dyn.add_edge(0, 2)
         assert dyn.update_log is log
         assert dyn.version == log.version == 1

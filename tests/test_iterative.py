@@ -1,14 +1,10 @@
-"""Unit tests for the Jacobi solver and the COO mat-vec operator."""
+"""Unit tests for the Jacobi solver."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.iterative import (
-    CooOperator,
-    finite_horizon_solve,
-    jacobi_solve,
-)
+from repro.core.iterative import jacobi_solve
 from repro.errors import ConvergenceError
 
 
@@ -66,62 +62,3 @@ class TestJacobi:
         a = sp.csr_matrix((0, 0))
         r, it = jacobi_solve(a, np.zeros(0), np.zeros(0))
         assert len(r) == 0 and it == 1
-
-
-class TestCooOperator:
-    def test_matches_csr_matvec(self):
-        a = random_contraction(40, 6)
-        coo = a.tocoo()
-        op = CooOperator(
-            coo.row.astype(np.int64),
-            coo.col.astype(np.int64),
-            coo.data,
-            40,
-        )
-        x = np.random.default_rng(0).random(40)
-        np.testing.assert_allclose(op @ x, a @ x, atol=1e-12)
-
-    def test_duplicate_triplets_sum(self):
-        op = CooOperator(
-            np.array([0, 0]), np.array([1, 1]), np.array([0.3, 0.2]), 2
-        )
-        x = np.array([0.0, 2.0])
-        np.testing.assert_allclose(op @ x, [1.0, 0.0])
-
-    def test_diagonal_term(self):
-        op = CooOperator(
-            np.array([0]), np.array([1]), np.array([0.5]), 2,
-            diag=np.array([0.1, 0.2]),
-        )
-        x = np.array([1.0, 1.0])
-        np.testing.assert_allclose(op @ x, [0.6, 0.2])
-
-    def test_jacobi_accepts_operator(self):
-        a = random_contraction(20, 7)
-        coo = a.tocoo()
-        op = CooOperator(
-            coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data, 20
-        )
-        e = np.ones(20)
-        r_op, _ = jacobi_solve(op, e, np.zeros(20), tau=1e-12)
-        r_sp, _ = jacobi_solve(a, e, np.zeros(20), tau=1e-12)
-        np.testing.assert_allclose(r_op, r_sp, atol=1e-10)
-
-
-class TestFiniteHorizon:
-    def test_zero_steps(self):
-        a = random_contraction(5, 8)
-        r = finite_horizon_solve(a, np.ones(5), 0)
-        np.testing.assert_array_equal(r, np.zeros(5))
-
-    def test_one_step_is_source(self):
-        a = random_contraction(5, 9)
-        e = np.arange(5, dtype=float)
-        np.testing.assert_allclose(finite_horizon_solve(a, e, 1), e)
-
-    def test_converges_toward_fixed_point(self):
-        a = random_contraction(15, 10)
-        e = np.ones(15)
-        exact = np.linalg.solve(np.eye(15) - a.toarray(), e)
-        r = finite_horizon_solve(a, e, 200)
-        np.testing.assert_allclose(r, exact, atol=1e-8)

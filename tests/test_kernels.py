@@ -1,14 +1,14 @@
-"""Kernel layer: vectorized restoration, fused/GS/selective solvers.
+"""Kernel layer: vectorized restoration, the bound-refresh kernels.
 
 Three contracts are pinned here:
 
 * the vectorized ``LocalView`` restoration path produces exactly the
   same visited-subgraph state as the scalar reference path (same local
   ids, same restored transitions, same dummy/boundary/tightening sums);
-* every solver mode of :mod:`repro.core.kernels` returns certified
-  bounds that sandwich the exact proximity values, and ``flos_top_k``
-  returns the same certified top-k under every mode — with ``"fused"``
-  bit-identical to the legacy ``"jacobi"`` path (same iterate sequence);
+* both kernels of :mod:`repro.core.kernels` compute what a dense numpy
+  reference computes on ``view.transition_csr().toarray()`` — the same
+  sweep count and the same bounds — and the certified bounds sandwich
+  the exact proximity values;
 * the store-backed ``TransitionOperator`` equals dense ``decay·T_S``
   built straight from the graph at every growth stage, on both
   restoration paths, and refuses a mis-sized store instead of handing
@@ -23,16 +23,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FLoSOptions, flos_top_k
-from repro.core.kernels import SOLVERS, DualBoundKernel, THTDPKernel
+from repro.core.kernels import DualBoundKernel, THTDPKernel
 from repro.core.localgraph import LocalView
-from repro.errors import ConfigurationError, TransitionStoreError
+from repro.errors import TransitionStoreError
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.memory import CSRGraph
-from repro.measures import PHP, RWR, THT, solve_direct
+from repro.measures import PHP, RWR, solve_direct
 
-from .conftest import ALL_MEASURES, assert_topk_matches_oracle
-
-NEW_SOLVERS = [s for s in SOLVERS if s != "jacobi"]
+from .conftest import assert_topk_matches_oracle
 
 
 # ----------------------------------------------------------------------
@@ -112,61 +110,165 @@ class TestRestorationEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Solver modes: end-to-end agreement
+# Both kernels against a dense numpy reference
 # ----------------------------------------------------------------------
 
 
-class TestSolverModes:
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ConfigurationError, match="solver"):
-            FLoSOptions(solver="sor")
+def dense_jacobi(a, e, start, tau, max_iterations=10_000):
+    """``r ← A r + e`` on a dense ``A`` until ``‖Δr‖∞ < tau``."""
+    r = start.copy()
+    for sweep in range(1, max_iterations + 1):
+        nxt = a @ r + e
+        delta = np.abs(nxt - r).max()
+        r = nxt
+        if delta < tau:
+            return r, sweep
+    raise AssertionError("dense reference did not converge")
 
-    def test_all_modes_same_topk(self, er_graph, measure):
-        """Identical certified top-k on all five measures, every solver."""
-        baseline = flos_top_k(
-            er_graph, measure, 5, 6, options=FLoSOptions(solver="jacobi")
+
+def dense_tht_dp(t, e, mass, boundary, horizon):
+    """The THT engine's two DP loops, written out on a dense ``T_S``."""
+    lb, dummy = np.zeros(len(e)), 0.0
+    for _ in range(horizon):
+        step_min = lb[boundary].min() if len(boundary) else np.inf
+        lb = t @ lb + e + mass * dummy
+        lb[0] = 0.0
+        dummy = 1.0 + min(dummy, step_min)
+    e_upper = e + mass * horizon
+    e_upper[0] = 0.0
+    ub = np.zeros(len(e))
+    for _ in range(horizon):
+        ub = t @ ub + e_upper
+    return lb, ub
+
+
+def grow(view, rounds=6):
+    """Expand ``view`` by a few random boundary batches, yielding after
+    each; returns early once the component is exhausted."""
+    rng = np.random.default_rng(1)
+    for _ in range(rounds):
+        frontier = np.flatnonzero(view.boundary_mask())
+        if len(frontier) == 0:
+            return
+        view.expand_batch(rng.permutation(frontier)[: max(1, view.size // 3)])
+        yield
+
+
+RESTORATION = pytest.mark.parametrize(
+    "vectorized", [True, False], ids=["vectorized", "scalar"]
+)
+
+
+class TestRefreshPath:
+    @RESTORATION
+    @pytest.mark.parametrize("tighten", [True, False], ids=["tight", "plain"])
+    def test_dual_refresh_matches_dense_jacobi(
+        self, rmat_graph, vectorized, tighten
+    ):
+        """Warm-started across growth, exactly as the PHP engine drives
+        it: same sweep count, bounds equal to 1e-12, at every round."""
+        decay, tau, dummy_value = 0.5, 1e-5, 0.9
+        view = LocalView(
+            rmat_graph, 7, vectorized=vectorized, track_tightening=tighten
         )
-        assert_topk_matches_oracle(er_graph, measure, baseline, 5, 6)
-        for solver in NEW_SOLVERS:
-            result = flos_top_k(
-                er_graph, measure, 5, 6, options=FLoSOptions(solver=solver)
-            )
-            assert list(result.nodes) == list(baseline.nodes), solver
-            assert result.exact == baseline.exact
-            assert result.stats.solver == solver
+        kernel = DualBoundKernel(view, decay)
+        lb = ub = np.ones(1)
+        for _ in grow(view):
+            m = view.size
+            lb = np.concatenate([lb, np.zeros(m - len(lb))])
+            ub = np.concatenate([ub, np.ones(m - len(ub))])
+            e_lower = np.zeros(m)
+            e_lower[0] = 1.0
+            diag = np.zeros(m)
+            if tighten:
+                locals_, loops, tight = view.self_loop_terms(decay)
+                diag[locals_] = decay * loops
+                dummy = np.zeros(m)
+                dummy[locals_] = tight
+            else:
+                dummy = view.dummy_mass()
+            e_upper = e_lower + decay * dummy * dummy_value
+            a = decay * view.transition_csr().toarray() + np.diag(diag)
+            want_lb, it_lb = dense_jacobi(a, e_lower, lb, tau)
+            want_ub, it_ub = dense_jacobi(a, e_upper, ub, tau)
 
-    def test_fused_matches_jacobi_exactly(self, rmat_graph):
-        """Fused freezes converged columns, so each column runs the same
-        iterate sequence as the legacy pair of solves over the same
-        store-backed operator — node lists are identical and values
-        agree to rounding."""
-        for measure in (PHP(0.5), RWR(0.9), THT(10)):
-            a = flos_top_k(
-                rmat_graph, measure, 7, 8, options=FLoSOptions(solver="jacobi")
+            lb, ub, sweeps = kernel.refresh(
+                lb, ub, diag if tighten else None, e_lower, e_upper,
+                tau=tau, max_iterations=10_000,
             )
-            b = flos_top_k(
-                rmat_graph, measure, 7, 8, options=FLoSOptions(solver="fused")
+            assert sweeps == it_lb + it_ub
+            np.testing.assert_allclose(lb, want_lb, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ub, want_ub, rtol=0, atol=1e-12)
+            res_lb, res_ub = kernel.residual_norms(
+                lb, ub, diag, e_lower, e_upper
             )
-            assert list(a.nodes) == list(b.nodes)
-            np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-            np.testing.assert_allclose(a.lower, b.lower, atol=1e-12)
-            np.testing.assert_allclose(a.upper, b.upper, atol=1e-12)
-            assert a.stats.visited_nodes == b.stats.visited_nodes
+            assert max(res_lb, res_ub) <= decay * tau + 1e-12
+        assert view.size > 1
+
+    @RESTORATION
+    def test_tht_dp_matches_dense_dp(self, rmat_graph, vectorized):
+        horizon = 10
+        view = LocalView(
+            rmat_graph, 7, vectorized=vectorized, track_tightening=False
+        )
+        kernel = THTDPKernel(view)
+        for _ in grow(view):
+            m = view.size
+            e = np.ones(m)
+            e[0] = 0.0
+            mass = view.dummy_mass()
+            boundary = np.flatnonzero(view.boundary_mask())
+            want = dense_tht_dp(
+                view.transition_csr().toarray(), e, mass, boundary, horizon
+            )
+            got = kernel.run(e, mass, boundary, horizon)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        assert view.size > 1
+
+
+# ----------------------------------------------------------------------
+# The one refresh path under every expansion schedule
+# ----------------------------------------------------------------------
+
+#: How the engine drives the refresh: how many rows each warm start
+#: adds, and how far each solve converges.
+SCHEDULES = {
+    "default": {},
+    "paper": {"adaptive_batching": False},  # one refresh per expansion
+    "batched": {"expand_batch": 8},
+    "tight": {"tau": 1e-9},
+}
+
+
+class TestSolverModes:
+    def test_all_modes_same_topk(self, er_graph, measure):
+        """The same certified top-k on all five measures, every schedule.
+
+        Compared by exact value: the schedules visit different subgraphs,
+        so a tie at rank k (THT's hitting times tie here) may be
+        completed by a different member.
+        """
+        for name, options in SCHEDULES.items():
+            result = flos_top_k(
+                er_graph, measure, 5, 6, options=FLoSOptions(**options)
+            )
+            assert result.exact, name
+            assert_topk_matches_oracle(er_graph, measure, result, 5, 6)
 
     def test_stats_counters(self, er_graph):
-        for solver in SOLVERS:
+        for name, options in SCHEDULES.items():
             stats = flos_top_k(
-                er_graph, PHP(0.5), 5, 6, options=FLoSOptions(solver=solver)
+                er_graph, PHP(0.5), 5, 6, options=FLoSOptions(**options)
             ).stats
-            assert stats.solver == solver
-            assert stats.solver_iterations >= 2
+            assert stats.solver_iterations >= 2, name
             assert stats.rows_swept > 0
-            # A full sweep touches every visited row once per column.
+            # A sweep touches every visited row once.
             assert stats.rows_swept <= stats.solver_iterations * stats.visited_nodes
 
 
 # ----------------------------------------------------------------------
-# Property: solver bounds sandwich the legacy fixed point
+# Property: certified bounds sandwich the exact values
 # ----------------------------------------------------------------------
 
 SETTINGS = settings(
@@ -202,13 +304,13 @@ class TestSandwichProperty:
     @SETTINGS
     @given(connected_graph_query())
     def test_bounds_sandwich_exact_values(self, case):
-        """Every mode's certified [lower, upper] contains the exact
-        proximity, and every mode certifies the same top-k value set as
-        the tightly-converged legacy jacobi run.
+        """The default run's certified [lower, upper] contains the exact
+        proximity, and it certifies the same top-k value set as a run
+        converged to ``tau=1e-13``.
 
-        The intervals are *not* compared between modes: two modes may
+        The intervals are *not* compared between the two runs: they may
         certify after expanding different visited sets, and the
-        better-converged mode's interval can then sit entirely inside
+        better-converged run's interval can then sit entirely inside
         the other's bound gap — in particular below the other run's
         value estimate (the bound midpoint), which is
         subgraph-dependent and can exceed the true value.
@@ -216,19 +318,16 @@ class TestSandwichProperty:
         graph, q, k = case
         exact = solve_direct(PHP(0.5), graph, q)
         fixed_point = flos_top_k(
-            graph, PHP(0.5), q, k, options=FLoSOptions(solver="jacobi", tau=1e-13)
+            graph, PHP(0.5), q, k, options=FLoSOptions(tau=1e-13)
         )
         want = np.sort(exact[fixed_point.nodes])
-        for solver in NEW_SOLVERS:
-            result = flos_top_k(
-                graph, PHP(0.5), q, k, options=FLoSOptions(solver=solver)
-            )
-            got = np.sort(exact[result.nodes])
-            np.testing.assert_allclose(got, want, atol=1e-7)
-            for i, node in enumerate(result.nodes):
-                truth = exact[int(node)]
-                assert result.lower[i] <= truth + 1e-7, solver
-                assert result.upper[i] >= truth - 1e-7, solver
+        result = flos_top_k(graph, PHP(0.5), q, k)
+        got = np.sort(exact[result.nodes])
+        np.testing.assert_allclose(got, want, atol=1e-7)
+        for i, node in enumerate(result.nodes):
+            truth = exact[int(node)]
+            assert result.lower[i] <= truth + 1e-7
+            assert result.upper[i] >= truth - 1e-7
 
     @SETTINGS
     @given(connected_graph_query())
@@ -308,25 +407,6 @@ class TestTransitionOperator:
         np.testing.assert_array_equal(op.apply(np.ones((1, 2))), [[0.0, 0.0]])
         assert view.check_invariants() == []
 
-    def test_dependents_cover_in_neighbors(self):
-        """The selective mode's dependency closure, now read from the
-        matrix assembled out of the store, still covers every row whose
-        sweep reads one of the given rows."""
-        g = erdos_renyi(100, 300, seed=5)
-        view = LocalView(g, 0)
-        for _ in range(5):
-            frontier = np.flatnonzero(view.boundary_mask())
-            if len(frontier) == 0:
-                break
-            view.expand_batch(frontier[:3])
-        kernel = DualBoundKernel(view, 0.5, "selective")
-        m = view.size
-        full = view.transition_csr().tocsc()
-        rows = np.arange(m // 2, m, dtype=np.int64)
-        deps = set(map(int, kernel._dependents(rows)))
-        true_deps = set(map(int, full[:, rows].tocoo().row))
-        assert true_deps <= deps
-
 
 # Ways a restoration bug could leave the store out of step with the view.
 
@@ -366,13 +446,13 @@ class TestStoreGuard:
         with pytest.raises(TransitionStoreError):
             view.transition_operator(0.5)
         with pytest.raises(TransitionStoreError):
-            DualBoundKernel(view, 0.5, "fused")
+            DualBoundKernel(view, 0.5)
         with pytest.raises(TransitionStoreError):
             THTDPKernel(view)
         assert view.check_invariants()
 
     def test_stale_store_caught_at_refresh(self, view):
-        kernel = DualBoundKernel(view, 0.5, "fused")
+        kernel = DualBoundKernel(view, 0.5)
         _drop_store_row(view)
         m = view.size
         e = np.zeros(m)

@@ -2,13 +2,10 @@
 
 One request shape flows through every entry point — ``flos_top_k``,
 ``QuerySession.top_k`` / ``top_k_many``, ``flos_top_k_batch``, and the
-serving dispatcher's wire format — and the pre-1.5 scattered keywords
-keep working behind :class:`DeprecationWarning`.
+serving dispatcher's wire format.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from repro import (
     flos_top_k,
     flos_top_k_batch,
 )
-from repro.core.api import NO_OVERRIDES, resolve_overrides
+from repro.core.api import NO_OVERRIDES
 from repro.errors import ConfigurationError, SearchError
 from repro.graph.generators import erdos_renyi
 
@@ -40,7 +37,7 @@ class TestQueryOverrides:
     def test_empty_and_shared_instance(self):
         assert QueryOverrides().is_empty()
         assert NO_OVERRIDES.is_empty()
-        assert not QueryOverrides(solver="jacobi").is_empty()
+        assert not QueryOverrides(audit="record").is_empty()
 
     def test_apply_overrides_only_given_fields(self):
         base = FLoSOptions(tau=1e-6, deadline_seconds=1.0)
@@ -55,19 +52,31 @@ class TestQueryOverrides:
 
     def test_apply_validates(self):
         with pytest.raises(ConfigurationError):
-            QueryOverrides(solver="nonsense").apply(FLoSOptions())
+            QueryOverrides(audit="nonsense").apply(FLoSOptions())
         with pytest.raises(ConfigurationError):
             QueryOverrides(deadline_seconds=-1.0).apply(FLoSOptions())
 
     def test_dict_round_trip(self):
-        overrides = QueryOverrides(deadline_seconds=0.5, solver="fused")
+        overrides = QueryOverrides(deadline_seconds=0.5, on_budget="degrade")
         payload = overrides.to_dict()
-        assert payload == {"deadline_seconds": 0.5, "solver": "fused"}
+        assert payload == {"deadline_seconds": 0.5, "on_budget": "degrade"}
         assert QueryOverrides.from_dict(payload) == overrides
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(SearchError, match="unknown"):
             QueryOverrides.from_dict({"deadline": 0.5})
+
+    def test_from_dict_rejects_removed_solver_field(self):
+        """Payloads from outside the process that still name the
+        bound-refresh solver fail loudly, listing the valid fields,
+        instead of being silently served on the one refresh path."""
+        valid = r"valid fields are \['audit', 'deadline_seconds', 'on_budget'\]"
+        with pytest.raises(SearchError, match=valid):
+            QueryOverrides.from_dict({"solver": "fused"})
+        with pytest.raises(SearchError, match=valid):
+            QueryRequest.from_dict(
+                {"query": 1, "k": 2, "overrides": {"solver": "jacobi"}}
+            )
 
 
 class TestQueryRequest:
@@ -92,7 +101,7 @@ class TestQueryRequest:
         import pickle
 
         request = QueryRequest(
-            query=1, k=2, overrides=QueryOverrides(solver="jacobi")
+            query=1, k=2, overrides=QueryOverrides(audit="record")
         )
         assert pickle.loads(pickle.dumps(request)) == request
 
@@ -105,19 +114,12 @@ class TestQueryRequest:
 class TestUniformContract:
     def test_flos_top_k_accepts_overrides(self, graph):
         plain = flos_top_k(graph, "rwr", 0, 5, c=0.5)
-        solved = flos_top_k(
+        audited = flos_top_k(
             graph, "rwr", 0, 5, c=0.5,
-            overrides=QueryOverrides(solver="jacobi"),
+            overrides=QueryOverrides(audit="record"),
         )
-        np.testing.assert_array_equal(plain.nodes, solved.nodes)
-        assert solved.stats.solver == "jacobi"
-
-    def test_session_top_k_accepts_solver_override(self, graph):
-        session = QuerySession(graph, "rwr", c=0.5)
-        result = session.top_k(
-            0, 5, overrides=QueryOverrides(solver="gauss_seidel")
-        )
-        assert result.stats.solver == "gauss_seidel"
+        np.testing.assert_array_equal(plain.nodes, audited.nodes)
+        assert plain.audit is None and audited.audit is not None
 
     def test_session_audit_override_attaches_report(self, graph):
         session = QuerySession(graph, "rwr", c=0.5)
@@ -128,89 +130,37 @@ class TestUniformContract:
         # And without the override nothing is recorded.
         assert session.top_k(1, 5).audit is None
 
-    def test_cache_partitioned_by_solver_override(self, graph):
+    def test_cache_partitioned_by_audit_override(self, graph):
         session = QuerySession(graph, "rwr", c=0.5)
         session.top_k(0, 5)
-        session.top_k(0, 5, overrides=QueryOverrides(solver="jacobi"))
-        metrics = session.metrics()
-        # Different solver → different payload → no false cache hit.
-        assert metrics.cache_misses == 2
-        session.top_k(0, 5)
+        audited = session.top_k(0, 5, overrides=QueryOverrides(audit="record"))
+        # The audit report is part of the payload: no false cache hit.
+        assert audited.audit is not None
+        assert session.metrics().cache_misses == 2
+        assert session.top_k(0, 5).audit is None
         assert session.metrics().cache_hits == 1
 
     def test_top_k_many_applies_overrides_per_query(self, graph):
         session = QuerySession(graph, "rwr", c=0.5, cache_size=0)
         batch = session.top_k_many(
-            range(6), k=5, overrides=QueryOverrides(solver="jacobi")
+            range(6), k=5, overrides=QueryOverrides(audit="record")
         )
-        assert all(r.stats.solver == "jacobi" for r in batch.results)
+        assert all(r.audit is not None for r in batch.results)
 
     def test_batch_helper_accepts_overrides(self, graph):
         batch = flos_top_k_batch(
             graph, "rwr", range(4), 5, c=0.5,
-            overrides=QueryOverrides(solver="jacobi"),
+            overrides=QueryOverrides(audit="record"),
         )
-        assert all(r.stats.solver == "jacobi" for r in batch.results)
+        assert all(r.audit is not None for r in batch.results)
 
     def test_serve_equals_top_k(self, graph):
         session = QuerySession(graph, "rwr", c=0.5)
         request = QueryRequest(
-            query=2, k=4, overrides=QueryOverrides(solver="jacobi")
+            query=2, k=4, overrides=QueryOverrides(audit="record")
         )
         via_serve = session.serve(request)
         via_top_k = session.top_k(
-            2, 4, overrides=QueryOverrides(solver="jacobi")
+            2, 4, overrides=QueryOverrides(audit="record")
         )
         np.testing.assert_array_equal(via_serve.nodes, via_top_k.nodes)
-
-
-# ----------------------------------------------------------------------
-# Deprecated spellings
-# ----------------------------------------------------------------------
-
-
-class TestDeprecatedKeywords:
-    def test_flos_top_k_legacy_kwargs_warn_but_work(self, graph):
-        with pytest.warns(DeprecationWarning, match="flos_top_k"):
-            result = flos_top_k(
-                graph, "rwr", 0, 5, c=0.5,
-                deadline_seconds=5.0, on_budget="degrade",
-            )
-        assert len(result.nodes) == 5
-
-    def test_session_legacy_kwargs_warn(self, graph):
-        session = QuerySession(graph, "rwr", c=0.5)
-        with pytest.warns(DeprecationWarning, match="QuerySession.top_k"):
-            session.top_k(0, 5, deadline_seconds=5.0)
-
-    def test_top_k_many_warns_once_per_batch(self, graph):
-        session = QuerySession(graph, "rwr", c=0.5, cache_size=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session.top_k_many(range(5), k=5, on_budget="degrade")
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        # Resolved once at the batch boundary, not once per query.
-        assert len(deprecations) == 1
-
-    def test_batch_helper_legacy_kwargs_warn(self, graph):
-        with pytest.warns(DeprecationWarning, match="flos_top_k_batch"):
-            flos_top_k_batch(
-                graph, "rwr", range(3), 5, c=0.5, deadline_seconds=5.0
-            )
-
-    def test_both_spellings_is_an_error(self, graph):
-        session = QuerySession(graph, "rwr", c=0.5)
-        with pytest.raises(SearchError, match="not both"):
-            session.top_k(
-                0, 5,
-                overrides=QueryOverrides(deadline_seconds=1.0),
-                deadline_seconds=1.0,
-            )
-
-    def test_resolve_overrides_passthrough(self):
-        assert resolve_overrides(None, None, None, caller="x") is NO_OVERRIDES
-        given = QueryOverrides(solver="fused")
-        assert resolve_overrides(given, None, None, caller="x") is given

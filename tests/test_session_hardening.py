@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import PHP, FLoSOptions, QuerySession
+from repro import PHP, FLoSOptions, QueryOverrides, QuerySession
 from repro.graph.generators import erdos_renyi
 
 GRAPH = erdos_renyi(300, 1200, seed=5)
@@ -49,7 +49,9 @@ class TestMonotonicDeadlines:
         session = QuerySession(
             GRAPH, PHP(0.5), options=FLoSOptions(on_budget="degrade")
         )
-        result = session.top_k(0, 10, deadline_seconds=0.025)
+        result = session.top_k(
+            0, 10, overrides=QueryOverrides(deadline_seconds=0.025)
+        )
         assert result.stats.termination == "deadline"
         assert not result.exact
         # Wall time read off the same fake clock: strictly positive and
@@ -68,7 +70,9 @@ class TestMonotonicDeadlines:
         )
         exact = session.top_k(1, 5)
         assert exact.exact
-        degraded = session.top_k(2, 5, deadline_seconds=1e-9)
+        degraded = session.top_k(
+            2, 5, overrides=QueryOverrides(deadline_seconds=1e-9)
+        )
         assert degraded.stats.termination == "deadline"
         session.top_k_many([3, 4, 3], 5, workers=2)
         session.metrics()
@@ -83,7 +87,9 @@ class TestMonotonicDeadlines:
             ),
         )
         assert not session.top_k(5, 5).exact
-        lifted = session.top_k(5, 5, deadline_seconds=float("inf"))
+        lifted = session.top_k(
+            5, 5, overrides=QueryOverrides(deadline_seconds=float("inf"))
+        )
         assert lifted.exact
 
 
