@@ -13,11 +13,11 @@ explicit and checkable:
   functions over recorded bound snapshots and termination certificates,
   each returning structured :class:`InvariantViolation` records;
 * :mod:`repro.audit.trace` — the opt-in per-iteration recorder hooked
-  into both engines via ``FLoSOptions(audit="record"|"check")``, plus
+  into the FLoS driver via ``FLoSOptions(audit="record"|"check")``, plus
   the failure shrinker / repro writer used by the fuzzer;
 * :mod:`repro.audit.fuzz` — the differential fuzzer behind
-  ``python -m repro fuzz``: random graphs x measures x solvers x
-  LocalView paths x exact/anytime, cross-checked against the
+  ``python -m repro fuzz``: random graphs x measures x LocalView
+  paths x exact/anytime/excluded, cross-checked against the
   global-iteration oracle.
 
 See ``docs/correctness.md`` for the full invariant catalogue with

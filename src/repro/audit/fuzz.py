@@ -8,7 +8,9 @@ contract:
 
 * one default run (vectorized ``LocalView``);
 * one scalar-``LocalView`` run (the reference expansion path);
-* one anytime run under a tight ``max_visited`` budget.
+* one anytime run under a tight ``max_visited`` budget;
+* one ``excluded`` run that bars a seeded half of the query's
+  neighbours from the answer.
 
 Every run executes under ``audit="record"`` so the per-iteration
 invariant checkers (:mod:`repro.audit.invariants`) ride along, and the
@@ -25,7 +27,9 @@ GI power-iteration baseline
   must return the oracle's node set.  Without a clear gap — curated
   symmetric graphs (cycles, stars, grids, cliques) tie *every* rival —
   any tie-completing subset is a correct answer, so only the audited
-  invariants and the truth sandwich are asserted there.
+  invariants and the truth sandwich are asserted there.  The
+  ``excluded`` run is held to the same rule against the direct solve
+  with the excluded nodes filtered out.
 
 A failing case is reduced with :func:`repro.audit.trace.shrink_case`
 and persisted via :func:`repro.audit.trace.write_repro` for offline
@@ -129,10 +133,10 @@ def _random_graph(rng: np.random.Generator) -> tuple[CSRGraph, bool]:
     return complete_graph(int(rng.integers(5, 17))), True
 
 
-def _rank_gap(truth: np.ndarray, query: int, k: int, direction) -> float:
-    """The oracle's margin between rank k and rank k+1 (0 if tied/short)."""
-    eligible = np.delete(np.arange(len(truth)), query)
-    vals = truth[eligible]
+def _rank_gap(truth: np.ndarray, skip, k: int, direction) -> float:
+    """The oracle's margin between rank k and rank k+1 (0 if tied/short),
+    over every node but ``skip`` (the query, plus any excluded nodes)."""
+    vals = np.delete(truth, skip)
     if len(vals) <= k:
         return np.inf  # everything is returned; no rank boundary exists
     if direction is Direction.HIGHER_IS_CLOSER:
@@ -148,13 +152,14 @@ def _serve(
     measure_kwargs: dict,
     query: int,
     k: int,
+    exclude: frozenset[int] = frozenset(),
     **option_overrides,
 ) -> TopKResult:
     options = FLoSOptions(audit="record", **option_overrides)
     session = QuerySession(
         graph, measure=measure_name, **measure_kwargs, options=options
     )
-    return session.top_k(query, k)
+    return session.top_k(query, k, exclude=exclude)
 
 
 def _check_run(
@@ -251,6 +256,35 @@ def _case_messages(
             f"anytime: negative bound_gap {any_res.stats.bound_gap}"
         )
     bump()
+
+    # Excluded run: an excluded node still carries walk mass, and on the
+    # boundary it still leads to unvisited rivals.
+    nbrs = np.unique(graph.neighbors(query)[0])
+    excluded = np.random.default_rng([query, k, graph.num_nodes]).choice(
+        nbrs, size=len(nbrs) // 2, replace=False
+    )
+    barred = frozenset(int(v) for v in excluded)
+    res = serve_and_check("excluded", exclude=barred)
+    if not res.exact:
+        messages.append("excluded: unbudgeted run came back anytime")
+    got = set(int(v) for v in res.nodes)
+    if got & barred:
+        messages.append(f"excluded: returned an excluded node {sorted(got)}")
+    # Only the query's component can answer: with fewer than k eligible
+    # nodes there, the search returns all of them (exhausted component).
+    component = graph.subgraph_nodes_within_hops(query, graph.num_nodes)
+    skip = np.setdiff1d(np.arange(graph.num_nodes), component)
+    skip = np.concatenate([skip, excluded, [query]])
+    gap = _rank_gap(truth, skip, k, measure.direction)
+    if gap > 2.0 * slack:
+        order = measure.top_k_from_vector(truth, query, graph.num_nodes)
+        want = [int(v) for v in order if v not in skip][:k]
+        if got != set(want):
+            messages.append(
+                f"excluded: node set {sorted(got)} != filtered direct "
+                f"solve {sorted(want)} despite clear rank gap {gap:.3g}"
+            )
+    bump(2)
     return messages
 
 

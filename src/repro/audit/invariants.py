@@ -26,10 +26,9 @@ check_sandwich         Thms 3 and 5 against ground truth: the exact
                        (globally computed) proximity of every visited
                        node lies inside its ``[lower, upper]``.
 check_certificate      Alg. 6 / Alg. 2 stopping condition replayed
-                       from the recorded final bounds, including
-                       Corollary 1's domination of unvisited nodes
-                       (settled top-k + boundary in the rival set)
-                       and the Sec. 5.6 degree-weighted RWR guard.
+                       from the recorded final bounds, including the
+                       model's cap on unvisited nodes (Corollary 1,
+                       the Sec. 5.6 RWR guard, Lemma 7 for THT).
 check_flags            API contract: ``exact`` iff the certificate
                        closed (``termination == "exact"``), with a
                        zero residual ``bound_gap``; anytime results
@@ -107,15 +106,15 @@ class CertificateRecord:
     """Everything needed to replay the termination decision offline.
 
     All arrays are indexed by *local* id and copied at finalize time.
-    ``lb_score`` / ``ub_score`` are in ranking-score space — PHP-space
-    bounds times the ranking weight ``omega`` (the weighted degree for
-    RWR, 1 otherwise), or raw hitting-time bounds for THT.
-    ``upper_raw`` keeps the unweighted PHP upper bounds the Sec. 5.6
-    guard multiplies by ``w_out``; it equals ``ub_score`` when
-    ``degree_weighted`` is false.
+    ``lb_score`` / ``ub_score`` are the bound model's ranking scores,
+    oriented so that larger means closer: PHP-space bounds times the
+    ranking weight ``omega`` (the weighted degree for RWR, 1 otherwise),
+    or negated hitting-time bounds for THT (``-upper`` / ``-lower``).
+    ``unvisited_cap`` is the model's cap on the ranking score of every
+    unvisited node (Corollary 1, Sec. 5.6 or Lemma 7), ``None`` when
+    the boundary is empty.
     """
 
-    kind: str  # "php" | "tht"
     k: int
     tie_epsilon: float
     exact: bool
@@ -125,12 +124,10 @@ class CertificateRecord:
     top: np.ndarray
     lb_score: np.ndarray
     ub_score: np.ndarray
-    upper_raw: np.ndarray
     eligible: np.ndarray
     settled: np.ndarray
     boundary: np.ndarray
-    degree_weighted: bool = False
-    w_out: float | None = None
+    unvisited_cap: float | None = None
 
 
 @dataclass
@@ -342,17 +339,17 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
     """Replay the Algorithm 2 stopping condition from the final bounds.
 
     For an exact, non-exhausted result the engine claims: every returned
-    node is settled and eligible, and the k-th ranking lower bound (plus
-    ``tie_epsilon``) dominates the ranking upper bound of every other
-    eligible visited node (Alg. 6) — which by Corollary 1 also dominates
-    all unvisited nodes, because the settled top-k forces every boundary
-    node into the rival set.  For RWR the Sec. 5.6 guard additionally
-    caps unvisited nodes by ``w_out * max_{boundary} upper``.  THT is the
-    mirror image (smaller is closer).  Exhausted results instead claim
-    an empty boundary — the bounds collapsed onto the exact component
-    solution.  The comparisons reuse the engine's own recorded floats,
-    so no numerical slack is involved: this checks the *logic*, not the
-    arithmetic.
+    node is settled and eligible, and the k-th ranking lower score (plus
+    ``tie_epsilon``) dominates both the ranking upper score of every
+    other eligible visited node (Alg. 6) and the recorded cap on every
+    unvisited node.  The cap is needed: a settled top-k puts every
+    *eligible* boundary node among the rivals, but an excluded boundary
+    node is no rival and still leads to unvisited ones.  The scores are
+    oriented (larger is closer), so one rule serves every measure.
+    Exhausted results instead claim an empty boundary — the bounds
+    collapsed onto the exact component solution.  The comparisons reuse
+    the engine's own recorded floats, so no numerical slack is involved:
+    this checks the *logic*, not the arithmetic.
     """
     out = check_flags(cert)
     top = cert.top
@@ -433,54 +430,23 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
         # Terminated by component exhaustion (with >= k eligible nodes,
         # so ``exhausted`` stayed false): the dummy mass is zero, both
         # bound systems converged onto the component solution, and the
-        # engine ranked by its converged primary bound *without* a
+        # engine ranked by its converged lower score *without* a
         # rival-domination claim — the bounds still differ by the
         # solver's tau residual, so replaying the domination rule here
         # would be checking a claim never made.  Replay the selection
         # instead: no rival may strictly beat a returned node on the
-        # ranking bound the engine sorted by.
+        # ranking score the engine sorted by.
         if len(rest):
-            if cert.kind == "tht":
-                worst_top = float(cert.ub_score[top].max())
-                best_rival = float(cert.ub_score[rest].min())
-                beaten = best_rival < worst_top - cert.tie_epsilon
-                detail = (
-                    f"rival upper bound {best_rival:.9g} beats returned "
-                    f"upper bound {worst_top:.9g}"
-                )
-                node = int(rest[np.argmin(cert.ub_score[rest])])
-            else:
-                worst_top = float(cert.lb_score[top].min())
-                best_rival = float(cert.lb_score[rest].max())
-                beaten = best_rival > worst_top + cert.tie_epsilon
-                detail = (
-                    f"rival lower bound {best_rival:.9g} beats returned "
-                    f"lower bound {worst_top:.9g}"
-                )
-                node = int(rest[np.argmax(cert.lb_score[rest])])
-            if beaten:
+            worst_top = float(cert.lb_score[top].min())
+            best_rival = float(cert.lb_score[rest].max())
+            if best_rival > worst_top + cert.tie_epsilon:
                 out.append(
                     InvariantViolation(
                         "certificate",
-                        "exhausted-component ranking is wrong: " + detail,
-                        node=node,
-                    )
-                )
-        return out
-
-    if cert.kind == "tht":
-        # Smaller is closer: the worst returned upper bound must not
-        # exceed any rival's lower bound (minus the tie tolerance).
-        max_top = float(cert.ub_score[top].max()) - cert.tie_epsilon
-        if len(rest):
-            best_rival = float(cert.lb_score[rest].min())
-            if best_rival < max_top:
-                out.append(
-                    InvariantViolation(
-                        "certificate",
-                        f"rival lower bound {best_rival:.9g} undercuts the "
-                        f"certified top-k maximum {max_top:.9g}",
-                        node=int(rest[np.argmin(cert.lb_score[rest])]),
+                        "exhausted-component ranking is wrong: rival lower "
+                        f"bound {best_rival:.9g} beats returned lower bound "
+                        f"{worst_top:.9g}",
+                        node=int(rest[np.argmax(cert.lb_score[rest])]),
                     )
                 )
         return out
@@ -497,23 +463,20 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
                     node=int(rest[np.argmax(cert.ub_score[rest])]),
                 )
             )
-    boundary = np.flatnonzero(cert.boundary)
-    if cert.degree_weighted and len(boundary):
-        if cert.w_out is None:
-            out.append(
-                InvariantViolation(
-                    "certificate",
-                    "degree-weighted certificate closed with a non-empty "
-                    "boundary but no recorded w_out cap",
-                )
+    if cert.unvisited_cap is None:
+        out.append(
+            InvariantViolation(
+                "certificate",
+                "certificate closed with a non-empty boundary but no "
+                "recorded unvisited cap",
             )
-        elif cert.w_out * float(cert.upper_raw[boundary].max()) > min_top:
-            out.append(
-                InvariantViolation(
-                    "certificate",
-                    f"Sec. 5.6 unvisited cap w_out * max boundary upper = "
-                    f"{cert.w_out * float(cert.upper_raw[boundary].max()):.9g}"
-                    f" exceeds the certified top-k minimum {min_top:.9g}",
-                )
+        )
+    elif cert.unvisited_cap > min_top:
+        out.append(
+            InvariantViolation(
+                "certificate",
+                f"unvisited cap {cert.unvisited_cap:.9g} exceeds the "
+                f"certified top-k minimum {min_top:.9g}",
             )
+        )
     return out

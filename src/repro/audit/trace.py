@@ -1,8 +1,8 @@
 """Opt-in per-iteration audit recorder and the failure shrinker.
 
-:class:`AuditRecorder` is the runtime half of the audit layer.  Both
-engines construct one when ``FLoSOptions.audit != "off"`` and call it
-from their expansion loops:
+:class:`AuditRecorder` is the runtime half of the audit layer.  The
+FLoS driver (:class:`~repro.core.flos.FLoSDriver`) constructs one when
+``FLoSOptions.audit != "off"``, and it is called:
 
 * :meth:`AuditRecorder.on_refresh` after every bound refresh — checks
   bound ordering, monotone bound evolution against the previous
@@ -58,13 +58,11 @@ class AuditRecorder:
         ``"check"`` raises :class:`~repro.errors.AuditError` on the
         first violation; ``"record"`` accumulates violations and the
         full per-refresh snapshot history for offline replay.
-    kind:
-        ``"php"`` or ``"tht"`` — selects the certificate replay logic.
     monotone_slack:
-        Allowed bound regression between refreshes.  The engines pass
-        ``2 * tau / (1 - decay)`` (the tau-truncation residual of two
-        consecutive solves, by the contraction argument) for the
-        PHP-space engine and a tiny float-noise allowance for the exact
+        Allowed bound regression between refreshes.  The bound models
+        pass ``2 * tau / (1 - decay)`` (the tau-truncation residual of
+        two consecutive solves, by the contraction argument) for PHP
+        space and a tiny float-noise allowance for the exact
         finite-horizon DP of THT.
     order_slack:
         Allowed ``lower - upper`` inversion within one refresh; same
@@ -79,17 +77,13 @@ class AuditRecorder:
         self,
         *,
         mode: str,
-        kind: str,
         monotone_slack: float,
         order_slack: float,
         context: str = "",
     ):
         if mode not in ("record", "check"):
             raise ValueError(f"audit mode must be 'record' or 'check', got {mode!r}")
-        if kind not in ("php", "tht"):
-            raise ValueError(f"audit kind must be 'php' or 'tht', got {kind!r}")
         self.mode = mode
-        self.kind = kind
         self.monotone_slack = float(monotone_slack)
         self.order_slack = float(order_slack)
         self.context = context

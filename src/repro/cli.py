@@ -871,7 +871,8 @@ def cmd_fuzz(args) -> int:
 
     print(
         f"fuzzing {args.cases} cases (seed {args.seed}): "
-        "default + scalar view + anytime runs, vs direct solve + GI oracle"
+        "default + scalar view + anytime + excluded runs, "
+        "vs direct solve + GI oracle"
     )
     summary = run_fuzz(
         args.cases, args.seed, out_dir=args.out_dir, progress=heartbeat

@@ -20,10 +20,12 @@ string — and answers one query through a throwaway
 :class:`~repro.core.session.QuerySession`, which owns the engine
 dispatch:
 
-* PHP / EI / DHT / RWR → :class:`~repro.core.flos.PHPSpaceEngine` with the
-  measure's equivalent PHP decay (Theorems 2 and 6), then converts the
-  PHP-space bounds into measure-native value bounds;
-* THT → :class:`~repro.core.flos_tht.THTEngine`.
+* PHP / EI / DHT / RWR → the FLoS driver over the PHP-space bound model
+  (:class:`~repro.core.flos.PHPSpaceEngine`) with the measure's
+  equivalent PHP decay (Theorems 2 and 6), then converts the PHP-space
+  bounds into measure-native value bounds;
+* THT → the same driver over the finite-horizon bound model
+  (:class:`~repro.core.flos_tht.THTEngine`).
 
 Applications that issue many queries against the same graph should hold
 a :class:`~repro.core.session.QuerySession` instead: it amortises the

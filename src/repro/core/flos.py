@@ -1,15 +1,21 @@
-"""The FLoS driver in PHP space (paper Algorithms 2–6).
+"""The FLoS driver (paper Algorithms 2–6) and its PHP-space bound model.
 
-One engine serves four measures.  PHP is computed natively; EI, DHT and RWR
-are PHP re-scalings (Theorems 2 and 6), so the engine always maintains
-*PHP* lower/upper bounds over the visited set and the measure-specific
-wrapper in :mod:`repro.core.api` converts them to native values afterwards.
-The only measure-dependent pieces inside the loop are:
+:class:`FLoSDriver` is the one local-search loop every measure runs:
+best-first expansion, bound refresh, and the termination certificate.  A
+subclass supplies only the bounds, as a *bound model*; the driver reads
+them in one orientation, where larger means closer.  There are two
+models: :class:`PHPSpaceEngine` below and
+:class:`~repro.core.flos_tht.THTEngine`.
 
-* the **ranking weight** ``ω_i`` — 1 for PHP/EI/DHT, the weighted degree
-  ``w_i`` for RWR (Sec. 5.6, since ``RWR(i) ∝ w_i · PHP(i)``);
-* for RWR, the extra termination guard against unvisited hubs:
-  ``min_K ω·lb ≥ w(S̄) · max_{δS} ub``.
+``PHPSpaceEngine`` serves four measures.  PHP is computed natively; EI,
+DHT and RWR are PHP re-scalings (Theorems 2 and 6), so the model always
+maintains *PHP* lower/upper bounds over the visited set and the
+measure-specific wrapper in :mod:`repro.core.api` converts them to
+native values afterwards.  The only measure-dependent piece is the
+**ranking weight** ``ω_i`` — 1 for PHP/EI/DHT, the weighted degree
+``w_i`` for RWR (Sec. 5.6, since ``RWR(i) ∝ w_i · PHP(i)``) — which also
+scales the cap on unvisited nodes: ``max_{δS} ub`` (Corollary 1), or
+``w(S̄) · max_{δS} ub`` for RWR.
 
 Loop structure per iteration ``t`` (Algorithm 2):
 
@@ -26,8 +32,8 @@ Loop structure per iteration ``t`` (Algorithm 2):
    dominating node can only raise proximities (Theorem 5).
 4. **CheckTerminationCriteria** (Alg. 6): pick the ``k`` settled nodes
    (all neighbors visited) with largest ``ω·lb``; stop when their minimum
-   clears every other visited node's ``ω·ub`` (which, by Corollary 1,
-   also dominates all unvisited nodes).
+   clears every other eligible visited node's ``ω·ub`` and the model's
+   cap on unvisited nodes.
 
 Optionally both bounds are tightened with star-to-mesh self-loops
 (Sec. 5.3, Lemmas 3–4); ``FLoSOptions.tighten`` controls this and the
@@ -228,7 +234,8 @@ class WarmStart:
 
 @dataclass
 class EngineOutcome:
-    """Raw engine output in PHP space; wrappers convert to native values."""
+    """Raw engine output in the model's bound space (PHP space or
+    hitting time); wrappers convert to native values."""
 
     view: LocalView
     top_locals: np.ndarray
@@ -243,12 +250,26 @@ class EngineOutcome:
     audit: "object | None" = None
 
 
-class SoftBudgetMixin:
-    """Budget checks shared by both FLoS engines (anytime search).
+class FLoSDriver:
+    """The measure-independent FLoS loop (Algorithms 2, 3 and 6).
 
-    Engines call :meth:`_budget_reason` once per expansion round (after
-    setting ``self._started`` at the top of ``run``) and either raise or
-    degrade according to ``FLoSOptions.on_budget``.
+    The driver owns every step that is the same for all measures: the
+    soft-budget schedule, warm-start seeding, the excluded-locals mask,
+    best-first expansion, growing the bound vectors, the termination
+    certificate, the anytime and exhausted-component finalizers, the
+    audit seal and the per-iteration trace.  A subclass is a *bound
+    model*: it refreshes ``self._lb`` / ``self._ub`` after each
+    expansion and exposes them to the driver in one orientation, where
+    larger means closer.
+
+    * :meth:`_refresh` — Algorithms 4 and 5 (or their THT analogue).
+      ``boundary`` is ``δS`` *before* this round's expansion, which the
+      PHP-space dummy of Alg. 5 line 7 reads.
+    * :meth:`_ranking_bounds` — ``(lo, hi)`` ranking scores bracketing
+      each visited node.
+    * :meth:`_expansion_scores` — the best-first key of Algorithm 3.
+    * :meth:`_unvisited_cap` — an upper bound on the ranking score of
+      every unvisited node, given the current boundary.
 
     Deadlines are measured on ``time.monotonic()`` — the contract for
     every deadline check in this library.  A wall-clock source
@@ -258,68 +279,37 @@ class SoftBudgetMixin:
     inconsistent.
     """
 
-    options: FLoSOptions
-    _started: float
-
-    def _budget_reason(self, iteration: int) -> str | None:
-        """Budget exhausted before this iteration may start, or ``None``."""
-        opts = self.options
-        if (
-            opts.max_iterations is not None
-            and iteration > opts.max_iterations
-        ):
-            return "iteration_budget"
-        if (
-            opts.deadline_seconds is not None
-            and time.monotonic() - self._started >= opts.deadline_seconds
-        ):
-            return "deadline"
-        return None
-
-    def _raise_budget(self, reason: str, iteration: int) -> None:
-        opts = self.options
-        if reason == "iteration_budget":
-            raise IterationBudgetError(iteration - 1, opts.max_iterations)
-        raise DeadlineExceededError(
-            time.monotonic() - self._started, opts.deadline_seconds
-        )
-
-
-class PHPSpaceEngine(SoftBudgetMixin):
-    """FLoS over the PHP recursion ``r = decay · T r + e_q``."""
-
     def __init__(
         self,
         graph: GraphAccess,
         query: int,
         k: int,
         *,
-        decay: float,
-        degree_weighted: bool = False,
-        unvisited_degree_bound=None,
-        options: FLoSOptions | None = None,
-        exclude: frozenset[int] = frozenset(),
-        warm_start: WarmStart | None = None,
+        options: FLoSOptions,
+        exclude: frozenset[int],
+        warm_start: WarmStart | None,
+        trivial: tuple[float, float],
+        query_value: float,
+        track_tightening: bool,
+        audit_slack: float,
     ):
         if k < 1:
             raise SearchError("k must be >= 1")
-        if not 0.0 < decay < 1.0:
-            raise SearchError("decay must lie in (0, 1)")
         self.graph = graph
         self.query = query
         self.k = k
-        self.decay = decay
-        self.degree_weighted = degree_weighted
-        self._unvisited_degree_bound = unvisited_degree_bound
-        self.options = options or FLoSOptions()
+        self.options = options
         # Excluded nodes still participate in the walk structure and the
         # bounds (excluding them from the *graph* would change every
         # proximity); they are only barred from the answer set K.
         self.exclude = exclude
+        # Bounds of a freshly visited node, before any refresh.
+        self._trivial = trivial
+        # The value the recorded dummy column carries; the PHP-space
+        # model lowers it as the search proceeds (Alg. 5 line 7).
+        self._dummy_value = trivial[1]
 
-        self.view = LocalView(
-            graph, query, track_tightening=self.options.tighten
-        )
+        self.view = LocalView(graph, query, track_tightening=track_tightening)
         if warm_start is not None:
             if int(warm_start.nodes[0]) != query:
                 raise SearchError(
@@ -331,19 +321,17 @@ class PHPSpaceEngine(SoftBudgetMixin):
             if self.view.size != len(warm_start.nodes):
                 raise SearchError("warm-start seed contains duplicate nodes")
             # Prior lower bounds stay valid under the WarmStart contract
-            # (T_S unchanged ⇒ Theorem 3 still certifies them, and the
-            # solver's monotone iteration from below can only tighten);
-            # upper bounds restart at the trivial 1.
-            self._lb = np.clip(warm_start.lower, 0.0, 1.0)
-            self._ub = np.ones(self.view.size)
-            self._lb[0] = self._ub[0] = 1.0
+            # (T_S unchanged, so Theorem 3 — or the THT DP induction —
+            # still certifies them, and every refresh can only tighten);
+            # upper bounds restart trivial.
+            self._lb = np.clip(warm_start.lower, *trivial)
+            self._ub = np.full(self.view.size, trivial[1])
+            self._lb[0] = self._ub[0] = query_value
         else:
-            # PHP-space bounds over local ids; the query is local id 0
-            # with the constant proximity 1 (Sec. 3.2).
-            self._lb = np.array([1.0])
-            self._ub = np.array([1.0])
-        self._dummy_value = 1.0
-        self._kernel = DualBoundKernel(self.view, decay)
+            # The query is local id 0, with a constant value by
+            # definition (PHP 1, hitting time 0; Sec. 3.2).
+            self._lb = np.array([query_value])
+            self._ub = np.array([query_value])
         # Excluded-locals mask, extended as nodes are visited, so the
         # termination check never rescans the whole visited set.
         if warm_start is not None and exclude:
@@ -363,19 +351,15 @@ class PHPSpaceEngine(SoftBudgetMixin):
         if self.options.audit != "off":
             from repro.audit.trace import AuditRecorder
 
-            # Each refresh stops on a tau update norm, leaving bounds
-            # within tau/(1-decay) of their fixed point (contraction);
-            # two consecutive refreshes can therefore disagree by twice
-            # that without any invariant being violated.
-            slack = 2.0 * self.options.tau / (1.0 - decay) + 1e-12
             self._auditor = AuditRecorder(
                 mode=self.options.audit,
-                kind="php",
-                monotone_slack=slack,
-                order_slack=slack,
-                context=f"php engine (query={query}, k={k})",
+                monotone_slack=audit_slack,
+                order_slack=audit_slack,
+                context=f"{type(self).__name__} (query={query}, k={k})",
             )
 
+    # ------------------------------------------------------------------
+    # Algorithm 2
     # ------------------------------------------------------------------
 
     def run(self) -> EngineOutcome:
@@ -403,19 +387,13 @@ class PHPSpaceEngine(SoftBudgetMixin):
                     if opts.on_budget == "raise":
                         self._raise_budget(reason, iteration)
                     return self._finalize_degraded(reason, iteration)
-            # r_d^t = max upper bound on the boundary of the *previous*
-            # iteration (Algorithm 5 line 7); monotone non-increasing.
-            boundary_prev = self.view.boundary_mask()
-            if boundary_prev.any():
-                self._dummy_value = min(
-                    self._dummy_value, float(self._ub[boundary_prev].max())
-                )
 
-            expanded = self._select_expansion()
-            if len(expanded) == 0:
+            boundary = np.flatnonzero(self.view.boundary_mask())
+            if len(boundary) == 0:
                 # The query's component is fully visited: bounds coincide
                 # with the exact (τ-converged) solution on the component.
-                return self._finalize_exhausted(iteration)
+                return self._finalize_exhausted(iteration, boundary)
+            expanded = self._select_expansion(boundary)
             newly = self._expand(expanded)
             if (
                 opts.max_visited is not None
@@ -423,111 +401,45 @@ class PHPSpaceEngine(SoftBudgetMixin):
             ):
                 if opts.on_budget == "raise":
                     raise BudgetExceededError(self.view.size, opts.max_visited)
-                self._update_bounds()
+                self._refresh(boundary)
                 return self._finalize_degraded("visited_budget", iteration)
 
-            self._update_bounds()
+            self._refresh(boundary)
             done, top_locals = self._check_termination()
             if opts.record_trace:
                 self._record(iteration, expanded, newly, done)
             if done:
-                self.stats.visited_nodes = self.view.size
-                self.stats.neighbor_queries = self.view.neighbor_queries
-                outcome = EngineOutcome(
-                    view=self.view,
-                    top_locals=top_locals,
-                    lower=self._lb.copy(),
-                    upper=self._ub.copy(),
-                    exact=True,
-                    exhausted_component=False,
-                    stats=self.stats,
-                    trace=self.trace,
-                )
-                self._seal_audit(outcome)
-                return outcome
+                return self._outcome(top_locals, exact=True)
 
-    # ------------------------------------------------------------------
-    # Soft budgets (anytime search)
-    # ------------------------------------------------------------------
+    def _budget_reason(self, iteration: int) -> str | None:
+        """Budget exhausted before this iteration may start, or ``None``."""
+        opts = self.options
+        if (
+            opts.max_iterations is not None
+            and iteration > opts.max_iterations
+        ):
+            return "iteration_budget"
+        if (
+            opts.deadline_seconds is not None
+            and time.monotonic() - self._started >= opts.deadline_seconds
+        ):
+            return "deadline"
+        return None
 
-    def _finalize_degraded(self, reason: str, iteration: int) -> EngineOutcome:
-        """Assemble the anytime result after a soft budget fired.
-
-        The current best-k by the ranking midpoint ``ω·(lb+ub)/2`` is
-        returned with ``exact=False``.  The per-node PHP-space bounds
-        stay certified — Theorems 3 and 5 hold for *every* visited set,
-        not only the final one — and ``stats.bound_gap`` records how far
-        the best rival's upper bound still overlaps the k-th returned
-        lower bound in ranking-score space (0 means the certificate
-        closed and the result is exact in all but name).
-        """
-        lb_score, ub_score = self._ranking_bounds()
-        eligible = np.flatnonzero(
-            self._eligible_mask(np.ones(self.view.size, dtype=bool))
+    def _raise_budget(self, reason: str, iteration: int) -> None:
+        opts = self.options
+        if reason == "iteration_budget":
+            raise IterationBudgetError(iteration - 1, opts.max_iterations)
+        raise DeadlineExceededError(
+            time.monotonic() - self._started, opts.deadline_seconds
         )
-        mid = 0.5 * (lb_score + ub_score)
-        gids = self.view.global_ids()
-        top = eligible[
-            top_k_indices(mid[eligible], gids[eligible], self.k)
-        ]
-
-        gap = 0.0
-        if len(top):
-            min_top = float(lb_score[top].min())
-            others = self._eligible_mask(np.ones(self.view.size, dtype=bool))
-            others[top] = False
-            rest = np.flatnonzero(others)
-            if len(rest):
-                gap = float(ub_score[rest].max()) - min_top
-            # Unvisited rivals: unlike the exact certificate (whose
-            # top-k is settled, so every boundary node is in ``rest``),
-            # the degraded top-k may itself sit on the boundary — so the
-            # Corollary 1 / Sec. 5.6 cap on unvisited nodes must be
-            # added explicitly.
-            boundary = np.flatnonzero(self.view.boundary_mask())
-            if len(boundary):
-                if self.degree_weighted:
-                    w_out = self._max_unvisited_degree()
-                    unvisited_cap = w_out * float(self._ub[boundary].max())
-                else:
-                    unvisited_cap = float(ub_score[boundary].max())
-                gap = max(gap, unvisited_cap - min_top)
-            gap = max(0.0, gap)
-
-        self.stats.visited_nodes = self.view.size
-        self.stats.neighbor_queries = self.view.neighbor_queries
-        self.stats.termination = reason
-        self.stats.bound_gap = gap
-        if self.options.record_trace:
-            self._record(iteration, np.empty(0, np.int64), [], True)
-        outcome = EngineOutcome(
-            view=self.view,
-            top_locals=top,
-            lower=self._lb.copy(),
-            upper=np.maximum(self._lb, self._ub),
-            exact=False,
-            exhausted_component=False,
-            stats=self.stats,
-            trace=self.trace,
-        )
-        self._seal_audit(outcome)
-        return outcome
 
     # ------------------------------------------------------------------
     # Algorithm 3 — LocalExpansion
     # ------------------------------------------------------------------
 
-    def _scores(self) -> np.ndarray:
-        mid = 0.5 * (self._lb + self._ub)
-        if self.degree_weighted:
-            return mid * self.view.degrees_array()
-        return mid
-
-    def _select_expansion(self) -> np.ndarray:
-        boundary = np.flatnonzero(self.view.boundary_mask())
-        if len(boundary) == 0:
-            return boundary
-        scores = self._scores()[boundary]
+    def _select_expansion(self, boundary: np.ndarray) -> np.ndarray:
+        scores = self._expansion_scores()[boundary]
         batch = min(self.options.batch_size(self.view.size), len(boundary))
         if batch < len(boundary):
             # Pre-select the batch best with argpartition, then order the
@@ -543,9 +455,10 @@ class PHPSpaceEngine(SoftBudgetMixin):
         grow = self.view.size - len(self._lb)
         if grow > 0:
             # Algorithm 4 line 3 / Algorithm 5 line 5: fresh nodes start
-            # at the trivial PHP bounds [0, 1].
-            self._lb = np.concatenate([self._lb, np.zeros(grow)])
-            self._ub = np.concatenate([self._ub, np.ones(grow)])
+            # at the model's trivial bounds.
+            lo, hi = self._trivial
+            self._lb = np.concatenate([self._lb, np.full(grow, lo)])
+            self._ub = np.concatenate([self._ub, np.full(grow, hi)])
             self._excluded = np.concatenate(
                 [
                     self._excluded,
@@ -561,11 +474,274 @@ class PHPSpaceEngine(SoftBudgetMixin):
         return newly
 
     # ------------------------------------------------------------------
+    # Algorithm 6 — CheckTerminationCriteria
+    # ------------------------------------------------------------------
+
+    def _eligible_mask(self, base: np.ndarray) -> np.ndarray:
+        mask = base.copy()
+        mask[0] = False  # the query itself
+        if self.exclude:
+            mask &= ~self._excluded
+        return mask
+
+    def _rivals(self, top: np.ndarray) -> np.ndarray:
+        """Visited nodes that could still displace a member of ``top`` —
+        excluded nodes cannot, by definition of the query."""
+        others = self._eligible_mask(np.ones(self.view.size, dtype=bool))
+        others[top] = False
+        return np.flatnonzero(others)
+
+    def _check_termination(self) -> tuple[bool, np.ndarray]:
+        settled = self._eligible_mask(self.view.settled_mask())
+        candidates = np.flatnonzero(settled)
+        if len(candidates) < self.k:
+            return False, candidates
+
+        lo, hi = self._ranking_bounds()
+        # Deterministic tie-breaking by *global* node id: local ids
+        # reflect visitation order, which differs across LocalView paths
+        # and warm starts, so breaking score ties on them would let the
+        # returned set at an exact rank-k tie depend on the path taken.
+        gids = self.view.global_ids()
+        top = candidates[
+            top_k_indices(lo[candidates], gids[candidates], self.k)
+        ]
+        min_top = float(lo[top].min()) + self.options.tie_epsilon
+
+        rest = self._rivals(top)
+        if len(rest) and float(hi[rest].max()) > min_top:
+            return False, top
+        # Unvisited rivals are reached only through the boundary.  The
+        # settled top-k puts every eligible boundary node among the
+        # rivals above, but an *excluded* boundary node is no rival and
+        # still leads to unvisited ones — so the model's cap (Corollary
+        # 1, Sec. 5.6, Lemma 7) is always checked.
+        boundary = np.flatnonzero(self.view.boundary_mask())
+        if len(boundary) and self._unvisited_cap(boundary) > min_top:
+            return False, top
+        return True, top
+
+    # ------------------------------------------------------------------
+    # Finalizers
+    # ------------------------------------------------------------------
+
+    def _finalize_degraded(self, reason: str, iteration: int) -> EngineOutcome:
+        """Assemble the anytime result after a soft budget fired.
+
+        The current best-k by the ranking midpoint ``(lo + hi) / 2`` is
+        returned with ``exact=False``.  The per-node bounds stay
+        certified — Theorems 3 and 5 hold for *every* visited set, not
+        only the final one — and ``stats.bound_gap`` records how far the
+        best rival (visited, or unvisited via the model's cap) still
+        overlaps the k-th returned lower score (0 means the certificate
+        closed and the result is exact in all but name).
+        """
+        lo, hi = self._ranking_bounds()
+        eligible = np.flatnonzero(
+            self._eligible_mask(np.ones(self.view.size, dtype=bool))
+        )
+        mid = 0.5 * (lo + hi)
+        gids = self.view.global_ids()
+        top = eligible[
+            top_k_indices(mid[eligible], gids[eligible], self.k)
+        ]
+
+        gap = 0.0
+        if len(top):
+            min_top = float(lo[top].min())
+            rest = self._rivals(top)
+            if len(rest):
+                gap = float(hi[rest].max()) - min_top
+            boundary = np.flatnonzero(self.view.boundary_mask())
+            if len(boundary):
+                gap = max(gap, self._unvisited_cap(boundary) - min_top)
+            gap = max(0.0, gap)
+
+        self.stats.termination = reason
+        self.stats.bound_gap = gap
+        if self.options.record_trace:
+            self._record(iteration, np.empty(0, np.int64), [], True)
+        return self._outcome(top, exact=False)
+
+    def _finalize_exhausted(
+        self, iteration: int, boundary: np.ndarray
+    ) -> EngineOutcome:
+        # No boundary left: the dummy mass is zero everywhere, so lower
+        # and upper systems coincide; refresh once more and rank.
+        self._refresh(boundary)
+        lo, _ = self._ranking_bounds()
+        candidates = np.flatnonzero(
+            self._eligible_mask(np.ones(self.view.size, dtype=bool))
+        )
+        gids = self.view.global_ids()
+        top = candidates[
+            top_k_indices(lo[candidates], gids[candidates], self.k)
+        ]
+        if self.options.record_trace:
+            self._record(iteration, np.empty(0, np.int64), [], True)
+        return self._outcome(top, exact=True, exhausted=len(top) < self.k)
+
+    def _outcome(
+        self, top: np.ndarray, *, exact: bool, exhausted: bool = False
+    ) -> EngineOutcome:
+        self.stats.visited_nodes = self.view.size
+        self.stats.neighbor_queries = self.view.neighbor_queries
+        outcome = EngineOutcome(
+            view=self.view,
+            top_locals=top,
+            lower=self._lb.copy(),
+            upper=np.maximum(self._lb, self._ub),
+            exact=exact,
+            exhausted_component=exhausted,
+            stats=self.stats,
+            trace=self.trace,
+        )
+        self._seal_audit(outcome)
+        return outcome
+
+    # ------------------------------------------------------------------
+    # Audit hooks (no-ops when ``FLoSOptions.audit == "off"``)
+    # ------------------------------------------------------------------
+
+    def _seal_audit(self, outcome: EngineOutcome) -> None:
+        """Replay the termination certificate and attach the audit trail."""
+        if self._auditor is None:
+            return
+        from repro.audit.invariants import CertificateRecord
+
+        lo, hi = self._ranking_bounds()
+        boundary = self.view.boundary_mask()
+        self._auditor.on_certificate(
+            CertificateRecord(
+                k=self.k,
+                tie_epsilon=self.options.tie_epsilon,
+                exact=outcome.exact,
+                exhausted=outcome.exhausted_component,
+                termination=self.stats.termination,
+                bound_gap=self.stats.bound_gap,
+                top=np.asarray(outcome.top_locals, dtype=np.int64).copy(),
+                lb_score=np.array(lo, dtype=np.float64),
+                ub_score=np.array(hi, dtype=np.float64),
+                eligible=self._eligible_mask(
+                    np.ones(self.view.size, dtype=bool)
+                ),
+                settled=self.view.settled_mask().copy(),
+                boundary=boundary.copy(),
+                unvisited_cap=(
+                    self._unvisited_cap(np.flatnonzero(boundary))
+                    if boundary.any()
+                    else None
+                ),
+            )
+        )
+        self.stats.audit_checks = self._auditor.checks
+        self.stats.audit_violations = len(self._auditor.violations)
+        outcome.audit = self._auditor.report()
+
+    def _record(
+        self,
+        iteration: int,
+        expanded: np.ndarray,
+        newly: list[int],
+        terminated: bool,
+    ) -> None:
+        gids = self.view.global_ids()
+        self.trace.append(
+            IterationSnapshot(
+                iteration=iteration,
+                expanded=tuple(int(gids[i]) for i in expanded),
+                newly_visited=tuple(newly),
+                lower={int(g): float(v) for g, v in zip(gids, self._lb)},
+                upper={int(g): float(v) for g, v in zip(gids, self._ub)},
+                dummy_value=self._dummy_value,
+                terminated=terminated,
+            )
+        )
+
+
+class PHPSpaceEngine(FLoSDriver):
+    """FLoS over the PHP recursion ``r = decay · T r + e_q``."""
+
+    def __init__(
+        self,
+        graph: GraphAccess,
+        query: int,
+        k: int,
+        *,
+        decay: float,
+        degree_weighted: bool = False,
+        unvisited_degree_bound=None,
+        options: FLoSOptions | None = None,
+        exclude: frozenset[int] = frozenset(),
+        warm_start: WarmStart | None = None,
+    ):
+        if not 0.0 < decay < 1.0:
+            raise SearchError("decay must lie in (0, 1)")
+        options = options or FLoSOptions()
+        self.decay = decay
+        self.degree_weighted = degree_weighted
+        self._unvisited_degree_bound = unvisited_degree_bound
+        super().__init__(
+            graph,
+            query,
+            k,
+            options=options,
+            exclude=exclude,
+            warm_start=warm_start,
+            trivial=(0.0, 1.0),
+            query_value=1.0,
+            track_tightening=options.tighten,
+            # Each refresh stops on a tau update norm, leaving bounds
+            # within tau/(1-decay) of their fixed point (contraction);
+            # two consecutive refreshes can therefore disagree by twice
+            # that without any invariant being violated.
+            audit_slack=2.0 * options.tau / (1.0 - decay) + 1e-12,
+        )
+        self._kernel = DualBoundKernel(self.view, decay)
+
+    # Bound here, not only inherited, so each model class has its own
+    # ``run`` entry that per-class wrappers (e.g. span tracers) can swap.
+    run = FLoSDriver.run
+
+    def _expansion_scores(self) -> np.ndarray:
+        # Algorithm 3: the ranking midpoint ω_i (lb_i + ub_i) / 2.
+        mid = 0.5 * (self._lb + self._ub)
+        if self.degree_weighted:
+            return mid * self.view.degrees_array()
+        return mid
+
+    def _ranking_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower/upper bounds in ranking-score space (``ω·lb``, ``ω·ub``)."""
+        if self.degree_weighted:
+            weights = self.view.degrees_array()
+            return self._lb * weights, self._ub * weights
+        return self._lb, self._ub
+
+    def _unvisited_cap(self, boundary: np.ndarray) -> float:
+        # Corollary 1: every unvisited node's PHP is at most the largest
+        # boundary upper bound.  Sec. 5.6 weights it for RWR:
+        # w_i PHP(i) ≤ w(S̄) · max_{δS} ub.
+        ub_max = float(self._ub[boundary].max())
+        if not self.degree_weighted:
+            return ub_max
+        if self._unvisited_degree_bound is not None:
+            w_out = float(self._unvisited_degree_bound(self.view))
+        else:
+            w_out = float(self.graph.max_degree)
+        return w_out * ub_max
+
+    # ------------------------------------------------------------------
     # Algorithms 4, 5 — bound refresh
     # ------------------------------------------------------------------
 
-    def _update_bounds(self) -> None:
+    def _refresh(self, boundary: np.ndarray) -> None:
         opts = self.options
+        # r_d^t = max upper bound on the boundary of the *previous*
+        # iteration (Algorithm 5 line 7); monotone non-increasing.
+        if len(boundary):
+            self._dummy_value = min(
+                self._dummy_value, float(self._ub[boundary].max())
+            )
         m = self.view.size
         e_lower = np.zeros(m)
         e_lower[0] = 1.0  # e_q: the query is local id 0
@@ -614,162 +790,3 @@ class PHPSpaceEngine(SoftBudgetMixin):
         np.minimum(self._lb, self._ub, out=self._lb)
         # The query's proximity is the constant 1 by definition.
         self._lb[0] = self._ub[0] = 1.0
-
-    # ------------------------------------------------------------------
-    # Algorithm 6 — CheckTerminationCriteria
-    # ------------------------------------------------------------------
-
-    def _eligible_mask(self, base: np.ndarray) -> np.ndarray:
-        mask = base.copy()
-        mask[0] = False  # the query itself
-        if self.exclude:
-            mask &= ~self._excluded
-        return mask
-
-    def _ranking_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper bounds in ranking-score space (``ω·lb``, ``ω·ub``)."""
-        if self.degree_weighted:
-            weights = self.view.degrees_array()
-            return self._lb * weights, self._ub * weights
-        return self._lb, self._ub
-
-    def _check_termination(self) -> tuple[bool, np.ndarray]:
-        settled = self._eligible_mask(self.view.settled_mask())
-        candidates = np.flatnonzero(settled)
-        if len(candidates) < self.k:
-            return False, candidates
-
-        lb_score, ub_score = self._ranking_bounds()
-
-        # Deterministic tie-breaking by *global* node id: local ids
-        # reflect visitation order, which differs across LocalView paths
-        # and warm starts, so breaking score ties on them would let the
-        # returned set at an exact rank-k tie depend on the path taken.
-        gids = self.view.global_ids()
-        top = candidates[
-            top_k_indices(lb_score[candidates], gids[candidates], self.k)
-        ]
-        min_top = float(lb_score[top].min()) + self.options.tie_epsilon
-
-        # Rivals: every visited node that could still displace a member
-        # of K — excluded nodes cannot, by definition of the query.
-        others = self._eligible_mask(np.ones(self.view.size, dtype=bool))
-        others[top] = False
-        rest = np.flatnonzero(others)
-        if len(rest) and float(ub_score[rest].max()) > min_top:
-            return False, top
-
-        if self.degree_weighted:
-            # Second guard of Sec. 5.6: unvisited nodes satisfy
-            # w_i PHP(i) ≤ w(S̄) · max_{δS} PHP upper bound.
-            boundary = np.flatnonzero(self.view.boundary_mask())
-            if len(boundary):
-                w_out = self._max_unvisited_degree()
-                if w_out * float(self._ub[boundary].max()) > min_top:
-                    return False, top
-        return True, top
-
-    def _max_unvisited_degree(self) -> float:
-        if self._unvisited_degree_bound is not None:
-            return float(
-                self._unvisited_degree_bound(self.view)
-            )
-        return float(self.graph.max_degree)
-
-    # ------------------------------------------------------------------
-
-    def _finalize_exhausted(self, iteration: int) -> EngineOutcome:
-        # No boundary left: the dummy mass is zero everywhere, so lower
-        # and upper systems coincide; converge once more and rank.
-        self._update_bounds()
-        lb_score = (
-            self._lb * self.view.degrees_array()
-            if self.degree_weighted
-            else self._lb
-        )
-        candidates = np.flatnonzero(
-            self._eligible_mask(np.ones(self.view.size, dtype=bool))
-        )
-        gids = self.view.global_ids()
-        top = candidates[
-            top_k_indices(lb_score[candidates], gids[candidates], self.k)
-        ]
-        self.stats.visited_nodes = self.view.size
-        self.stats.neighbor_queries = self.view.neighbor_queries
-        if self.options.record_trace:
-            self._record(iteration, np.empty(0, np.int64), [], True)
-        outcome = EngineOutcome(
-            view=self.view,
-            top_locals=top,
-            lower=self._lb.copy(),
-            upper=np.maximum(self._lb, self._ub),
-            exact=True,
-            exhausted_component=len(top) < self.k,
-            stats=self.stats,
-            trace=self.trace,
-        )
-        self._seal_audit(outcome)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Audit hooks (no-ops when ``FLoSOptions.audit == "off"``)
-    # ------------------------------------------------------------------
-
-    def _seal_audit(self, outcome: EngineOutcome) -> None:
-        """Replay the termination certificate and attach the audit trail."""
-        if self._auditor is None:
-            return
-        from repro.audit.invariants import CertificateRecord
-
-        lb_score, ub_score = self._ranking_bounds()
-        boundary = self.view.boundary_mask()
-        w_out = (
-            self._max_unvisited_degree()
-            if self.degree_weighted and boundary.any()
-            else None
-        )
-        self._auditor.on_certificate(
-            CertificateRecord(
-                kind="php",
-                k=self.k,
-                tie_epsilon=self.options.tie_epsilon,
-                exact=outcome.exact,
-                exhausted=outcome.exhausted_component,
-                termination=self.stats.termination,
-                bound_gap=self.stats.bound_gap,
-                top=np.asarray(outcome.top_locals, dtype=np.int64).copy(),
-                lb_score=np.asarray(lb_score, dtype=np.float64).copy(),
-                ub_score=np.asarray(ub_score, dtype=np.float64).copy(),
-                upper_raw=self._ub.copy(),
-                eligible=self._eligible_mask(
-                    np.ones(self.view.size, dtype=bool)
-                ),
-                settled=self.view.settled_mask().copy(),
-                boundary=boundary.copy(),
-                degree_weighted=self.degree_weighted,
-                w_out=w_out,
-            )
-        )
-        self.stats.audit_checks = self._auditor.checks
-        self.stats.audit_violations = len(self._auditor.violations)
-        outcome.audit = self._auditor.report()
-
-    def _record(
-        self,
-        iteration: int,
-        expanded: np.ndarray,
-        newly: list[int],
-        terminated: bool,
-    ) -> None:
-        gids = self.view.global_ids()
-        self.trace.append(
-            IterationSnapshot(
-                iteration=iteration,
-                expanded=tuple(int(gids[i]) for i in expanded),
-                newly_visited=tuple(newly),
-                lower={int(g): float(v) for g, v in zip(gids, self._lb)},
-                upper={int(g): float(v) for g, v in zip(gids, self._ub)},
-                dummy_value=self._dummy_value,
-                terminated=terminated,
-            )
-        )

@@ -1,14 +1,14 @@
-"""The bound-refresh kernels of both engines.
+"""The bound-refresh kernels of both bound models.
 
 :class:`DualBoundKernel` is the paper's refresh (Alg. 7, Sec. 5.1–5.2)
-for the PHP-space engine: one warm-started Jacobi solve
+for the PHP-space bound model: one warm-started Jacobi solve
 (:func:`~repro.core.iterative.jacobi_solve`) for the lower bound, then
 one for the upper bound.  Both systems share the operator ``c·T_S``
 (plus the self-loop tightening diagonal) and differ only in their
 constant term.
 
 :class:`THTDPKernel` is the finite-horizon analogue for the truncated
-hitting time engine: two 1-D DP loops of exactly ``L`` steps each.  The
+hitting time bound model: two 1-D DP loops of exactly ``L`` steps each.  The
 DP's steps are the *definition* of the measure, not an iteration
 converging to a fixed point, so there is nothing to converge and no
 tolerance.
@@ -39,7 +39,7 @@ from repro.core.iterative import jacobi_solve
 
 
 class DualBoundKernel:
-    """Lower/upper bound refresh of the PHP-space engine.
+    """Lower/upper bound refresh of the PHP-space bound model.
 
     One instance lives on a :class:`~repro.core.flos.PHPSpaceEngine` for
     the whole search and owns its operator.
@@ -104,7 +104,7 @@ class DualBoundKernel:
 
 
 class THTDPKernel:
-    """Finite-horizon DP of the THT engine.
+    """Finite-horizon DP of the THT bound model.
 
     The lower DP carries the step-indexed dummy sequence ``Dᵗ`` of
     :mod:`repro.core.flos_tht`; the upper DP's dummy is the constant

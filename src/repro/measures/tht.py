@@ -10,10 +10,11 @@ from the query gets exactly ``L``.  Smaller is closer, and THT has no local
 minimum among nodes within ``L`` hops of the query (Lemma 7).
 
 THT is **not** a PHP re-scaling — its horizon makes it a finite DP rather
-than a stationary linear system — so FLoS runs it with the dedicated
-finite-horizon bound engine (:mod:`repro.core.flos_tht`): the lower bound
-deletes boundary-crossing transitions, the upper bound reroutes them to a
-dummy node pinned at the maximal value ``L`` (paper Appendix 10.4).
+than a stationary linear system — so the FLoS driver runs it over its own
+finite-horizon bound model (:mod:`repro.core.flos_tht`): the lower bound
+reroutes boundary-crossing transitions to a step-indexed dummy, the upper
+bound reroutes them to a dummy node pinned at the maximal value ``L``
+(paper Appendix 10.4).
 """
 
 from __future__ import annotations

@@ -40,13 +40,9 @@ def segment_sums(
 
 
 def top_k_indices(
-    scores: np.ndarray,
-    tiebreak: np.ndarray,
-    k: int,
-    *,
-    descending: bool = True,
+    scores: np.ndarray, tiebreak: np.ndarray, k: int
 ) -> np.ndarray:
-    """Indices of the ``k`` best scores; ties go to the smaller tiebreak.
+    """Indices of the ``k`` largest scores; ties go to the smaller tiebreak.
 
     The result depends only on the multiset of ``(score, tiebreak)``
     pairs — never on the input *order* — which is what makes the final
@@ -54,13 +50,12 @@ def top_k_indices(
     local-id orders differ, but the global node ids used as ``tiebreak``
     do not.  Selection stays O(n): an argpartition bounds the k-th score,
     and only entries at or beyond that score (the k best plus anything
-    tied with the k-th) are sorted.
+    tied with the k-th) are sorted.  Smaller-is-closer callers pass
+    negated scores; negation is exact, so the order is unchanged.
     """
-    n = len(scores)
-    if k >= n:
-        order = np.lexsort((tiebreak, -scores if descending else scores))
-        return order
-    keys = -scores if descending else scores
+    keys = -scores
+    if k >= len(scores):
+        return np.lexsort((tiebreak, keys))
     kth = np.partition(keys, k - 1)[k - 1]
     pool = np.flatnonzero(keys <= kth)
     order = np.lexsort((tiebreak[pool], keys[pool]))

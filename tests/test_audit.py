@@ -147,7 +147,6 @@ class TestSandwich:
 
 def _php_cert(**overrides):
     base = dict(
-        kind="php",
         k=2,
         tie_epsilon=0.0,
         exact=True,
@@ -157,10 +156,11 @@ def _php_cert(**overrides):
         top=np.array([1, 2]),
         lb_score=np.array([1.0, 0.5, 0.4, 0.1, 0.05]),
         ub_score=np.array([1.0, 0.52, 0.42, 0.2, 0.3]),
-        upper_raw=np.array([1.0, 0.52, 0.42, 0.2, 0.3]),
         eligible=np.array([False, True, True, True, True]),
         settled=np.array([True, True, True, True, False]),
         boundary=np.array([False, False, False, False, True]),
+        # Corollary 1: the largest boundary upper bound.
+        unvisited_cap=0.3,
     )
     base.update(overrides)
     return CertificateRecord(**base)
@@ -241,23 +241,36 @@ class TestCertificateReplay:
         assert any("ranking is wrong" in v.message for v in out)
 
     def test_degree_weighted_guard(self):
-        cert = _php_cert(
-            degree_weighted=True,
-            w_out=4.0,
-            upper_raw=np.array([1.0, 0.52, 0.42, 0.2, 0.3]),
-        )
-        # 4.0 * 0.3 = 1.2 > min_top 0.4 — the Sec. 5.6 cap is violated.
+        # Sec. 5.6: the RWR cap is w_out * max boundary upper bound;
+        # 4.0 * 0.3 = 1.2 > min_top 0.4, so the cap is violated.
+        cert = _php_cert(unvisited_cap=4.0 * 0.3)
         out = check_certificate(cert)
-        assert any("Sec. 5.6" in v.message for v in out)
+        assert any("unvisited cap" in v.message for v in out)
 
     def test_degree_weighted_missing_w_out(self):
-        cert = _php_cert(degree_weighted=True, w_out=None)
+        # A non-empty boundary needs a recorded cap (w_out for RWR).
+        cert = _php_cert(unvisited_cap=None)
         out = check_certificate(cert)
-        assert any("no recorded w_out" in v.message for v in out)
+        assert any("no recorded unvisited cap" in v.message for v in out)
+
+    def test_excluded_boundary_node_cap_violation(self):
+        # Node 4 is excluded, so it is no rival, but it is still on the
+        # boundary and its unvisited neighbours may beat the k-th bound.
+        cert = _php_cert(
+            ub_score=np.array([1.0, 0.52, 0.42, 0.2, 0.45]),
+            eligible=np.array([False, True, True, True, False]),
+            unvisited_cap=0.45,
+        )
+        out = check_certificate(cert)
+        assert [v.check for v in out] == ["certificate"]
+        assert "unvisited cap" in out[0].message
 
     def test_tht_mirror(self):
+        # THT records negated hitting-time bounds: lb_score = -upper,
+        # ub_score = -lower, and the Lemma-7 cap -min(boundary lower).
+        lower = np.array([0.0, 1.0, 2.5])
+        upper = np.array([0.0, 2.0, 5.0])
         cert = CertificateRecord(
-            kind="tht",
             k=1,
             tie_epsilon=0.0,
             exact=True,
@@ -265,18 +278,19 @@ class TestCertificateReplay:
             termination="exact",
             bound_gap=0.0,
             top=np.array([1]),
-            lb_score=np.array([0.0, 1.0, 2.5]),
-            ub_score=np.array([0.0, 2.0, 5.0]),
-            upper_raw=np.array([0.0, 2.0, 5.0]),
+            lb_score=-upper,
+            ub_score=-lower,
             eligible=np.array([False, True, True]),
             settled=np.array([True, True, False]),
             boundary=np.array([False, False, True]),
+            unvisited_cap=-2.5,
         )
         assert check_certificate(cert) == []
-        # A rival whose lb undercuts the returned max ub breaks it.
-        cert.lb_score = np.array([0.0, 1.0, 1.5])
+        # A rival whose lower bound undercuts the returned max upper
+        # bound breaks it.
+        cert.ub_score = -np.array([0.0, 1.0, 1.5])
         out = check_certificate(cert)
-        assert any("undercuts" in v.message for v in out)
+        assert any("rival upper bound" in v.message for v in out)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.flos import FLoSOptions, PHPSpaceEngine
+from repro.core.flos import FLoSDriver, FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
 from repro.graph.generators import erdos_renyi, paper_example_graph, rmat
 from repro.measures import PHP, THT, solve_direct
@@ -163,3 +163,29 @@ class TestStatsAccounting:
         g = erdos_renyi(150, 450, seed=13)
         engine, outcome = run_engine(g, 1, 5)
         assert outcome.stats.neighbor_queries == outcome.stats.visited_nodes
+
+
+class TestOneDriver:
+    """Both engines are bound models of one driver."""
+
+    DRIVER_STEPS = (
+        "_select_expansion",
+        "_expand",
+        "_eligible_mask",
+        "_check_termination",
+        "_finalize_degraded",
+        "_finalize_exhausted",
+        "_seal_audit",
+        "_record",
+    )
+
+    @pytest.mark.parametrize("cls", [PHPSpaceEngine, THTEngine])
+    def test_models_define_no_driver_step(self, cls):
+        assert issubclass(cls, FLoSDriver)
+        assert not set(self.DRIVER_STEPS) & set(cls.__dict__)
+
+    @pytest.mark.parametrize("cls", [PHPSpaceEngine, THTEngine])
+    def test_models_own_their_entry_points(self, cls):
+        # Per-class wrappers (span tracers) swap ``cls.__dict__`` entries.
+        assert "__init__" in cls.__dict__
+        assert cls.__dict__["run"] is FLoSDriver.run

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import PHP, RWR, THT, flos_top_k
+from repro import DHT, EI, PHP, RWR, THT, FLoSOptions, flos_top_k
 from repro.graph.generators import erdos_renyi, paper_example_graph
+from repro.graph.memory import CSRGraph
 from repro.measures import solve_direct
 
 
@@ -66,3 +67,31 @@ class TestExclusion:
         a = flos_top_k(g, PHP(0.5), 5, 4)
         b = flos_top_k(g, PHP(0.5), 5, 4, exclude=set())
         assert list(a.nodes) == list(b.nodes)
+
+
+# Query 0 reaches the clique {1, 2} through two weak edges and the path
+# 3-4 through a strong one.  Excluding 3 leaves it on the boundary once
+# {1, 2} are settled, and its unvisited neighbour 4 is closer than 1.
+# True PHP(0.5) is [1, .0101, .0104, .2857, .1429]; true THT(10) is
+# [0, 9.55, 9.54, 2.91, 3.88].  The answer with 3 excluded is {4, 2}.
+GATEWAY = CSRGraph.from_edges(
+    5,
+    [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)],
+    weights=[0.01, 0.011, 1.0, 1.0, 1.0],
+)
+
+
+@pytest.mark.parametrize("audit", ["off", "check"])
+@pytest.mark.parametrize(
+    "measure",
+    [PHP(0.5), EI(0.5), DHT(0.5), RWR(0.5), THT(10)],
+    ids=lambda m: type(m).__name__,
+)
+def test_excluded_boundary_node_still_caps_unvisited_rivals(measure, audit):
+    res = flos_top_k(
+        GATEWAY, measure, 0, 2, exclude={3},
+        options=FLoSOptions(audit=audit),
+    )
+    oracle, _ = oracle_excluding(GATEWAY, measure, 0, 2, {3})
+    assert res.exact
+    assert res.node_set() == set(oracle)

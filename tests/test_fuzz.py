@@ -18,8 +18,8 @@ class TestRunFuzz:
         summary = run_fuzz(8, 42)
         assert summary.ok
         assert summary.cases == 8
-        # Default + scalar view + anytime per non-degenerate case.
-        assert summary.runs == 3 * 8
+        # Default + scalar view + anytime + excluded per case.
+        assert summary.runs == 4 * 8
         assert summary.checks > 0
 
     def test_deterministic_in_seed(self):
@@ -36,7 +36,7 @@ class TestRunFuzz:
         long = run_fuzz(6, 7)
         short = run_fuzz(3, 7)
         # Same per-case streams => same per-case run counts for the
-        # shared prefix (3 runs per case).
+        # shared prefix (4 runs per case).
         assert short.runs * 2 == long.runs
 
     def test_failure_is_shrunk_and_persisted(self, tmp_path, monkeypatch):

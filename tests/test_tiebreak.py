@@ -50,9 +50,10 @@ class TestTopKIndices:
         assert sorted(int(gids[i]) for i in picked) == [1, 2]
 
     def test_ascending_direction(self):
+        # Smaller-is-closer callers rank by negated scores.
         vals = np.array([2.0, 1.0, 1.0, 3.0])
         gids = np.array([9, 6, 4, 1])
-        picked = top_k_indices(vals, gids, 2, descending=False)
+        picked = top_k_indices(-vals, gids, 2)
         assert sorted(int(gids[i]) for i in picked) == [4, 6]
 
     def test_short_input_returns_everything(self):
