@@ -24,10 +24,13 @@ GI power-iteration baseline
   sandwich on every returned node;
 * when the oracle shows a *clear gap* at rank ``k`` (no near-tie the
   solver's τ could legitimately resolve either way), every exact run
-  must return the oracle's node set.  Without a clear gap — curated
-  symmetric graphs (cycles, stars, grids, cliques) tie *every* rival —
-  any tie-completing subset is a correct answer, so only the audited
-  invariants and the truth sandwich are asserted there.  The
+  must return the oracle's node set.  Both are taken within the
+  query's connected component: no other node can answer, and a
+  component with at most ``k`` eligible nodes is returned whole.
+  Without a clear gap — curated symmetric graphs (cycles, stars,
+  grids, cliques) tie *every* rival — any tie-completing subset is a
+  correct answer, so only the audited invariants and the truth
+  sandwich are asserted there.  The
   ``excluded`` run is held to the same rule against the direct solve
   with the excluded nodes filtered out.
 
@@ -204,15 +207,21 @@ def _case_messages(
     messages: list[str] = []
     measure = resolve_measure(measure_name, **measure_kwargs)
     truth = solve_direct(measure, graph, query)
-    gap = _rank_gap(truth, query, k, measure.direction)
     scale = float(np.ptp(truth)) or 1.0
     # Sandwich slack: the engines certify bounds up to the solver's τ
     # truncation; scale-relative with a small absolute floor.
     slack = 1e-4 * scale + 1e-9
+
+    # Only the query's component can answer: with fewer than k eligible
+    # nodes there, the search returns all of them (exhausted component),
+    # so rank gaps and oracle sets are taken within the component.
+    component = graph.subgraph_nodes_within_hops(query, graph.num_nodes)
+    outside = np.setdiff1d(np.arange(graph.num_nodes), component)
+    gap = _rank_gap(truth, np.append(outside, query), k, measure.direction)
     clear = gap > 2.0 * slack
 
     oracle = global_iteration_top_k(graph, measure, query, k)
-    oracle_set = set(int(v) for v in oracle.nodes)
+    oracle_set = set(oracle.nodes.tolist()) & set(component.tolist())
 
     def bump(n: int = 1) -> None:
         if counters is not None:
@@ -270,11 +279,7 @@ def _case_messages(
     got = set(int(v) for v in res.nodes)
     if got & barred:
         messages.append(f"excluded: returned an excluded node {sorted(got)}")
-    # Only the query's component can answer: with fewer than k eligible
-    # nodes there, the search returns all of them (exhausted component).
-    component = graph.subgraph_nodes_within_hops(query, graph.num_nodes)
-    skip = np.setdiff1d(np.arange(graph.num_nodes), component)
-    skip = np.concatenate([skip, excluded, [query]])
+    skip = np.concatenate([outside, excluded, [query]])
     gap = _rank_gap(truth, skip, k, measure.direction)
     if gap > 2.0 * slack:
         order = measure.top_k_from_vector(truth, query, graph.num_nodes)

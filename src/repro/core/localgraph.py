@@ -64,7 +64,7 @@ from scipy.sparse import _sparsetools
 
 from repro.errors import TransitionStoreError
 from repro.graph.base import GraphAccess
-from repro.graph.memory import CSRGraph
+from repro.graph.disk.store import DiskGraph
 from repro.nputil import concatenated_ranges, segment_sums
 
 _INITIAL_CAPACITY = 64
@@ -171,7 +171,7 @@ class LocalView:
         self._tight_sum = _GrowingBuffer(np.float64)
 
         # Degrees of seen-but-unvisited nodes (needed for p_{j,i}); only
-        # filled for graphs without a vectorized degree lookup.
+        # filled for disk graphs.
         self._outside_degree: dict[int, float] = {}
 
         self.neighbor_queries = 0
@@ -660,12 +660,13 @@ class LocalView:
             self._tight_sum.append_scalar(0.0)
 
     def _degrees_of_outside(self, gids: np.ndarray) -> np.ndarray:
-        """Degrees of seen-but-unvisited nodes, cached across calls.
+        """Degrees of seen-but-unvisited nodes.
 
-        For in-memory graphs this is one vectorised array lookup; for disk
-        graphs it caches so each outside node's degree record is read once.
+        One batch read for every in-memory substrate; a disk graph is
+        memoized per view instead, so each outside node's degree record
+        goes through the page cache once.
         """
-        if isinstance(self.graph, CSRGraph):
+        if not isinstance(self.graph, DiskGraph):
             return self.graph.degrees_of(gids)
         cache = self._outside_degree
         graph = self.graph

@@ -645,20 +645,6 @@ class QuerySession:
         warm_start: WarmStart | None = None,
     ) -> tuple[TopKResult, EngineOutcome | None]:
         graph, measure = self.graph, self.measure
-        graph.validate_node(query)
-
-        if graph.degree(query) <= 0.0:
-            # Isolated query: every proximity is degenerate (0 for
-            # hitting probabilities, L for THT); no meaningful ranking.
-            result = self._empty_result(query, k)
-            if self._update_log is not None:
-                # Its ball is the query alone — an edge landing on the
-                # query must invalidate this entry.
-                ball = np.array([query], dtype=np.int32)
-                ball.flags.writeable = False
-                result.stats.visited_ball = ball
-            return result, None
-
         if self._engine_kind == "tht":
             engine = THTEngine(
                 graph,
@@ -669,8 +655,7 @@ class QuerySession:
                 exclude=excluded,
                 warm_start=warm_start,
             )
-            outcome = engine.run()
-            result = self._tht_result(outcome, query, k)
+            finalize = self._tht_result
         else:
             degree_bound = None
             if measure.uses_degree_weighting() and isinstance(graph, CSRGraph):
@@ -686,8 +671,23 @@ class QuerySession:
                 exclude=excluded,
                 warm_start=warm_start,
             )
-            outcome = engine.run()
-            result = self._php_family_result(outcome, query, k)
+            finalize = self._php_family_result
+
+        # The engine's view read the query's row and degree (local 0).
+        if engine.view.local_degree(0) <= 0.0:
+            # Isolated query: every proximity is degenerate (0 for
+            # hitting probabilities, L for THT); no meaningful ranking.
+            result = self._empty_result(query, k)
+            if self._update_log is not None:
+                # Its ball is the query alone — an edge landing on the
+                # query must invalidate this entry.
+                ball = np.array([query], dtype=np.int32)
+                ball.flags.writeable = False
+                result.stats.visited_ball = ball
+            return result, None
+
+        outcome = engine.run()
+        result = finalize(outcome, query, k)
 
         if self._update_log is not None:
             # Persist the closed visited ball on the result so the cache
@@ -703,7 +703,6 @@ class QuerySession:
         self, outcome: EngineOutcome, query: int, k: int
     ) -> TopKResult:
         measure: PHPFamilyMeasure = self.measure
-        graph = self.graph
         view = outcome.view
         top = outcome.top_locals
         gids = view.global_ids()
@@ -712,9 +711,9 @@ class QuerySession:
         # Local scale factor (Theorems 2/6): monotone increasing in each
         # neighbor PHP value, so evaluating it at the neighbor lower
         # (upper) bounds yields a scale lower (upper) bound.
-        nbr_ids, nbr_probs = graph.transition_probabilities(query)
+        nbr_ids, nbr_probs = view.adjacency(0)
         nbr_locals = np.array([view.local_id(int(v)) for v in nbr_ids])
-        w_q = graph.degree(query)
+        w_q = view.local_degree(0)
         scale_lb = measure.query_scale(
             w_q, nbr_probs, outcome.lower[nbr_locals]
         )

@@ -25,6 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import NodeNotFoundError
+
 
 class GraphAccess(abc.ABC):
     """Abstract neighbor-query interface over an undirected weighted graph.
@@ -125,10 +127,22 @@ class GraphAccess(abc.ABC):
 
     def validate_node(self, u: int) -> None:
         """Raise :class:`~repro.errors.NodeNotFoundError` for bad ids."""
-        from repro.errors import NodeNotFoundError
-
         if not 0 <= u < self.num_nodes:
             raise NodeNotFoundError(u, self.num_nodes)
+
+    def validate_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`validate_node`; returns ``nodes`` as int64.
+
+        One range check per batch: a negative id wraps to a huge
+        unsigned value, so a single ``max`` covers both ends.  The error
+        names the first bad id in batch order.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        n = self.num_nodes
+        if nodes.size and nodes.view(np.uint64).max() >= n:
+            bad = nodes[(nodes < 0) | (nodes >= n)]
+            raise NodeNotFoundError(int(bad.flat[0]), n)
+        return nodes
 
     @property
     def density(self) -> float:

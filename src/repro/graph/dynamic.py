@@ -10,9 +10,17 @@ topology at no extra cost.
 with an edge delta (insertions, deletions, weight changes) kept in
 per-node hash maps.  It implements the full
 :class:`~repro.graph.base.GraphAccess` contract, so ``flos_top_k`` — and
-every other local method in the library — runs on it unchanged.  Neighbor
-queries cost the base CSR slice plus an O(delta_u) merge; when the delta
-grows large, :meth:`compact` folds it into a fresh CSR graph.
+every other local method in the library — runs on it unchanged.
+
+Reads cost what they cost on the base CSR.  A mutated node's merged
+row (ids, weights, transition probabilities) is built once, on its
+first read after the mutation, and served from a cache until the node
+changes again.  The batch reads local search uses
+(:meth:`~DynamicGraph.transition_probabilities_many`,
+:meth:`~DynamicGraph.degrees_of`) are one base-CSR gather for the
+whole batch plus a splice of the few mutated rows in it.  When the
+delta grows large, :meth:`~DynamicGraph.compact` folds it into a fresh
+CSR graph.
 
 Global baselines, by contrast, would have to rebuild their matrices
 (GI/Castanet) or redo their factorisation/clustering/embedding
@@ -53,10 +61,12 @@ class DynamicGraph(GraphAccess):
         # Per-node delta: {neighbor: weight}; weight None is a tombstone
         # masking a base edge.
         self._delta: dict[int, dict[int, float | None]] = {}
-        # Per-node delta arrays (insertion order, NaN = tombstone),
-        # rebuilt lazily — the vectorized ``neighbors`` merge reads
-        # these instead of iterating the dict on every call.
-        self._delta_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Merged ``(ids, weights, probs)`` row of every mutated node,
+        # built on its first read after each mutation of the node (a
+        # bulk load rebuilds nothing); ``_touched`` marks mutated nodes,
+        # so batch reads take every other row from the base.
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._touched = np.zeros(base.num_nodes, dtype=bool)
         self._degree_delta = np.zeros(base.num_nodes, dtype=np.float64)
         self._edge_count_delta = 0
         self._max_degree_dirty = False
@@ -78,14 +88,14 @@ class DynamicGraph(GraphAccess):
         if weight <= 0:
             raise GraphError("edge weights must be positive")
         old = self._current_weight(u, v)
-        self._set_delta(u, v, weight)
-        self._set_delta(v, u, weight)
+        self._delta.setdefault(u, {})[v] = weight
+        self._delta.setdefault(v, {})[u] = weight
         change = weight - (old or 0.0)
         self._degree_delta[u] += change
         self._degree_delta[v] += change
         if old is None:
             self._edge_count_delta += 1
-        self._max_degree_dirty = True
+        self._mutated(u, v)
         self.update_log.record(u, v, "add")
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -94,19 +104,16 @@ class DynamicGraph(GraphAccess):
         old = self._current_weight(u, v)
         if old is None:
             raise GraphError(f"edge ({u}, {v}) does not exist")
-        in_base = self._base_weight(u, v) is not None
-        if in_base:
-            self._set_delta(u, v, None)  # tombstone
-            self._set_delta(v, u, None)
+        if self._base_weight(u, v) is not None:
+            self._delta.setdefault(u, {})[v] = None  # tombstone
+            self._delta.setdefault(v, {})[u] = None
         else:
-            self._delta[u].pop(v, None)
-            self._delta[v].pop(u, None)
-            self._delta_arrays.pop(u, None)
-            self._delta_arrays.pop(v, None)
+            del self._delta[u][v]
+            del self._delta[v][u]
         self._degree_delta[u] -= old
         self._degree_delta[v] -= old
         self._edge_count_delta -= 1
-        self._max_degree_dirty = True
+        self._mutated(u, v)
         self.update_log.record(u, v, "remove")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -134,16 +141,16 @@ class DynamicGraph(GraphAccess):
         all of them.
         """
         self.update_log.compact()
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        ids, weights, counts = self._splice(
+            nodes, *self._base.neighbors_many(nodes), column=1
+        )
+        owners = np.repeat(nodes, counts)
+        upper = ids > owners
         builder = GraphBuilder(self.num_nodes, merge="first")
-        for u in range(self.num_nodes):
-            ids, weights = self.neighbors(u)
-            keep = ids > u
-            if keep.any():
-                edges = np.stack(
-                    [np.full(int(keep.sum()), u, dtype=np.int64), ids[keep]],
-                    axis=1,
-                )
-                builder.add_edges(edges, weights[keep])
+        builder.add_edges(
+            np.stack([owners[upper], ids[upper]], axis=1), weights[upper]
+        )
         return builder.build()
 
     # ------------------------------------------------------------------
@@ -161,102 +168,33 @@ class DynamicGraph(GraphAccess):
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Merged (base ⊕ delta) adjacency of ``u``.
 
-        This is the hottest read path of every local search on an
-        overlay, so the merge is fully vectorized: the per-node delta
-        is cached as aligned id/weight arrays (NaN marks a tombstone),
-        base entries are matched against the sorted delta ids with one
-        ``searchsorted`` gather, and delta-only insertions are appended
-        with an ``np.isin`` membership test over the sorted base ids.
-        Output order matches the scalar reference
-        (:meth:`_neighbors_scalar`, pinned by a hypothesis test): base
-        adjacency order with overridden weights in place and tombstones
-        dropped, then delta-only edges in insertion order.
+        Base adjacency order with overridden weights in place and
+        tombstones dropped, then delta-only edges in insertion order
+        (pinned against a scalar reference merge by the property tests).
         """
         self.validate_node(u)
-        base_ids, base_w = self._base.neighbors(u)
-        delta = self._delta.get(u)
-        if not delta:
-            return base_ids, base_w
-        d_ids, d_w = self._delta_arrays_of(u)
-
-        # Match base entries against the delta: one sorted-side
-        # searchsorted instead of a Python dict probe per neighbor.
-        order = np.argsort(d_ids, kind="stable")
-        sorted_ids = d_ids[order]
-        pos = np.searchsorted(sorted_ids, base_ids)
-        pos_clipped = np.minimum(pos, len(sorted_ids) - 1)
-        in_delta = sorted_ids[pos_clipped] == base_ids
-        override_w = d_w[order][pos_clipped]
-        tombstoned = in_delta & np.isnan(override_w)
-
-        keep = ~tombstoned
-        merged_w = np.where(in_delta, override_w, base_w)[keep]
-        merged_ids = base_ids[keep]
-
-        # Delta-only insertions (not in the sorted base ids), appended
-        # in insertion order to mirror the scalar dict iteration.
-        extra = ~np.isnan(d_w)
-        extra &= ~np.isin(d_ids, base_ids, assume_unique=True)
-        if extra.any():
-            merged_ids = np.concatenate([merged_ids, d_ids[extra]])
-            merged_w = np.concatenate([merged_w, d_w[extra]])
-        return merged_ids, merged_w
-
-    def _neighbors_scalar(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pure-Python reference merge (cross-checked against
-        :meth:`neighbors` by the property tests)."""
-        self.validate_node(u)
-        base_ids, base_w = self._base.neighbors(u)
-        delta = self._delta.get(u)
-        if not delta:
-            return base_ids, base_w
-        ids: list[int] = []
-        weights: list[float] = []
-        for v, w in zip(base_ids, base_w):
-            v = int(v)
-            if v in delta:
-                override = delta[v]
-                if override is not None:
-                    ids.append(v)
-                    weights.append(override)
-                # tombstone: skip the base edge
-            else:
-                ids.append(v)
-                weights.append(float(w))
-        base_set = set(map(int, base_ids))
-        for v, w in delta.items():
-            if w is not None and v not in base_set:
-                ids.append(v)
-                weights.append(w)
-        return (
-            np.array(ids, dtype=np.int64),
-            np.array(weights, dtype=np.float64),
-        )
-
-    def _delta_arrays_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(ids, weights)`` arrays of ``u``'s delta record.
-
-        Insertion order, weight NaN for tombstones; invalidated by
-        :meth:`_set_delta` / :meth:`remove_edge` and rebuilt on the
-        next read, so a read-heavy workload pays the dict walk once
-        per mutated node, not once per neighbor query.
-        """
-        cached = self._delta_arrays.get(u)
-        if cached is not None:
-            return cached
-        delta = self._delta[u]
-        ids = np.fromiter(delta.keys(), dtype=np.int64, count=len(delta))
-        weights = np.fromiter(
-            (np.nan if w is None else w for w in delta.values()),
-            dtype=np.float64,
-            count=len(delta),
-        )
-        self._delta_arrays[u] = (ids, weights)
+        if not self._touched[u]:
+            return self._base.neighbors(u)
+        ids, weights, _probs = self._row(u)
         return ids, weights
 
     def degree(self, u: int) -> float:
         self.validate_node(u)
         return self._base.degree(u) + float(self._degree_delta[u])
+
+    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
+        nodes = self.validate_nodes(nodes)
+        return self._base.degrees[nodes] + self._degree_delta[nodes]
+
+    def transition_probabilities_many(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched transition rows: one base-CSR gather for the batch,
+        with the merged rows of its mutated nodes spliced in."""
+        gathered = self._base.transition_probabilities_many(nodes)  # validates
+        return self._splice(
+            np.asarray(nodes, dtype=np.int64), *gathered, column=2
+        )
 
     @property
     def max_degree(self) -> float:
@@ -267,6 +205,90 @@ class DynamicGraph(GraphAccess):
         return self._max_degree_cache
 
     # ------------------------------------------------------------------
+
+    def _splice(
+        self,
+        nodes: np.ndarray,
+        ids: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
+        *,
+        column: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Replace the base rows of mutated ``nodes`` in a batch read.
+
+        ``(ids, values, counts)`` is a base gather of ``nodes`` laid out
+        back to back; ``column`` picks the merged-row array that
+        replaces ``values`` (1 = weights, 2 = probabilities).
+        """
+        hit = np.flatnonzero(self._touched[nodes])
+        if not len(hit):
+            return ids, values, counts
+        ends = np.cumsum(counts).tolist()
+        counts = counts.copy()
+        id_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        prev = 0
+        for i, u in zip(hit.tolist(), nodes[hit].tolist()):
+            row = self._row(u)
+            start = ends[i] - int(counts[i])
+            id_parts += (ids[prev:start], row[0])
+            value_parts += (values[prev:start], row[column])
+            counts[i] = len(row[0])
+            prev = ends[i]
+        id_parts.append(ids[prev:])
+        value_parts.append(values[prev:])
+        return np.concatenate(id_parts), np.concatenate(value_parts), counts
+
+    def _mutated(self, u: int, v: int) -> None:
+        """Drop the merged rows of an updated edge's endpoints."""
+        self._rows.pop(u, None)
+        self._rows.pop(v, None)
+        self._touched[[u, v]] = True
+        self._max_degree_dirty = True
+
+    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``u``'s merged ``(ids, weights, probs)``, read-only.
+
+        Base entries are matched against the sorted delta ids with one
+        ``searchsorted``; delta-only insertions are appended in
+        insertion order.  Probabilities are normalised by the overlay
+        degree the way the base CSR normalises its own rows.
+        """
+        row = self._rows.get(u)
+        if row is not None:
+            return row
+        ids, weights = self._base.neighbors(u)
+        delta = self._delta.get(u)
+        if delta:
+            d_ids = np.fromiter(delta.keys(), dtype=np.int64, count=len(delta))
+            d_w = np.fromiter(
+                (np.nan if w is None else w for w in delta.values()),
+                dtype=np.float64,
+                count=len(delta),
+            )
+            order = np.argsort(d_ids, kind="stable")
+            sorted_ids = d_ids[order]
+            pos = np.minimum(
+                np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1
+            )
+            in_delta = sorted_ids[pos] == ids
+            override = d_w[order][pos]
+            keep = ~(in_delta & np.isnan(override))  # drop tombstones
+            extra = ~np.isnan(d_w) & ~np.isin(d_ids, ids, assume_unique=True)
+            ids = np.concatenate([ids[keep], d_ids[extra]])
+            weights = np.concatenate(
+                [np.where(in_delta, override, weights)[keep], d_w[extra]]
+            )
+        degree = self._base.degree(u) + float(self._degree_delta[u])
+        if degree > 0:
+            probs = weights * (1.0 / degree)
+        else:
+            probs = np.zeros(len(weights))
+        for arr in (ids, weights, probs):
+            arr.setflags(write=False)
+        row = self._rows[u] = (ids, weights, probs)
+        return row
 
     def _check_pair(self, u: int, v: int) -> None:
         self.validate_node(u)
@@ -284,7 +306,3 @@ class DynamicGraph(GraphAccess):
         if delta is not None and v in delta:
             return delta[v]
         return self._base_weight(u, v)
-
-    def _set_delta(self, u: int, v: int, weight: float | None) -> None:
-        self._delta.setdefault(u, {})[v] = weight
-        self._delta_arrays.pop(u, None)

@@ -44,14 +44,16 @@ def community_graph(
     if avg_internal_degree < 0 or avg_external_degree < 0:
         raise GraphError("average degrees must be non-negative")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_nodes, merge="first")
 
     membership = np.sort(
         np.arange(num_nodes, dtype=np.int64) % num_communities
     )
     order = rng.permutation(num_nodes).astype(np.int64)
-    # nodes_of[c] lists the node ids assigned to community c.
-    nodes_of = [order[membership == c] for c in range(num_communities)]
+    # nodes_of[c] lists the node ids assigned to community c: membership
+    # is sorted, so each community is one contiguous slice of ``order``.
+    bounds = np.searchsorted(membership, np.arange(1, num_communities))
+    nodes_of = np.split(order, bounds)
+    blocks = []
 
     for members in nodes_of:
         size = len(members)
@@ -65,20 +67,22 @@ def community_graph(
         v = rng.integers(0, size, size=target * 2, dtype=np.int64)
         keep = u != v
         edges = np.stack([members[u[keep]], members[v[keep]]], axis=1)
-        builder.add_edges(edges[:target])
+        blocks.append(edges[:target])
 
     inter_target = int(round(avg_external_degree * num_nodes / 2.0))
     if inter_target > 0 and num_communities > 1:
         u = rng.integers(0, num_nodes, size=inter_target * 2, dtype=np.int64)
         v = rng.integers(0, num_nodes, size=inter_target * 2, dtype=np.int64)
         comm_of = np.empty(num_nodes, dtype=np.int64)
-        for c, members in enumerate(nodes_of):
-            comm_of[members] = c
+        comm_of[order] = membership
         keep = (u != v) & (comm_of[u] != comm_of[v])
         edges = np.stack([u[keep], v[keep]], axis=1)
-        builder.add_edges(edges[:inter_target])
+        blocks.append(edges[:inter_target])
 
     # Spanning path in random order guarantees connectivity.
     spine = rng.permutation(num_nodes).astype(np.int64)
-    builder.add_edges(np.stack([spine[:-1], spine[1:]], axis=1))
+    blocks.append(np.stack([spine[:-1], spine[1:]], axis=1))
+    builder = GraphBuilder(num_nodes, merge="first")
+    builder.add_edges(np.concatenate(blocks))
+    del blocks  # the builder holds its own copy; keep build's peak low
     return builder.build()

@@ -189,7 +189,21 @@ class CSRGraph(GraphAccess):
         return float(self._degrees[u])
 
     def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._degrees[np.asarray(nodes, dtype=np.int64)]
+        return self._degrees[self.validate_nodes(nodes)]
+
+    def neighbors_many(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbors` — one CSR gather.
+
+        Returns ``(ids, weights, counts)`` with the rows of ``nodes``
+        laid out back to back, ``counts[i]`` entries for ``nodes[i]``.
+        """
+        nodes = self.validate_nodes(nodes)
+        starts = self._indptr[nodes]
+        counts = self._indptr[nodes + 1] - starts
+        take = concatenated_ranges(starts, counts)
+        return self._indices[take], self._weights[take], counts
 
     def transition_probabilities_many(
         self, nodes: np.ndarray
@@ -201,17 +215,12 @@ class CSRGraph(GraphAccess):
         its node's weighted degree (rows of isolated nodes come out
         all-zero, matching the scalar method).
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self._indptr[nodes]
-        counts = self._indptr[nodes + 1] - starts
-        take = concatenated_ranges(starts, counts)
-        ids = self._indices[take]
-        degrees = self._degrees[nodes]
+        ids, weights, counts = self.neighbors_many(nodes)
+        degrees = self._degrees[np.asarray(nodes, dtype=np.int64)]
         inv = np.zeros(len(nodes), dtype=np.float64)
         nz = degrees > 0
         inv[nz] = 1.0 / degrees[nz]
-        probs = self._weights[take] * np.repeat(inv, counts)
-        return ids, probs, counts
+        return ids, weights * np.repeat(inv, counts), counts
 
     @property
     def max_degree(self) -> float:

@@ -18,15 +18,14 @@ def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     slices without a Python loop.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     # Offset of each range's first element inside the output, repeated over
     # the range, plus a running arange — the standard segment trick.
-    first = np.repeat(
-        starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
+    first = np.repeat(starts - (ends - counts), counts)
     return first + np.arange(total, dtype=np.int64)
 
 

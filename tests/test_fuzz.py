@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 import repro.audit.fuzz as fuzz_mod
 from repro.audit.fuzz import FuzzSummary, run_fuzz
 from repro.audit.trace import shrink_case, write_repro
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.io import load_npz
+from repro.graph.memory import CSRGraph
 
 
 class TestRunFuzz:
@@ -66,6 +68,17 @@ class TestRunFuzz:
         seen = []
         run_fuzz(3, 1, progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestComponentRestriction:
+    @pytest.mark.parametrize("name", [n for n, _ in fuzz_mod._MEASURE_GRID])
+    def test_k_n_minus_1_on_disconnected_graph_is_clean(self, name):
+        """Regression: with ``k = n - 1`` the GI top-k also lists the
+        unreachable nodes 4 and 5; the exhausted component {1, 2, 3} is
+        the right answer, not a mismatch."""
+        graph = CSRGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        kwargs = dict(fuzz_mod._MEASURE_GRID)[name][0]
+        assert fuzz_mod._case_messages(graph, name, kwargs, 0, 5, False) == []
 
 
 class TestShrinker:

@@ -20,6 +20,7 @@ from repro.graph.generators import (
 )
 from repro.graph.generators.chung_lu import power_law_weights
 from repro.graph.generators.rmat import rmat_with_exact_edges
+from tests import references
 
 
 class TestErdosRenyi:
@@ -133,6 +134,26 @@ class TestCommunity:
             community_graph(5, 10, 1.0, 1.0)
         with pytest.raises(GraphError):
             community_graph(50, 5, -1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10_045, 251, 2.82, 0.71),  # the 10k-node AZ stand-in
+            (400, 8, 6.0, 1.0),
+            (60, 3, 4.0, 1.0),
+            (50, 1, 4.0, 0.0),
+            (13, 13, 3.0, 1.0),  # one node per community
+        ],
+    )
+    def test_matches_loop_reference_bitwise(self, args, seed):
+        """One ``add_edges`` call and the vectorized membership lookup
+        keep the RNG draw order: the graph is bit-identical."""
+        got = community_graph(*args, seed=seed).to_scipy()
+        want = references.community_graph_loop(*args, seed=seed).to_scipy()
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestStructured:

@@ -11,7 +11,8 @@ Covers the PR-10 contract end to end:
 * warm-started re-queries — sound only for insertions that avoid the
   visited set, audited with ``audit="check"``, agreeing with a cold
   recompute through their certified intervals;
-* the vectorized overlay merge vs. its scalar reference (hypothesis);
+* overlay reads (per node and batched) vs. the scalar reference merge
+  in ``tests/references.py`` (hypothesis);
 * DynamicGraph ↔ ``compact()`` equivalence under randomized edit
   sequences, and top-k agreement across all five measures;
 * update broadcast through :class:`~repro.serve.ShardedServer`.
@@ -29,7 +30,7 @@ from repro.core.flos import FLoSOptions, WarmStart
 from repro.core.session import QuerySession
 from repro.errors import ConfigurationError, GraphError, SearchError
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.generators import erdos_renyi, path_graph
+from repro.graph.generators import erdos_renyi, grid_graph, path_graph
 from repro.graph.updates import (
     EdgeEvent,
     EdgeUpdate,
@@ -38,6 +39,7 @@ from repro.graph.updates import (
 )
 from repro.measures import resolve_measure, solve_direct
 from repro.serve import ShardedServer
+from tests import references
 
 CHECK = FLoSOptions(audit="check")
 
@@ -402,17 +404,43 @@ class TestVectorizedNeighbors:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(edit_scripts(), st.integers(0, 2**31))
-    def test_matches_scalar_reference_exactly(self, script, seed):
+    @given(
+        edit_scripts(),
+        st.integers(0, 2**31),
+        st.lists(st.integers(0, 15), max_size=24),
+    )
+    def test_matches_scalar_reference_exactly(self, script, seed, drawn):
+        """Per-node and batch reads ≡ the scalar reference merge after
+        random add / overwrite / remove / tombstoned re-add scripts."""
         n, ops = script
         base = erdos_renyi(
             n, min(2 * n, n * (n - 1) // 2), seed=seed
         )
         dyn = DynamicGraph(base)
-        _apply_script(dyn, ops)
+        # A read halfway through caches merged rows that the second
+        # half of the script must invalidate.
+        _apply_script(dyn, ops[: len(ops) // 2])
+        dyn.transition_probabilities_many(np.arange(n))
+        _apply_script(dyn, ops[len(ops) // 2 :])
+        # Batches mix mutated and untouched nodes, with repeats; they run
+        # first, so the merged rows are built by the batch path.
+        for batch in (np.array(drawn, dtype=np.int64) % n,
+                      np.arange(n), np.r_[np.arange(n), np.arange(n)[::-1]]):
+            np.testing.assert_array_equal(
+                dyn.degrees_of(batch),
+                [dyn.degree(int(u)) for u in batch],
+            )
+            ids, probs, counts = dyn.transition_probabilities_many(batch)
+            ids_ref, probs_ref, counts_ref = (
+                references.overlay_transition_many(dyn, batch)
+            )
+            np.testing.assert_array_equal(counts, counts_ref)
+            np.testing.assert_array_equal(ids, ids_ref)
+            np.testing.assert_allclose(probs, probs_ref, rtol=1e-14, atol=0)
+
         for u in range(n):
             ids_vec, w_vec = dyn.neighbors(u)
-            ids_ref, w_ref = dyn._neighbors_scalar(u)
+            ids_ref, w_ref = references.overlay_neighbors(dyn, u)
             np.testing.assert_array_equal(ids_vec, ids_ref)
             np.testing.assert_array_equal(w_vec, w_ref)  # bitwise
 
@@ -476,6 +504,72 @@ class TestFiveMeasureAgreement:
         np.testing.assert_allclose(
             np.sort(exact[res.nodes]), np.sort(exact[oracle]), atol=1e-5
         )
+
+
+class TestOverlayReadsAreBatched:
+    """Queries on an overlay read through the batch path: no per-node
+    ``neighbors`` / ``degree`` calls, however the delta sits."""
+
+    MEASURES = [
+        ("php", {"c": 0.5}),
+        ("ei", {"c": 0.5}),
+        ("dht", {"c": 0.5}),
+        ("rwr", {"c": 0.5}),
+        ("tht", {"horizon": 6}),
+    ]
+
+    @staticmethod
+    def _count_per_node_reads(monkeypatch) -> dict[str, list[int]]:
+        calls: dict[str, list[int]] = {"neighbors": [], "degree": []}
+        for name, log in calls.items():
+            original = getattr(DynamicGraph, name)
+
+            def counted(self, u, _original=original, _log=log):
+                _log.append(int(u))
+                return _original(self, u)
+
+            monkeypatch.setattr(DynamicGraph, name, counted)
+        return calls
+
+    @staticmethod
+    def _ball(graph, name, kw, query):
+        return set(
+            QuerySession(graph, name, **kw).top_k(query, 5)
+            .stats.visited_ball.tolist()
+        )
+
+    @pytest.mark.parametrize("name,kw", MEASURES)
+    def test_untouched_ball_makes_no_per_node_reads(
+        self, monkeypatch, name, kw
+    ):
+        dyn = DynamicGraph(grid_graph(20, 20))
+        ball = self._ball(dyn, name, kw, 21)
+        outside = [u for u in range(dyn.num_nodes) if u not in ball]
+        dyn.add_edge(outside[0], outside[1], 2.0)
+        dyn.add_edge(outside[2], outside[3], 0.5)
+
+        calls = self._count_per_node_reads(monkeypatch)
+        result = QuerySession(dyn, name, **kw).top_k(21, 5)
+        assert result.exact
+        assert calls == {"neighbors": [], "degree": []}
+
+    @pytest.mark.parametrize("name,kw", MEASURES)
+    def test_touched_ball_reads_at_most_the_touched_rows(
+        self, monkeypatch, name, kw
+    ):
+        dyn = DynamicGraph(grid_graph(20, 20))
+        ball = sorted(self._ball(dyn, name, kw, 21) - {21})
+        dyn.add_edge(ball[0], ball[-1], 2.0)
+        ids, _ = dyn.neighbors(ball[1])
+        dyn.remove_edge(ball[1], int(ids[0]))
+        touched = {ball[0], ball[-1], ball[1], int(ids[0])}
+
+        calls = self._count_per_node_reads(monkeypatch)
+        result = QuerySession(dyn, name, **kw).top_k(21, 5)
+        read = touched & set(result.stats.visited_ball.tolist())
+        assert result.exact and read
+        assert len(calls["neighbors"]) <= len(read)
+        assert calls["degree"] == []
 
 
 # ----------------------------------------------------------------------
