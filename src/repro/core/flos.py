@@ -65,8 +65,12 @@ from repro.graph.base import GraphAccess
 class FLoSOptions:
     """Tuning knobs of the FLoS engines.
 
-    Defaults replicate the paper's experimental setup (Sec. 6.1–6.2):
-    ``tau = 1e-5``, single-node expansion, self-loop tightening on.
+    Defaults follow the paper's experimental setup (Sec. 6.1–6.2) —
+    ``tau = 1e-5``, self-loop tightening on — except the expansion
+    schedule: the paper expands one node per iteration, while the
+    default ``adaptive_batching=True`` sizes each round by the visited
+    set and by the Alg.-6 settle shortfall (see ``adaptive_batching``).
+    ``adaptive_batching=False`` restores the single-node schedule.
     """
 
     #: Termination threshold of the inner Jacobi solver (Algorithm 7).
@@ -76,15 +80,20 @@ class FLoSOptions:
     #: Number of boundary nodes expanded per iteration (paper: 1).
     #: Larger batches trade extra visited nodes for fewer bound solves.
     expand_batch: int = 1
-    #: Grow the expansion batch geometrically with the visited set
-    #: (``max(expand_batch, |S| // adaptive_divisor)``).  The paper's C++
-    #: implementation expands one node per iteration; re-solving the
-    #: bounds after every single expansion is what a Python reproduction
-    #: cannot afford on hard queries, so this keeps the number of bound
-    #: refreshes logarithmic in the visited-set size.  Exactness is
-    #: unaffected (bounds and termination are checked identically); the
-    #: only cost is a bounded overshoot in visited nodes.  Set to False
-    #: to reproduce the paper's expansion schedule verbatim.
+    #: Size each expansion round by two rules.  Growth: the base batch is
+    #: ``max(expand_batch, |S| // adaptive_divisor)``, which keeps the
+    #: number of bound refreshes logarithmic in the visited-set size.
+    #: Shortfall: Alg. 6 cannot close before ``k`` eligible nodes are
+    #: settled, so while fewer are, a round expands at least the missing
+    #: count ``k - settled``; the extra nodes are cut before the chosen
+    #: nodes' unvisited neighbors outnumber ``|S|``, so such a round at
+    #: most doubles the ball.  Both are capped at ``max_batch``.  The
+    #: paper's C++ implementation expands one node per iteration;
+    #: re-solving the bounds after every single expansion is what a
+    #: Python reproduction cannot afford.  Exactness is unaffected
+    #: (bounds and termination are checked identically); the only cost
+    #: is a bounded overshoot in visited nodes.  Set to False to
+    #: reproduce the paper's expansion schedule verbatim.
     adaptive_batching: bool = True
     #: Divisor of the adaptive schedule; smaller = more aggressive.
     adaptive_divisor: int = 24
@@ -343,6 +352,11 @@ class FLoSDriver:
         else:
             self._excluded = np.zeros(self.view.size, dtype=bool)
             self._excluded[0] = query in exclude
+        # Eligible settled nodes as of the last termination check; a
+        # warm-started view may open with some already settled.
+        self._settled = int(
+            np.count_nonzero(self._eligible_mask(self.view.settled_mask()))
+        )
         self.stats = SearchStats(warm_started=warm_start is not None)
         self.trace: list[IterationSnapshot] = []
         # Lazy import keeps audit="off" runs free of the audit package
@@ -439,15 +453,31 @@ class FLoSDriver:
     # ------------------------------------------------------------------
 
     def _select_expansion(self, boundary: np.ndarray) -> np.ndarray:
+        opts = self.options
+        size = self.view.size
+        base = opts.batch_size(size)
+        batch = base
+        if opts.adaptive_batching:
+            # Settle-shortfall round: Alg. 6 cannot close before k
+            # eligible nodes are settled, so expand at least as many
+            # boundary nodes as are still missing.
+            batch = min(max(base, self.k - self._settled), opts.max_batch)
+        batch = min(batch, len(boundary))
         scores = self._expansion_scores()[boundary]
-        batch = min(self.options.batch_size(self.view.size), len(boundary))
         if batch < len(boundary):
             # Pre-select the batch best with argpartition, then order the
             # small batch deterministically (score desc, local id asc).
             part = np.argpartition(-scores, batch - 1)[:batch]
             boundary, scores = boundary[part], scores[part]
-        order = np.lexsort((boundary, -scores))
-        return boundary[order]
+        chosen = boundary[np.lexsort((boundary, -scores))]
+        if batch > base:
+            # Cap the shortfall's extra nodes so the round at most doubles
+            # the ball: keep them only while the chosen nodes' unvisited
+            # neighbors (an over-count of the new nodes) number <= |S|.
+            reach = np.cumsum(self.view.unvisited_counts()[chosen])
+            keep = int(np.searchsorted(reach, size, side="right"))
+            chosen = chosen[: max(base, keep)]
+        return chosen
 
     def _expand(self, locals_: np.ndarray) -> list[int]:
         newly = self.view.expand_batch(locals_)
@@ -494,6 +524,8 @@ class FLoSDriver:
     def _check_termination(self) -> tuple[bool, np.ndarray]:
         settled = self._eligible_mask(self.view.settled_mask())
         candidates = np.flatnonzero(settled)
+        # The next round's shortfall (:meth:`_select_expansion`).
+        self._settled = len(candidates)
         if len(candidates) < self.k:
             return False, candidates
 

@@ -228,6 +228,12 @@ class LocalView:
         """Mask of nodes in ``S \\ δS`` — every neighbor already visited."""
         return self._unvisited_count.view() == 0
 
+    def unvisited_counts(self) -> np.ndarray:
+        """Unvisited-neighbor count per local id (read-only view)."""
+        out = self._unvisited_count.view()
+        out.flags.writeable = False
+        return out
+
     def adjacency(self, local: int) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(neighbor_global_ids, transition_probs)`` of a visited node."""
         offsets = self._adj_offsets.view()

@@ -1,11 +1,18 @@
 """White-box tests of the FLoS engine internals (paper Secs. 5.1–5.3)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.flos import FLoSDriver, FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
-from repro.graph.generators import erdos_renyi, paper_example_graph, rmat
+from repro.graph.generators import (
+    erdos_renyi,
+    grid_graph,
+    paper_example_graph,
+    rmat,
+)
 from repro.measures import PHP, THT, solve_direct
 
 PAPER_SCHEDULE = FLoSOptions(adaptive_batching=False, record_trace=True)
@@ -151,6 +158,42 @@ class TestExpansionSchedule:
         _, fixed = run_engine(g, 1, 10, adaptive_batching=False)
         _, adaptive = run_engine(g, 1, 10, adaptive_batching=True)
         assert len(adaptive.trace) <= len(fixed.trace)
+
+    @pytest.mark.parametrize("k", [8, 20])
+    def test_shortfall_rounds_settle_k_quickly(self, k):
+        # Alg. 6 needs k settled candidates; shortfall rounds expand at
+        # least the missing count, so the certificate can start testing
+        # within a logarithmic number of rounds instead of ~k.
+        g = grid_graph(40, 40)
+        q = 20 * 40 + 20
+        _, outcome = run_engine(g, q, k)
+        rounds = None
+        for snap in outcome.trace:
+            visited = set(snap.lower)
+            settled = sum(
+                all(int(u) in visited for u in g.neighbors(v)[0])
+                for v in visited
+                if v != q
+            )
+            if settled >= k:
+                rounds = snap.iteration
+                break
+        assert rounds is not None
+        assert rounds <= math.ceil(math.log2(k)) + 2
+
+    @pytest.mark.parametrize("k", [20, 50])
+    def test_shortfall_rounds_at_most_double_the_ball(self, k):
+        g = rmat(11, 16000, seed=3)
+        hub = int(np.argmax(g.degrees))
+        options = FLoSOptions(record_trace=True)
+        outcome = PHPSpaceEngine(g, hub, k, decay=0.5, options=options).run()
+        size, shortfall_rounds = 1, 0
+        for snap in outcome.trace:
+            if len(snap.expanded) > options.batch_size(size):
+                shortfall_rounds += 1
+                assert len(snap.newly_visited) <= size
+            size += len(snap.newly_visited)
+        assert shortfall_rounds > 0
 
 
 class TestStatsAccounting:
