@@ -7,14 +7,18 @@ changes:
 * **refresh** — the one bound-refresh path on an RWR + PHP query
   workload: queries/sec, mean sweeps, mean visited nodes, mean rows
   swept;
-* **restoration** — vectorized vs scalar ``LocalView`` restoration
-  (``LocalView.DEFAULT_VECTORIZED``), everything else held fixed;
+* **restoration** — the library's batched ``LocalView`` restoration vs
+  the one-node-at-a-time oracle ``ScalarLocalView`` from
+  ``tests/references.py``, everything else held fixed;
 * **session-amortized RWR workload** — the acceptance workload of
   ``bench_micro_engine.py`` (25 distinct queries x 3 repeats through a
   :class:`~repro.core.session.QuerySession`): the PR-2 baseline
-  emulation (scalar restoration) against the default vectorized path,
-  with the required >= 2x speedup and identical top-k checked by
+  emulation (the driver on the scalar oracle) against the default
+  path, with the required >= 2x speedup and identical top-k checked by
   ``--check``.
+
+The oracle is swapped in through ``repro.core.flos.LocalView``, the one
+name the FLoS driver constructs its view from.
 
 Usage::
 
@@ -29,11 +33,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import flos
 from repro.core.api import flos_top_k
 from repro.core.flos import FLoSOptions
 from repro.core.localgraph import LocalView
@@ -42,6 +49,10 @@ from repro.bench.workload import sample_queries
 from repro.graph.generators import rmat
 from repro.measures import PHP, RWR
 
+# The scalar restoration oracle lives with the tests, at the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.references import ScalarLocalView  # noqa: E402
+
 PRESETS = {
     # scale, edges, workload queries, repeats of each in the session run
     "smoke": {"scale": 10, "edges": 5_000, "queries": 6, "repeats": 2},
@@ -49,19 +60,27 @@ PRESETS = {
 }
 
 
-def _run_queries(graph, measure, queries, k, *, vectorized=True):
+@contextmanager
+def restoration(view_cls):
+    """Run the FLoS driver on ``view_cls`` instead of ``LocalView``."""
+    prior = flos.LocalView
+    flos.LocalView = view_cls
+    try:
+        yield
+    finally:
+        flos.LocalView = prior
+
+
+def _run_queries(graph, measure, queries, k, *, view_cls=LocalView):
     """Time a workload; returns (results, elapsed_seconds)."""
     options = FLoSOptions(tie_epsilon=1e-5)
-    LocalView.DEFAULT_VECTORIZED = vectorized
-    try:
+    with restoration(view_cls):
         started = time.perf_counter()
         results = [
             flos_top_k(graph, measure, int(q), k, options=options)
             for q in queries
         ]
         elapsed = time.perf_counter() - started
-    finally:
-        LocalView.DEFAULT_VECTORIZED = True
     return results, elapsed
 
 
@@ -89,12 +108,10 @@ def bench_refresh(graph, queries, k):
 
 
 def bench_restoration(graph, queries, k):
-    """Scalar vs vectorized restoration, everything else held fixed."""
-    vec_results, vec_seconds = _run_queries(
-        graph, RWR(0.5), queries, k, vectorized=True
-    )
+    """Scalar oracle vs batched restoration, everything else held fixed."""
+    vec_results, vec_seconds = _run_queries(graph, RWR(0.5), queries, k)
     scal_results, scal_seconds = _run_queries(
-        graph, RWR(0.5), queries, k, vectorized=False
+        graph, RWR(0.5), queries, k, view_cls=ScalarLocalView
     )
     identical = all(
         list(a.nodes) == list(b.nodes)
@@ -112,25 +129,22 @@ def bench_session_amortized(graph, distinct, repeats, k):
     """The acceptance workload: PR-2 baseline emulation vs the default.
 
     The PR-2 code had scalar restoration and the same per-column Jacobi
-    refresh, so ``DEFAULT_VECTORIZED=False`` reproduces its hot path on
-    today's engine.
+    refresh, so the driver on the scalar oracle reproduces its hot path
+    on today's engine.
     """
     workload = [int(q) for q in distinct] * repeats
 
-    def serve(*, vectorized):
+    def serve(view_cls):
         options = FLoSOptions(tie_epsilon=1e-5)
-        LocalView.DEFAULT_VECTORIZED = vectorized
-        try:
+        with restoration(view_cls):
             session = QuerySession(graph, RWR(0.5), options=options)
             started = time.perf_counter()
             batch = session.top_k_many(workload, k)
             elapsed = time.perf_counter() - started
-        finally:
-            LocalView.DEFAULT_VECTORIZED = True
         return batch, elapsed
 
-    baseline, baseline_seconds = serve(vectorized=False)
-    default, default_seconds = serve(vectorized=True)
+    baseline, baseline_seconds = serve(ScalarLocalView)
+    default, default_seconds = serve(LocalView)
     identical = all(
         list(a.nodes) == list(b.nodes) for a, b in zip(default, baseline)
     )
@@ -183,7 +197,7 @@ def check(payload: dict) -> list[str]:
     if not amortized["topk_identical_to_baseline"]:
         failures.append("default path top-k differs from the PR-2 baseline")
     if not payload["restoration"]["topk_identical"]:
-        failures.append("scalar and vectorized restoration disagree")
+        failures.append("scalar oracle and batched restoration disagree")
     return failures
 
 

@@ -2,7 +2,7 @@
 
 Performance-regression coverage for the three hot paths every FLoS
 query exercises thousands of times: visited-set expansion
-(``LocalView._visit``), the store-backed mat-vec
+(``LocalView.expand_batch``), the store-backed mat-vec
 (``LocalView.transition_operator``), and
 the warm-started Jacobi solve — plus the serving layer: a
 :class:`~repro.core.session.QuerySession` replaying a repeated-query

@@ -14,8 +14,7 @@ of a cold engine run per edit batch:
 2. warms the session's result cache, applies an edge batch through
    :func:`repro.graph.apply_edge_updates`, and queries again: cached
    answers whose visited ball the batch never touched survive as hits,
-   only the touched neighborhoods recompute (some warm-started from
-   their previous bounds);
+   only the touched neighborhoods recompute;
 3. contrasts that with K-dash, whose index is stale the moment an edge
    changes and must be rebuilt (we measure the rebuild cost).
 
@@ -82,8 +81,8 @@ def main():
     m = session.metrics()
     print(
         f"feed re-render after the update: {m.cache_hits} cache hits, "
-        f"{m.cache_invalidations} invalidated, {m.warm_starts} "
-        f"warm-started, of {m.queries_served} queries total"
+        f"{m.cache_invalidations} invalidated, of {m.queries_served} "
+        f"queries total"
     )
 
     # The precompute-based alternative: rebuild the whole index.

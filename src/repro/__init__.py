@@ -54,7 +54,7 @@ from repro.measures import (
     solve_direct,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "flos_top_k",

@@ -6,8 +6,7 @@ deterministic per-case stream (``default_rng([seed, index])`` — case
 the query through every configuration that shares a correctness
 contract:
 
-* one default run (vectorized ``LocalView``);
-* one scalar-``LocalView`` run (the reference expansion path);
+* one default run;
 * one anytime run under a tight ``max_visited`` budget;
 * one ``excluded`` run that bars a seeded half of the query's
   neighbours from the answer.
@@ -49,7 +48,6 @@ import numpy as np
 
 from repro.baselines.global_iteration import global_iteration_top_k
 from repro.core.flos import FLoSOptions
-from repro.core.localgraph import LocalView
 from repro.core.result import TopKResult
 from repro.core.session import QuerySession
 from repro.graph.generators import (
@@ -237,23 +235,17 @@ def _case_messages(
         bump(2)
         return res
 
-    for label, vectorized in (("default", True), ("scalar", False)):
-        prior = LocalView.DEFAULT_VECTORIZED
-        LocalView.DEFAULT_VECTORIZED = vectorized
-        try:
-            res = serve_and_check(label)
-        finally:
-            LocalView.DEFAULT_VECTORIZED = prior
-        if not res.exact:
-            messages.append(f"{label}: unbudgeted run came back anytime")
-            bump()
-        if clear and set(int(v) for v in res.nodes) != oracle_set:
-            messages.append(
-                f"{label}: node set {sorted(int(v) for v in res.nodes)} "
-                f"!= GI oracle {sorted(oracle_set)} despite clear rank gap "
-                f"{gap:.3g}"
-            )
+    res = serve_and_check("default")
+    if not res.exact:
+        messages.append("default: unbudgeted run came back anytime")
         bump()
+    if clear and set(int(v) for v in res.nodes) != oracle_set:
+        messages.append(
+            f"default: node set {sorted(int(v) for v in res.nodes)} "
+            f"!= GI oracle {sorted(oracle_set)} despite clear rank gap "
+            f"{gap:.3g}"
+        )
+    bump()
 
     # Anytime run under a tight visited budget: flags + sandwich.
     budget = max(4, k + 1, graph.num_nodes // 4)

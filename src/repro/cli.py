@@ -520,22 +520,17 @@ def _churn_schedule(base: CSRGraph, rounds: int, churn: int, seed: int):
     return batches
 
 
-def _oracle_mismatch(
-    result, oracle, *, warm: bool = False, atol: float = 1e-8
-) -> str | None:
+def _oracle_mismatch(result, oracle, *, atol: float = 1e-8) -> str | None:
     """Why ``result`` disagrees with the cold-start ``oracle`` (or None).
 
     Exact ties at the rank-k boundary admit more than one correct top-k
     set (the fuzz harness documents the same caveat), so the check is
-    tie-aware rather than naively bitwise.  Cold results replay the
-    oracle's trajectory, so their top-k *value multiset* must match up
-    to float tolerance.  Warm-started results converge along a
-    *different* trajectory — point estimates legitimately differ by up
-    to the solver's τ truncation — so for them the certified intervals
-    carry the check instead: both runs bracket the same true proximity,
-    hence each shared node's two ``[lower, upper]`` intervals must
-    intersect.  Any node outside the oracle set must tie the rank-k
-    boundary (interval overlap with the oracle's k-th entry).
+    tie-aware rather than naively bitwise.  Every served result replays
+    the oracle's trajectory, so its top-k *value multiset* must match up
+    to float tolerance, each shared node's certified interval must
+    contain the oracle's value, and any node outside the oracle set must
+    tie the rank-k boundary (interval overlap with the oracle's k-th
+    entry).
     """
     import numpy as np
 
@@ -546,11 +541,10 @@ def _oracle_mismatch(
         )
     if len(oracle.nodes) == 0:
         return None
-    if not warm:
-        served_values = np.sort(np.asarray(result.values, dtype=np.float64))
-        oracle_values = np.sort(np.asarray(oracle.values, dtype=np.float64))
-        if not np.allclose(served_values, oracle_values, rtol=1e-6, atol=atol):
-            return "top-k value multiset diverges from the cold oracle"
+    served_values = np.sort(np.asarray(result.values, dtype=np.float64))
+    oracle_values = np.sort(np.asarray(oracle.values, dtype=np.float64))
+    if not np.allclose(served_values, oracle_values, rtol=1e-6, atol=atol):
+        return "top-k value multiset diverges from the cold oracle"
     truth = {
         int(n): (float(v), float(lo), float(hi))
         for n, v, lo, hi in zip(
@@ -570,7 +564,7 @@ def _oracle_mismatch(
                     f"node {node}: certified [{lo:.6g}, {hi:.6g}] disjoint "
                     f"from oracle's [{t_lo:.6g}, {t_hi:.6g}]"
                 )
-            if not warm and not (lo - atol <= t_value <= hi + atol):
+            if not (lo - atol <= t_value <= hi + atol):
                 return (
                     f"oracle value {t_value:.6g} for node {node} outside "
                     f"certified [{lo:.6g}, {hi:.6g}]"
@@ -588,8 +582,8 @@ def _bench_serve_churn(args) -> int:
 
     Replays one pre-generated update schedule against two policies over
     the same base graph — a session with update-log-driven localized
-    invalidation (warm starts audited with ``audit="check"``) and a
-    baseline that flushes its whole cache after every batch — and checks
+    invalidation and a baseline that flushes its whole cache after every
+    batch, both under ``audit="check"`` — and checks
     **every** served result of both policies against a cold-start oracle
     on a compacted snapshot.  Exit 1 on any oracle mismatch, any audit
     violation (raised by the engine), or if localized invalidation fails
@@ -606,7 +600,6 @@ def _bench_serve_churn(args) -> int:
             "update overlay wraps a frozen CSR base"
         )
     measure, _options, overrides = _bench_serve_options(args)
-    # Warm-started re-queries must prove their seeded bounds are sound:
     # audit="check" raises on any invariant violation, on both policies
     # so the latency comparison stays apples-to-apples.
     options = FLoSOptions(
@@ -629,7 +622,6 @@ def _bench_serve_churn(args) -> int:
 
     mismatches: list[str] = []
     results_checked = 0
-    warm_results_checked = 0
     updates_total = 0
     for round_no in range(rounds + 1):
         if round_no > 0:
@@ -653,15 +645,11 @@ def _bench_serve_churn(args) -> int:
                 options=options, overrides=overrides,
             )
             results_checked += 2
-            if result_localized.stats.warm_started:
-                warm_results_checked += 1
             for label, result in (
                 ("localized", result_localized),
                 ("flush", result_flush),
             ):
-                problem = _oracle_mismatch(
-                    result, oracle, warm=result.stats.warm_started
-                )
+                problem = _oracle_mismatch(result, oracle)
                 if problem is not None:
                     mismatches.append(
                         f"round {round_no} query {query} [{label}]: {problem}"
@@ -681,7 +669,6 @@ def _bench_serve_churn(args) -> int:
     rows = [
         ["updates applied", updates_total],
         ["results oracle-checked", results_checked],
-        ["warm-started re-queries", d_localized["warm_starts"]],
         ["localized: hit rate",
          f"{hit_rate_localized:.1%} "
          f"({d_localized['cache_hits']}/{d_localized['queries_served']})"],
@@ -725,7 +712,6 @@ def _bench_serve_churn(args) -> int:
                 "cache_hits": d_localized["cache_hits"],
                 "cache_misses": d_localized["cache_misses"],
                 "cache_invalidations": d_localized["cache_invalidations"],
-                "warm_starts": d_localized["warm_starts"],
                 "p50_wall_seconds": d_localized["p50_wall_seconds"],
                 "p95_wall_seconds": d_localized["p95_wall_seconds"],
             },
@@ -738,7 +724,6 @@ def _bench_serve_churn(args) -> int:
             },
             "oracle": {
                 "results_checked": results_checked,
-                "warm_results_checked": warm_results_checked,
                 "mismatches": len(mismatches),
             },
             "hit_rate_advantage": hit_rate_localized - hit_rate_flush,
@@ -764,7 +749,7 @@ def _bench_serve_churn(args) -> int:
     if status == 0:
         print(
             f"OK: all {results_checked} served results match the cold "
-            f"oracle ({warm_results_checked} warm-started); hit rate "
+            f"oracle; hit rate "
             f"{hit_rate_localized:.1%} vs flush {hit_rate_flush:.1%}"
         )
     return status
@@ -871,7 +856,7 @@ def cmd_fuzz(args) -> int:
 
     print(
         f"fuzzing {args.cases} cases (seed {args.seed}): "
-        "default + scalar view + anytime + excluded runs, "
+        "default + anytime + excluded runs, "
         "vs direct solve + GI oracle"
     )
     summary = run_fuzz(

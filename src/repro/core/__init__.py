@@ -4,7 +4,7 @@ from repro.core.api import QueryOverrides, QueryRequest, flos_top_k
 from repro.core.basic_search import basic_top_k
 from repro.core.batch import flos_top_k_batch
 from repro.core.degree_index import DegreeIndex, degree_descending_order
-from repro.core.flos import FLoSOptions, PHPSpaceEngine, WarmStart
+from repro.core.flos import FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
 from repro.core.localgraph import LocalView
 from repro.core.result import (
@@ -24,7 +24,6 @@ __all__ = [
     "basic_top_k",
     "FLoSOptions",
     "PHPSpaceEngine",
-    "WarmStart",
     "THTEngine",
     "LocalView",
     "DegreeIndex",

@@ -200,47 +200,6 @@ class FLoSOptions:
         )
 
 
-@dataclass(frozen=True)
-class WarmStart:
-    """Seed for re-entering an engine from a prior result's state.
-
-    ``nodes`` holds the prior visited set as *global* ids in its local-id
-    order (``nodes[0]`` is the query); ``lower`` holds the prior
-    engine-space lower bounds aligned with ``nodes`` (PHP-space for
-    :class:`PHPSpaceEngine`, hitting-time space for
-    :class:`~repro.core.flos_tht.THTEngine`).
-
-    Soundness condition (enforced by the serving layer, see
-    ``docs/serving.md``): every edge event since ``lower`` was computed
-    must be an **insertion whose endpoints both lie outside ``nodes``**.
-    Then the restricted transition system ``T_S`` over the seeded set is
-    bit-identical to the one the prior bounds converged on, Theorem 3
-    keeps the restricted-system solution a valid lower bound on the new
-    graph, and the engines' monotone refreshes can only tighten the seed.
-    Upper bounds always restart trivial (1 for PHP space, ``L`` for
-    THT) — Theorem 5's dummy value depends on boundary structure that
-    the update may have changed, so re-deriving it is the safe move.
-    Every warm-started path is expected to run under
-    ``FLoSOptions.audit="check"`` so a violated precondition surfaces as
-    an :class:`~repro.errors.AuditError` rather than a wrong answer.
-    """
-
-    nodes: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nodes", np.asarray(self.nodes, dtype=np.int64)
-        )
-        object.__setattr__(
-            self, "lower", np.asarray(self.lower, dtype=np.float64)
-        )
-        if len(self.nodes) != len(self.lower):
-            raise SearchError("warm-start nodes/lower length mismatch")
-        if len(self.nodes) == 0:
-            raise SearchError("warm-start seed must contain the query")
-
-
 @dataclass
 class EngineOutcome:
     """Raw engine output in the model's bound space (PHP space or
@@ -263,10 +222,10 @@ class FLoSDriver:
     """The measure-independent FLoS loop (Algorithms 2, 3 and 6).
 
     The driver owns every step that is the same for all measures: the
-    soft-budget schedule, warm-start seeding, the excluded-locals mask,
-    best-first expansion, growing the bound vectors, the termination
-    certificate, the anytime and exhausted-component finalizers, the
-    audit seal and the per-iteration trace.  A subclass is a *bound
+    soft-budget schedule, the excluded-locals mask, best-first
+    expansion, growing the bound vectors, the termination certificate,
+    the anytime and exhausted-component finalizers, the audit seal and
+    the per-iteration trace.  A subclass is a *bound
     model*: it refreshes ``self._lb`` / ``self._ub`` after each
     expansion and exposes them to the driver in one orientation, where
     larger means closer.
@@ -296,7 +255,6 @@ class FLoSDriver:
         *,
         options: FLoSOptions,
         exclude: frozenset[int],
-        warm_start: WarmStart | None,
         trivial: tuple[float, float],
         query_value: float,
         track_tightening: bool,
@@ -319,45 +277,17 @@ class FLoSDriver:
         self._dummy_value = trivial[1]
 
         self.view = LocalView(graph, query, track_tightening=track_tightening)
-        if warm_start is not None:
-            if int(warm_start.nodes[0]) != query:
-                raise SearchError(
-                    "warm-start seed must lead with the query node"
-                )
-            # Re-visit the prior visited set in its original local order
-            # so the seeded bound vectors align with the rebuilt view.
-            self.view.visit_sequence(warm_start.nodes[1:])
-            if self.view.size != len(warm_start.nodes):
-                raise SearchError("warm-start seed contains duplicate nodes")
-            # Prior lower bounds stay valid under the WarmStart contract
-            # (T_S unchanged, so Theorem 3 — or the THT DP induction —
-            # still certifies them, and every refresh can only tighten);
-            # upper bounds restart trivial.
-            self._lb = np.clip(warm_start.lower, *trivial)
-            self._ub = np.full(self.view.size, trivial[1])
-            self._lb[0] = self._ub[0] = query_value
-        else:
-            # The query is local id 0, with a constant value by
-            # definition (PHP 1, hitting time 0; Sec. 3.2).
-            self._lb = np.array([query_value])
-            self._ub = np.array([query_value])
+        # The query is local id 0, with a constant value by definition
+        # (PHP 1, hitting time 0; Sec. 3.2).
+        self._lb = np.array([query_value])
+        self._ub = np.array([query_value])
         # Excluded-locals mask, extended as nodes are visited, so the
         # termination check never rescans the whole visited set.
-        if warm_start is not None and exclude:
-            self._excluded = np.fromiter(
-                (int(gid) in exclude for gid in warm_start.nodes),
-                dtype=bool,
-                count=self.view.size,
-            )
-        else:
-            self._excluded = np.zeros(self.view.size, dtype=bool)
-            self._excluded[0] = query in exclude
-        # Eligible settled nodes as of the last termination check; a
-        # warm-started view may open with some already settled.
-        self._settled = int(
-            np.count_nonzero(self._eligible_mask(self.view.settled_mask()))
-        )
-        self.stats = SearchStats(warm_started=warm_start is not None)
+        self._excluded = np.array([query in exclude])
+        # Eligible settled nodes as of the last termination check (the
+        # query itself is never eligible).
+        self._settled = 0
+        self.stats = SearchStats()
         self.trace: list[IterationSnapshot] = []
         # Lazy import keeps audit="off" runs free of the audit package
         # (and avoids a core <-> audit import cycle at module load).
@@ -531,9 +461,9 @@ class FLoSDriver:
 
         lo, hi = self._ranking_bounds()
         # Deterministic tie-breaking by *global* node id: local ids
-        # reflect visitation order, which differs across LocalView paths
-        # and warm starts, so breaking score ties on them would let the
-        # returned set at an exact rank-k tie depend on the path taken.
+        # reflect visitation order, which depends on the expansion
+        # schedule, so breaking score ties on them would let the
+        # returned set at an exact rank-k tie depend on the schedule.
         gids = self.view.global_ids()
         top = candidates[
             top_k_indices(lo[candidates], gids[candidates], self.k)
@@ -705,7 +635,6 @@ class PHPSpaceEngine(FLoSDriver):
         unvisited_degree_bound=None,
         options: FLoSOptions | None = None,
         exclude: frozenset[int] = frozenset(),
-        warm_start: WarmStart | None = None,
     ):
         if not 0.0 < decay < 1.0:
             raise SearchError("decay must lie in (0, 1)")
@@ -719,7 +648,6 @@ class PHPSpaceEngine(FLoSDriver):
             k,
             options=options,
             exclude=exclude,
-            warm_start=warm_start,
             trivial=(0.0, 1.0),
             query_value=1.0,
             track_tightening=options.tighten,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.flos import FLoSDriver, FLoSOptions, WarmStart
+from repro.core.flos import FLoSDriver, FLoSOptions
 from repro.core.kernels import THTDPKernel
 from repro.errors import SearchError
 from repro.graph.base import GraphAccess
@@ -62,7 +62,6 @@ class THTEngine(FLoSDriver):
         horizon: int,
         options: FLoSOptions | None = None,
         exclude: frozenset[int] = frozenset(),
-        warm_start: WarmStart | None = None,
     ):
         if horizon < 1:
             raise SearchError("horizon must be >= 1")
@@ -73,7 +72,6 @@ class THTEngine(FLoSDriver):
             k,
             options=options or FLoSOptions(),
             exclude=exclude,
-            warm_start=warm_start,
             # Trivial THT bounds [0, L]; the query's hitting time is 0.
             trivial=(0.0, float(horizon)),
             query_value=0.0,

@@ -30,24 +30,19 @@ appends rows.  The transition matrix is recovered by row scaling,
 :class:`TransitionOperator`, the one reader of the store.
 
 Everything lives in growing numpy buffers, so nothing is ever
-re-assembled.  Restoration itself comes in two implementations:
-
-* the **vectorized** path (default) visits a whole batch of nodes at once —
-  membership resolution is one int32 lookup-table gather (the table and
-  the global-id buffer are its only membership structures), the batch's
-  store rows are one masked append, dummy-mass and star-to-mesh
-  retractions are bincount scatter ops, and the batch's own
-  dummy/boundary/tightening state is computed by segment sums over the
-  concatenated adjacency;
-* the **scalar** path (``vectorized=False``) is the original one-node-at-
-  a-time loop, kept as the executable reference: the property tests assert
-  both paths produce the same state, and the benchmarks use it to measure
-  the restoration speedup against the pre-kernel baseline.
-
-Both paths end in identical state (up to float summation order): visiting
-``{u₁, u₂}`` sequentially first charges ``u₁``'s dummy with the mass to
-the then-unvisited ``u₂`` and retracts it when ``u₂`` is visited, while
-the batched path never charges it at all.
+re-assembled, and restoration visits a whole batch of nodes at once:
+membership resolution is one int32 lookup-table gather (the table and
+the global-id buffer are the only membership structures), the batch's
+store rows are one masked append, dummy-mass and star-to-mesh
+retractions are bincount scatter ops, and the batch's own
+dummy/boundary/tightening state is computed by segment sums over the
+concatenated adjacency.  The result equals visiting the batch one node
+at a time (up to float summation order): visiting ``{u₁, u₂}``
+sequentially first charges ``u₁``'s dummy with the mass to the
+then-unvisited ``u₂`` and retracts it when ``u₂`` is visited, while the
+batched pass never charges it at all.  The one-node-at-a-time loop lives
+in ``tests/references.py`` as the oracle the equivalence tests grow in
+lockstep with this class.
 """
 
 from __future__ import annotations
@@ -110,38 +105,24 @@ class _GrowingBuffer:
 class LocalView:
     """Incrementally maintained visited subgraph around a query node."""
 
-    #: Default restoration implementation for new views.  The benchmarks
-    #: flip this to measure the scalar baseline; everything else leaves it.
-    DEFAULT_VECTORIZED = True
-
     def __init__(
         self,
         graph: GraphAccess,
         query: int,
         *,
         track_tightening: bool = True,
-        vectorized: bool | None = None,
     ):
         graph.validate_node(query)
         self.graph = graph
         self.query = query
         self.track_tightening = track_tightening
-        self._vectorized = (
-            LocalView.DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
-        )
 
         # Global id per local id, grown in step with the view.
         self._gids = _GrowingBuffer(np.int64)
-        # Membership.  Vectorized path: local id per global id, -1 =
-        # unvisited (int32 halves the memset cost; node counts beyond
-        # 2**31 are far outside this reproduction's reach).  The scalar
-        # reference path keeps its own dict instead.
-        self._lut: np.ndarray | None = None
-        self._local_of: dict[int, int] | None = None
-        if self._vectorized:
-            self._lut = np.full(graph.num_nodes, -1, dtype=np.int32)
-        else:
-            self._local_of = {}
+        # Membership: local id per global id, -1 = unvisited (int32
+        # halves the memset cost; node counts beyond 2**31 are far
+        # outside this reproduction's reach).
+        self._lut = np.full(graph.num_nodes, -1, dtype=np.int32)
 
         # Cached full adjacency of each visited node, stored concatenated
         # (global ids / probs) with per-node offsets so batch expansion
@@ -175,10 +156,7 @@ class LocalView:
         self._outside_degree: dict[int, float] = {}
 
         self.neighbor_queries = 0
-        if self._vectorized:
-            self._visit_batch(np.array([query], dtype=np.int64))
-        else:
-            self._visit(query)
+        self._visit_batch(np.array([query], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Queries
@@ -190,14 +168,10 @@ class LocalView:
         return len(self._gids)
 
     def is_visited(self, node: int) -> bool:
-        if self._lut is not None:
-            return self._lut[node] >= 0
-        return node in self._local_of
+        return self._lut[node] >= 0
 
     def local_id(self, node: int) -> int:
         """Local id of a visited node; ``KeyError`` if it is unvisited."""
-        if self._lut is None:
-            return self._local_of[node]
         local = int(self._lut[node])
         if local < 0:
             raise KeyError(node)
@@ -265,20 +239,14 @@ class LocalView:
         return ball.astype(np.int32, copy=False)
 
     def visit_sequence(self, nodes: np.ndarray) -> None:
-        """Visit ``nodes`` (global ids, unvisited, in order).
+        """Visit ``nodes`` (global ids, unvisited, distinct) as one batch.
 
-        Warm-start entry point: re-seeds a fresh view with a prior
-        result's visited set so the engines can resume from previously
-        certified bounds.  Uses the view's configured restoration path.
+        The search never calls this; it is kept because the ``perfbench``
+        harness wraps it by name.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if len(nodes) == 0:
-            return
-        if self._vectorized:
+        if len(nodes):
             self._visit_batch(nodes)
-        else:
-            for node in nodes:
-                self._visit(int(node))
 
     # ------------------------------------------------------------------
     # State invariants (runtime audit layer)
@@ -288,9 +256,8 @@ class LocalView:
         """Verify the incrementally maintained state against its definition.
 
         The restoration bookkeeping — dummy masses, unvisited counts,
-        star-to-mesh sums — is updated by increments and retractions on
-        both the scalar and vectorized paths; a drift in either silently
-        corrupts every bound built on top.  Checked here:
+        star-to-mesh sums — is updated by increments and retractions; a
+        drift silently corrupts every bound built on top.  Checked here:
 
         * store shape: ``indptr`` starts at 0, is monotone and ends at
           the entry count, and every column lies below its row (each
@@ -419,22 +386,11 @@ class LocalView:
 
         Membership of the whole batch's concatenated neighborhoods is
         resolved in one vectorized pass; new nodes are assigned local ids
-        in exactly the order the scalar loop would have (owners in the
-        given order, each owner's neighbors in adjacency order, first
-        occurrence wins), so results are identical either way.
+        in the order a one-node-at-a-time loop would (owners in the given
+        order, each owner's neighbors in adjacency order, first
+        occurrence wins).
         """
         locals_ = np.asarray(locals_, dtype=np.int64)
-        if not self._vectorized:
-            newly: list[int] = []
-            for local in locals_:
-                ids, _ = self.adjacency(int(local))
-                for v in ids:
-                    v = int(v)
-                    if v not in self._local_of:
-                        self._visit(v)
-                        newly.append(v)
-            return newly
-
         offsets = self._adj_offsets.view()
         counts = offsets[locals_ + 1] - offsets[locals_]
         take = concatenated_ranges(offsets[locals_], counts)
@@ -495,14 +451,14 @@ class LocalView:
         return locals_out, loops, tight
 
     # ------------------------------------------------------------------
-    # Vectorized restoration (the kernel path)
+    # Restoration
     # ------------------------------------------------------------------
 
     def _visit_batch(self, nodes: np.ndarray) -> None:
         """Visit a batch of unvisited nodes in one vectorized pass.
 
-        Equivalent to calling the scalar ``_visit`` on each node in order;
-        see the module docstring for the equivalence argument.
+        Equivalent to visiting each node in order; see the module
+        docstring for the equivalence argument.
         """
         base = self.size
         n_new = len(nodes)
@@ -588,82 +544,6 @@ class LocalView:
             tight_new = np.zeros(n_new)
         self._loop_sum.append(loop_new)
         self._tight_sum.append(tight_new)
-
-    # ------------------------------------------------------------------
-    # Scalar restoration (reference path, kept for cross-checking)
-    # ------------------------------------------------------------------
-
-    def _visit(self, node: int) -> None:
-        local = self.size
-        self._local_of[node] = local
-        self._gids.append_scalar(node)
-
-        ids, probs = self.graph.transition_probabilities(node)
-        self.neighbor_queries += 1
-        self._adj_ids.append(ids)
-        self._adj_probs.append(probs)
-        self._adj_offsets.append_scalar(
-            self._adj_offsets.view()[-1] + len(ids)
-        )
-        w_u = self.graph.degree(node)
-        self._degrees.append_scalar(w_u)
-
-        local_of = self._local_of
-        visited_locals = np.fromiter(
-            (local_of.get(int(v), -1) for v in ids),
-            dtype=np.int64,
-            count=len(ids),
-        )
-        inside = visited_locals >= 0
-
-        # Every edge into S becomes one entry of the new node's store row
-        # (all of S was visited earlier).
-        self._indptr.append_scalar(self._indptr.view()[-1] + int(inside.sum()))
-        self._indices.append(visited_locals[inside])
-        self._weights.append(probs[inside] * w_u)
-
-        # Incoming transitions from already-visited neighbors.
-        degrees = self._degrees.raw
-        dummy = self._dummy_mass.raw
-        counts = self._unvisited_count.raw
-        loop_sum = self._loop_sum.raw
-        tight_sum = self._tight_sum.raw
-        track = self.track_tightening
-        for idx in np.flatnonzero(inside):
-            v_local = int(visited_locals[idx])
-            p_uv = float(probs[idx])
-            w_v = float(degrees[v_local])
-            p_vu = p_uv * w_u / w_v if w_v > 0 else 0.0
-            dummy[v_local] = max(dummy[v_local] - p_vu, 0.0)
-            counts[v_local] -= 1
-            if track:
-                # u left v's unvisited neighborhood: retract its
-                # contribution to v's star-to-mesh sums.
-                loop_sum[v_local] -= p_vu * p_uv
-                tight_sum[v_local] -= p_vu * (1.0 - p_uv)
-
-        # The new node's own dummy mass, unvisited count, and sums.
-        outside = ~inside
-        outside_mass = float(probs[outside].sum())
-        outside_count = int(outside.sum())
-        if node == self.query:
-            outside_mass = 0.0  # query row of T is zero: no dummy column
-        self._dummy_mass.append_scalar(outside_mass)
-        self._unvisited_count.append_scalar(outside_count)
-
-        if track and outside_count and node != self.query:
-            out_ids = ids[outside]
-            out_probs = probs[outside]
-            w_j = self._degrees_of_outside(out_ids)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_ju = np.where(w_j > 0, out_probs * (w_u / w_j), 0.0)
-            self._loop_sum.append_scalar(float((out_probs * p_ju).sum()))
-            self._tight_sum.append_scalar(
-                float((out_probs * (1.0 - p_ju)).sum())
-            )
-        else:
-            self._loop_sum.append_scalar(0.0)
-            self._tight_sum.append_scalar(0.0)
 
     def _degrees_of_outside(self, gids: np.ndarray) -> np.ndarray:
         """Degrees of seen-but-unvisited nodes.

@@ -65,8 +65,8 @@ class SearchStats:
     #: compact read-only ``int32`` array, recorded on versioned graphs so
     #: the serving cache can localize invalidation; ``None`` elsewhere.
     visited_ball: np.ndarray | None = None
-    #: True when the search was warm-started from a prior result's
-    #: bounds (incremental serving) rather than run from scratch.
+    #: Always False: every search runs from scratch.  Kept because the
+    #: ``perfbench`` harness reads it.
     warm_started: bool = False
 
     def visited_ratio(self, num_nodes: int) -> float:
@@ -85,7 +85,6 @@ class SearchStats:
             "rows_swept": int(self.rows_swept),
             "audit_checks": int(self.audit_checks),
             "audit_violations": int(self.audit_violations),
-            "warm_started": bool(self.warm_started),
         }
 
 

@@ -57,12 +57,7 @@ import numpy as np
 
 from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
 from repro.core.degree_index import DegreeIndex, degree_descending_order
-from repro.core.flos import (
-    EngineOutcome,
-    FLoSOptions,
-    PHPSpaceEngine,
-    WarmStart,
-)
+from repro.core.flos import EngineOutcome, FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
 from repro.core.result import BatchSummary, SearchStats, TopKResult
 from repro.errors import SearchError
@@ -120,8 +115,8 @@ class SessionMetrics:
     #: visited ball (or, for graphs without an update log, because the
     #: graph's edge count changed under the session).
     cache_invalidations: int = 0
-    #: Invalidated queries re-run seeded from their prior bounds instead
-    #: of from scratch (see ``docs/serving.md``).
+    #: Always 0: an invalidated query re-runs from scratch.  Kept because
+    #: the ``perfbench`` harness reads it.
     warm_starts: int = 0
 
     @property
@@ -155,7 +150,6 @@ class SessionMetrics:
             "audit_checks": self.audit_checks,
             "audit_violations": self.audit_violations,
             "cache_invalidations": self.cache_invalidations,
-            "warm_starts": self.warm_starts,
         }
 
 
@@ -167,18 +161,15 @@ class _CacheEntry:
     computed at (fast-forwarded on access when no event touched the
     ball); ``fingerprint`` is the fallback mutation detector for graphs
     without an update log.  ``ball`` is the closed visited ball (sorted
-    ``int32``), ``seed_nodes`` / ``seed_lower`` the warm-start seed
-    (visited set in local order, engine-space lower bounds), and
-    ``max_degree`` the graph's max degree at compute time — the Sec. 5.6
-    RWR guard read it, so a kept hit must see it unchanged.
+    ``int32``) and ``max_degree`` the graph's max degree at compute
+    time — the Sec. 5.6 RWR guard read it, so a kept hit must see it
+    unchanged.
     """
 
     result: TopKResult
     version: int
     fingerprint: tuple
     ball: np.ndarray | None = None
-    seed_nodes: np.ndarray | None = None
-    seed_lower: np.ndarray | None = None
     max_degree: float = 0.0
 
 
@@ -309,7 +300,6 @@ class QuerySession:
         self._audit_checks = 0
         self._audit_violations = 0
         self._cache_invalidations = 0
-        self._warm_starts = 0
         # Slow-query log: min-heap of (wall_seconds, seq, entry) keeping
         # the worst ``slow_log_size`` engine runs; ``seq`` breaks ties so
         # dict entries are never compared.
@@ -368,33 +358,26 @@ class QuerySession:
         # caller's mutation of the shared cached object race the copy,
         # and split lookup/accounting would let the metrics drift from
         # the cache state observed.
-        warm: WarmStart | None = None
         with self._lock:
             entry = self._cache.get(key)
             if entry is not None:
-                verdict = self._validate_entry(entry)
-                if verdict == "hit":
+                if self._validate_entry(entry) == "hit":
                     elapsed = time.monotonic() - started
                     self._queries_served += 1
                     self._cache_hits += 1
                     self._total_wall_seconds += elapsed
                     self._wall_samples.append(elapsed)
                     return entry.result.copy()
-                # Stale: drop it, optionally keeping its bounds as a
-                # warm-start seed when the update direction allows.
+                # Stale: drop it and recompute from scratch.
                 self._cache.evict(key)
                 self._cache_invalidations += 1
-                if isinstance(verdict, WarmStart):
-                    warm = verdict
 
         # Capture the version *before* executing: a mutation racing the
         # engine run then stamps the entry conservatively stale, and the
         # next access replays the missed events.
         version_now = self._graph_version()
         fingerprint_now = self._graph_fingerprint()
-        result, outcome = self._execute(
-            int(query), int(k), excluded, options, warm_start=warm
-        )
+        result = self._execute(int(query), int(k), excluded, options)
         result.stats.wall_time_seconds = time.monotonic() - started
         if result.exact:
             entry = _CacheEntry(
@@ -404,14 +387,6 @@ class QuerySession:
                 version=version_now,
                 fingerprint=fingerprint_now,
                 ball=result.stats.visited_ball,
-                seed_nodes=(
-                    outcome.view.global_ids().astype(np.int64, copy=True)
-                    if outcome is not None
-                    else None
-                ),
-                seed_lower=(
-                    outcome.lower if outcome is not None else None
-                ),
                 max_degree=(
                     float(self.graph.max_degree)
                     if self._needs_degree_guard
@@ -518,7 +493,6 @@ class QuerySession:
                 audit_checks=self._audit_checks,
                 audit_violations=self._audit_violations,
                 cache_invalidations=self._cache_invalidations,
-                warm_starts=self._warm_starts,
             )
 
     def slow_queries(self) -> list[dict]:
@@ -563,14 +537,12 @@ class QuerySession:
         """Coarse mutation detector for graphs without an update log."""
         return (int(self.graph.num_edges), int(self.graph.num_nodes))
 
-    def _validate_entry(self, entry: _CacheEntry):
-        """Decide what a cached entry is still good for (caller holds
-        the lock).
+    def _validate_entry(self, entry: _CacheEntry) -> str:
+        """Decide whether a cached entry is still good (caller holds the
+        lock).
 
-        Returns ``"hit"`` (serve it), ``"cold"`` (evict, recompute from
-        scratch) or a :class:`~repro.core.flos.WarmStart` (evict, but
-        re-enter the engine seeded from the prior bounds).  The decision
-        tree, justified in ``docs/serving.md``:
+        Returns ``"hit"`` (serve it) or ``"cold"`` (evict, recompute from
+        scratch).  The decision tree, justified in ``docs/serving.md``:
 
         * no update log → fingerprint fallback (satellite bugfix: a
           mutable graph edited after caching must never serve stale);
@@ -583,11 +555,6 @@ class QuerySession:
           hit, and the entry's version fast-forwards so later lookups
           skip the replay.  Degree-weighted measures additionally
           require ``graph.max_degree`` unchanged (Sec. 5.6 guard);
-        * ball touched, but every event is an *insertion* whose
-          endpoints avoid the visited set itself (only the boundary was
-          hit) → the restricted system ``T_S`` is unchanged, so the
-          prior lower bounds are still valid (Theorems 3/4): warm
-          start;
         * anything else → cold.
         """
         log = self._update_log
@@ -615,12 +582,6 @@ class QuerySession:
                 return "cold"
             entry.version = log.version
             return "hit"
-        if (
-            entry.seed_nodes is not None
-            and all(e.kind == "add" for e in events)
-            and not np.isin(touched, entry.seed_nodes).any()
-        ):
-            return WarmStart(nodes=entry.seed_nodes, lower=entry.seed_lower)
         return "cold"
 
     # ------------------------------------------------------------------
@@ -642,8 +603,7 @@ class QuerySession:
         k: int,
         excluded: frozenset[int],
         options: FLoSOptions,
-        warm_start: WarmStart | None = None,
-    ) -> tuple[TopKResult, EngineOutcome | None]:
+    ) -> TopKResult:
         graph, measure = self.graph, self.measure
         if self._engine_kind == "tht":
             engine = THTEngine(
@@ -653,7 +613,6 @@ class QuerySession:
                 horizon=measure.horizon,
                 options=options,
                 exclude=excluded,
-                warm_start=warm_start,
             )
             finalize = self._tht_result
         else:
@@ -669,7 +628,6 @@ class QuerySession:
                 unvisited_degree_bound=degree_bound,
                 options=options,
                 exclude=excluded,
-                warm_start=warm_start,
             )
             finalize = self._php_family_result
 
@@ -684,7 +642,7 @@ class QuerySession:
                 ball = np.array([query], dtype=np.int32)
                 ball.flags.writeable = False
                 result.stats.visited_ball = ball
-            return result, None
+            return result
 
         outcome = engine.run()
         result = finalize(outcome, query, k)
@@ -697,7 +655,7 @@ class QuerySession:
             ball = outcome.view.closed_ball()
             ball.flags.writeable = False
             result.stats.visited_ball = ball
-        return result, outcome
+        return result
 
     def _php_family_result(
         self, outcome: EngineOutcome, query: int, k: int
@@ -818,8 +776,6 @@ class QuerySession:
             )
             self._audit_checks += stats.audit_checks
             self._audit_violations += stats.audit_violations
-            if stats.warm_started:
-                self._warm_starts += 1
             if self._slow_log_size > 0:
                 entry = {
                     "query": int(result.query),

@@ -13,8 +13,8 @@ result exact (see ``docs/serving.md``).
 version counter.  :class:`~repro.graph.dynamic.DynamicGraph` owns one
 and records every mutation; :class:`~repro.core.session.QuerySession`
 stamps each cached result with the version it was computed at and, on
-lookup, replays :meth:`UpdateLog.events_since` to decide hit /
-warm-start / cold.
+lookup, replays :meth:`UpdateLog.events_since` to decide hit or
+cold.
 
 The log keeps a **bounded replay window**: once more than ``window``
 events accumulate, the oldest are dropped and ``events_since`` answers

@@ -45,9 +45,8 @@ def top_k_indices(
 
     The result depends only on the multiset of ``(score, tiebreak)``
     pairs — never on the input *order* — which is what makes the final
-    top-k ranking agree across LocalView paths and warm starts: their
-    local-id orders differ, but the global node ids used as ``tiebreak``
-    do not.  Selection stays O(n): an argpartition bounds the k-th score,
+    top-k ranking agree across expansion schedules: their local-id
+    orders differ, but the global node ids used as ``tiebreak`` do not.  Selection stays O(n): an argpartition bounds the k-th score,
     and only entries at or beyond that score (the k best plus anything
     tied with the k-th) are sorted.  Smaller-is-closer callers pass
     negated scores; negation is exact, so the order is unchanged.

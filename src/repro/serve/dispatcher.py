@@ -499,7 +499,6 @@ class ShardedServer:
         degraded_results = sum(
             w.get("degraded_results", 0) for w in per_worker
         )
-        warm_starts = sum(w.get("warm_starts", 0) for w in per_worker)
         samples = np.fromiter(self._latencies, dtype=np.float64)
         if (
             self._first_submit is not None
@@ -529,7 +528,6 @@ class ShardedServer:
                 float(np.percentile(samples, 95)) if len(samples) else 0.0
             ),
             updates_applied=self._updates_applied,
-            warm_starts=warm_starts,
             per_worker=tuple(per_worker),
         )
 

@@ -61,9 +61,6 @@ class ServeMetrics:
     #: Edge updates applied through :meth:`ShardedServer.apply_updates`
     #: (counted once per update, not per worker broadcast).
     updates_applied: int = 0
-    #: Sum of the workers' warm-started re-queries (see
-    #: ``SessionMetrics.warm_starts``).
-    warm_starts: int = 0
     per_worker: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
@@ -82,6 +79,5 @@ class ServeMetrics:
             "p50_wall_seconds": self.p50_wall_seconds,
             "p95_wall_seconds": self.p95_wall_seconds,
             "updates_applied": self.updates_applied,
-            "warm_starts": self.warm_starts,
             "per_worker": [dict(w) for w in self.per_worker],
         }

@@ -1,7 +1,7 @@
 """Reference implementations the library's fast paths are tested against.
 
-Each function here is the plain, loop-based version of something the
-library does in batched numpy.  They are kept only as oracles for the
+Each function and class here is the plain, loop-based version of
+something the library does in batched numpy.  They are kept only as oracles for the
 equivalence tests and are never imported by ``src/``.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.localgraph import LocalView
 from repro.graph.builder import GraphBuilder
 from repro.graph.dynamic import DynamicGraph
 
@@ -65,6 +66,99 @@ def overlay_transition_many(
         np.concatenate(probs) if probs else np.empty(0),
         np.array(counts, dtype=np.int64),
     )
+
+
+class ScalarLocalView(LocalView):
+    """``LocalView`` restored one node at a time, with per-node graph reads.
+
+    The pre-kernel restoration loop: each visited node reads its own row
+    and degree (``transition_probabilities`` / ``degree``), resolves
+    membership per neighbor, and retracts its incoming mass from the
+    dummy columns one edge at a time.  It must end in the same state as
+    the library's batched pass, up to float summation order.
+    """
+
+    def _visit_batch(self, nodes: np.ndarray) -> None:
+        for node in nodes:
+            self._visit(int(node))
+
+    def expand_batch(self, locals_: np.ndarray) -> list[int]:
+        newly: list[int] = []
+        for local in np.asarray(locals_, dtype=np.int64):
+            ids, _ = self.adjacency(int(local))
+            for v in ids:
+                v = int(v)
+                if self._lut[v] < 0:
+                    self._visit(v)
+                    newly.append(v)
+        return newly
+
+    def _visit(self, node: int) -> None:
+        local = self.size
+        self._lut[node] = local
+        self._gids.append_scalar(node)
+
+        ids, probs = self.graph.transition_probabilities(node)
+        self.neighbor_queries += 1
+        self._adj_ids.append(ids)
+        self._adj_probs.append(probs)
+        self._adj_offsets.append_scalar(
+            self._adj_offsets.view()[-1] + len(ids)
+        )
+        w_u = self.graph.degree(node)
+        self._degrees.append_scalar(w_u)
+
+        visited_locals = self._lut[ids].astype(np.int64)
+        inside = visited_locals >= 0
+
+        # Every edge into S becomes one entry of the new node's store row
+        # (all of S was visited earlier).
+        self._indptr.append_scalar(self._indptr.view()[-1] + int(inside.sum()))
+        self._indices.append(visited_locals[inside])
+        self._weights.append(probs[inside] * w_u)
+
+        # Incoming transitions from already-visited neighbors.
+        degrees = self._degrees.raw
+        dummy = self._dummy_mass.raw
+        counts = self._unvisited_count.raw
+        loop_sum = self._loop_sum.raw
+        tight_sum = self._tight_sum.raw
+        track = self.track_tightening
+        for idx in np.flatnonzero(inside):
+            v_local = int(visited_locals[idx])
+            p_uv = float(probs[idx])
+            w_v = float(degrees[v_local])
+            p_vu = p_uv * w_u / w_v if w_v > 0 else 0.0
+            dummy[v_local] = max(dummy[v_local] - p_vu, 0.0)
+            counts[v_local] -= 1
+            if track:
+                # u left v's unvisited neighborhood: retract its
+                # contribution to v's star-to-mesh sums.
+                loop_sum[v_local] -= p_vu * p_uv
+                tight_sum[v_local] -= p_vu * (1.0 - p_uv)
+
+        # The new node's own dummy mass, unvisited count, and sums.
+        outside = ~inside
+        outside_mass = float(probs[outside].sum())
+        outside_count = int(outside.sum())
+        if node == self.query:
+            outside_mass = 0.0  # query row of T is zero: no dummy column
+        self._dummy_mass.append_scalar(outside_mass)
+        self._unvisited_count.append_scalar(outside_count)
+
+        if track and outside_count and node != self.query:
+            out_ids = ids[outside]
+            out_probs = probs[outside]
+            w_j = self._degrees_of_outside(out_ids)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_ju = np.where(w_j > 0, out_probs * (w_u / w_j), 0.0)
+            self._loop_sum.append_scalar(float((out_probs * p_ju).sum()))
+            self._tight_sum.append_scalar(
+                float((out_probs * (1.0 - p_ju)).sum())
+            )
+        else:
+            self._loop_sum.append_scalar(0.0)
+            self._tight_sum.append_scalar(0.0)
 
 
 def community_graph_loop(

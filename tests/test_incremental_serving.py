@@ -8,9 +8,9 @@ Covers the PR-10 contract end to end:
   closed-ball localized invalidation (kept hits provably untouched),
   the mutable-graph stale-cache regression, the Sec. 5.6 max-degree
   guard for degree-weighted measures;
-* warm-started re-queries — sound only for insertions that avoid the
-  visited set, audited with ``audit="check"``, agreeing with a cold
-  recompute through their certified intervals;
+* boundary-only insertions — the stale entry is evicted and the query
+  recomputed from scratch, matching a cold session on the compacted
+  graph to round-off;
 * overlay reads (per node and batched) vs. the scalar reference merge
   in ``tests/references.py`` (hypothesis);
 * DynamicGraph ↔ ``compact()`` equivalence under randomized edit
@@ -26,9 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import flos_top_k
-from repro.core.flos import FLoSOptions, WarmStart
+from repro.core.flos import FLoSOptions
 from repro.core.session import QuerySession
-from repro.errors import ConfigurationError, GraphError, SearchError
+from repro.errors import ConfigurationError, GraphError
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi, grid_graph, path_graph
 from repro.graph.updates import (
@@ -219,7 +219,7 @@ class TestLocalizedInvalidation:
         session.top_k(0, 3)
         dyn.remove_edge(2, 3)
         served = session.top_k(0, 3)
-        assert not served.stats.warm_started  # removals never warm-start
+        assert not served.stats.warm_started
         cold = _cold_answer(dyn, "php", 0, 3, c=0.5)
         np.testing.assert_array_equal(served.nodes, cold.nodes)
 
@@ -266,6 +266,15 @@ class TestLocalizedInvalidation:
         cold = _cold_answer(dyn, "rwr", 0, 3, c=0.5)
         np.testing.assert_array_equal(served.nodes, cold.nodes)
 
+    def test_visited_set_touch_does_not_warm_start(self):
+        dyn = DynamicGraph(path_graph(60))
+        session = QuerySession(dyn, "php", c=0.5, options=CHECK)
+        session.top_k(0, 3)
+        dyn.add_edge(1, 40, 1.0)  # endpoint 1 is visited: T_S changes
+        served = session.top_k(0, 3)
+        assert not served.stats.warm_started
+        assert session.metrics().warm_starts == 0
+
     def test_php_ignores_far_degree_change(self):
         """PHP is not degree-weighted: the same far edit stays a hit."""
         dyn = DynamicGraph(path_graph(60))
@@ -278,81 +287,53 @@ class TestLocalizedInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Warm starts
+# Boundary-only insertions evict and recompute from scratch
 # ----------------------------------------------------------------------
 
 
-class TestWarmStart:
+class TestBoundaryInsertionRecomputes:
     def _boundary_scenario(self, measure, **kw):
         """Cache a query, then insert an edge touching only the ball's
-        boundary (never the visited set): the one case that re-enters
-        the engine seeded from the prior bounds."""
+        boundary (never the visited set), and query again."""
         dyn = DynamicGraph(path_graph(60))
         session = QuerySession(dyn, measure, options=CHECK, **kw)
         first = session.top_k(0, 3)
         frontier = int(first.stats.visited_ball.max())
         dyn.add_edge(frontier, frontier + 5, 1.0)
-        warm = session.top_k(0, 3)
-        return session, dyn, warm
+        served = session.top_k(0, 3)
+        return session, dyn, served
 
     @pytest.mark.parametrize(
         "measure,kw",
-        [("php", {"c": 0.5}), ("tht", {"horizon": 8})],
+        [("php", {"c": 0.5}), ("rwr", {"c": 0.5}), ("tht", {"horizon": 8})],
+        ids=["php", "rwr", "tht"],
     )
-    def test_boundary_insertion_warm_starts_and_audits(self, measure, kw):
-        session, dyn, warm = self._boundary_scenario(measure, **kw)
-        assert warm.stats.warm_started
-        assert warm.exact
+    def test_recomputes_exactly(self, measure, kw):
+        session, dyn, served = self._boundary_scenario(measure, **kw)
         m = session.metrics()
-        assert m.warm_starts == 1 and m.cache_invalidations == 1
+        # The stale entry was evicted and the query ran an engine again.
+        assert m.cache_invalidations == 1
+        assert m.cache_hits == 0 and m.cache_misses == 2
+        assert session.cache_size == 1
+        assert m.warm_starts == 0
+        assert served.stats.warm_started is False
+        assert served.exact
         assert m.audit_violations == 0  # audit="check" would have raised
-        # Agreement with a cold recompute: same certified set, and the
-        # cold values land inside the warm run's certified intervals.
-        cold = _cold_answer(dyn, measure, 0, 3, options=CHECK, **kw)
-        assert set(map(int, warm.nodes)) == set(map(int, cold.nodes))
-        # Both runs bracket the same true proximity, so per node the two
-        # certified intervals must intersect (point estimates may differ
-        # by the solver's τ truncation — trajectories differ).
-        cold_iv = {
-            int(n): (lo, hi)
-            for n, lo, hi in zip(cold.nodes, cold.lower, cold.upper)
-        }
-        for node, lo, hi in zip(warm.nodes, warm.lower, warm.upper):
-            c_lo, c_hi = cold_iv[int(node)]
-            assert max(lo, c_lo) <= min(hi, c_hi) + 1e-9
+        # The recompute is the cold trajectory: it matches a fresh
+        # session on the compacted graph to round-off, not to tau.
+        cold = _cold_answer(dyn.compact(), measure, 0, 3, options=CHECK, **kw)
+        np.testing.assert_array_equal(served.nodes, cold.nodes)
+        for field in ("values", "lower", "upper"):
+            np.testing.assert_allclose(
+                getattr(served, field), getattr(cold, field),
+                rtol=0, atol=1e-12,
+            )
 
-    def test_visited_set_touch_does_not_warm_start(self):
-        dyn = DynamicGraph(path_graph(60))
-        session = QuerySession(dyn, "php", c=0.5, options=CHECK)
-        session.top_k(0, 3)
-        dyn.add_edge(1, 40, 1.0)  # endpoint 1 is visited: T_S changes
-        served = session.top_k(0, 3)
-        assert not served.stats.warm_started
-        assert session.metrics().warm_starts == 0
-
-    def test_warm_result_reaches_cache_and_serves_hits(self):
-        session, dyn, warm = self._boundary_scenario("php", c=0.5)
+    def test_recompute_serves_later_hits(self):
+        session, dyn, served = self._boundary_scenario("php", c=0.5)
         again = session.top_k(0, 3)
         assert session.metrics().cache_hits == 1
-        np.testing.assert_array_equal(again.nodes, warm.nodes)
-
-    def test_warm_start_dataclass_validation(self):
-        with pytest.raises(SearchError):
-            WarmStart(
-                nodes=np.array([0, 1]), lower=np.array([1.0])
-            )
-        with pytest.raises(SearchError):
-            WarmStart(nodes=np.array([], dtype=np.int64), lower=np.array([]))
-
-    def test_warm_start_engine_rejects_wrong_query(self):
-        from repro.core.flos import PHPSpaceEngine
-
-        g = path_graph(6)
-        seed = WarmStart(
-            nodes=np.array([3, 2]), lower=np.array([1.0, 0.4])
-        )
-        with pytest.raises(SearchError, match="query"):
-            PHPSpaceEngine(g, 0, 2, decay=0.5, warm_start=seed)
+        np.testing.assert_array_equal(again.nodes, served.nodes)
 
 
 # ----------------------------------------------------------------------
@@ -611,9 +592,11 @@ class TestMutableServing:
         )
         for served, truth in zip(batch, oracle):
             np.testing.assert_array_equal(served.nodes, truth.nodes)
-            # Workers may answer post-update queries warm-started, so
-            # point values can differ by the solver's τ truncation; the
-            # certified intervals must still contain the cold values.
+            # Workers recompute post-update queries from scratch, on the
+            # same trajectory as the mirror's session.
+            np.testing.assert_allclose(
+                served.values, truth.values, rtol=0, atol=1e-12
+            )
             for value, lo, hi in zip(
                 truth.values, served.lower, served.upper
             ):

@@ -1,17 +1,18 @@
-"""Kernel layer: vectorized restoration, the bound-refresh kernels.
+"""Kernel layer: batched restoration, the bound-refresh kernels.
 
 Three contracts are pinned here:
 
-* the vectorized ``LocalView`` restoration path produces exactly the
-  same visited-subgraph state as the scalar reference path (same local
-  ids, same restored transitions, same dummy/boundary/tightening sums);
+* ``LocalView``'s batched restoration produces exactly the same
+  visited-subgraph state as the one-node-at-a-time oracle
+  ``tests.references.ScalarLocalView`` (same local ids, same store,
+  same dummy/boundary/tightening sums);
 * both kernels of :mod:`repro.core.kernels` compute what a dense numpy
   reference computes on ``view.transition_csr().toarray()`` — the same
   sweep count and the same bounds — and the certified bounds sandwich
   the exact proximity values;
 * the store-backed ``TransitionOperator`` equals dense ``decay·T_S``
-  built straight from the graph at every growth stage, on both
-  restoration paths, and refuses a mis-sized store instead of handing
+  built straight from the graph at every growth stage, under both
+  restorations, and refuses a mis-sized store instead of handing
   it to the compiled products.
 """
 
@@ -23,25 +24,34 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FLoSOptions, flos_top_k
+from repro.core import flos
 from repro.core.kernels import DualBoundKernel, THTDPKernel
 from repro.core.localgraph import LocalView
 from repro.errors import TransitionStoreError
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.memory import CSRGraph
 from repro.measures import PHP, RWR, solve_direct
 
 from .conftest import assert_topk_matches_oracle
+from .references import ScalarLocalView
+
+
+def make_view(vectorized, graph, query, **kwargs):
+    """The library view, or the scalar oracle when ``vectorized`` is False."""
+    cls = LocalView if vectorized else ScalarLocalView
+    return cls(graph, query, **kwargs)
 
 
 # ----------------------------------------------------------------------
-# Vectorized vs scalar restoration
+# Batched restoration vs the scalar oracle
 # ----------------------------------------------------------------------
 
 
 def lockstep_views(graph, query, rounds=6):
-    """Grow a vectorized and a scalar view with identical schedules."""
-    vec = LocalView(graph, query, vectorized=True)
-    ref = LocalView(graph, query, vectorized=False)
+    """Grow the library view and the scalar oracle with identical schedules."""
+    vec = LocalView(graph, query)
+    ref = ScalarLocalView(graph, query)
     rng = np.random.default_rng(0)
     for _ in range(rounds):
         if vec.size == 0:
@@ -60,17 +70,73 @@ def lockstep_views(graph, query, rounds=6):
 def assert_views_equal(vec, ref, atol=1e-12):
     assert vec.size == ref.size
     np.testing.assert_array_equal(vec.global_ids(), ref.global_ids())
+    (vp, vi, vw), (rp, ri, rw) = vec.symmetric_store(), ref.symmetric_store()
+    np.testing.assert_array_equal(vp, rp)
+    np.testing.assert_array_equal(vi, ri)
+    np.testing.assert_allclose(vw, rw, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
         vec.transition_csr().toarray(), ref.transition_csr().toarray(), atol=atol
     )
     np.testing.assert_allclose(vec.dummy_mass(), ref.dummy_mass(), atol=atol)
     np.testing.assert_array_equal(vec.boundary_mask(), ref.boundary_mask())
+    np.testing.assert_array_equal(vec.unvisited_counts(), ref.unvisited_counts())
     np.testing.assert_allclose(vec.degrees_array(), ref.degrees_array())
-    lv, loops_v, tight_v = vec.self_loop_terms(0.5)
-    lr, loops_r, tight_r = ref.self_loop_terms(0.5)
-    np.testing.assert_array_equal(lv, lr)
-    np.testing.assert_allclose(loops_v, loops_r, atol=atol)
-    np.testing.assert_allclose(tight_v, tight_r, atol=atol)
+    if vec.track_tightening:
+        lv, loops_v, tight_v = vec.self_loop_terms(0.5)
+        lr, loops_r, tight_r = ref.self_loop_terms(0.5)
+        np.testing.assert_array_equal(lv, lr)
+        np.testing.assert_allclose(loops_v, loops_r, atol=atol)
+        np.testing.assert_allclose(tight_v, tight_r, atol=atol)
+
+
+@st.composite
+def restoration_cases(draw):
+    """A graph (ER or R-MAT, weighted or not, optionally behind a
+    ``DynamicGraph`` with edits), a query and an expansion schedule."""
+    kind = draw(st.sampled_from(["er", "rmat"]))
+    weighted = draw(st.booleans())
+    seed = draw(st.integers(0, 2**31))
+    if kind == "rmat":
+        graph = rmat(
+            draw(st.integers(3, 7)), draw(st.integers(8, 300)),
+            seed=seed, weighted=weighted,
+        )
+    else:
+        n = draw(st.integers(4, 60))
+        m = draw(st.integers(n - 1, min(3 * n, n * (n - 1) // 2)))
+        graph = erdos_renyi(n, m, seed=seed, weighted=weighted)
+    if draw(st.booleans()):
+        graph = DynamicGraph(graph)
+        n = graph.num_nodes
+        edits = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.booleans(),
+                    st.floats(0.1, 5.0, allow_nan=False),
+                ),
+                max_size=20,
+            )
+        )
+        for u, v, remove, w in edits:
+            if u == v:
+                continue
+            if remove:
+                if graph.has_edge(u, v):
+                    graph.remove_edge(u, v)
+            else:
+                graph.add_edge(u, v, w)
+    query = draw(st.integers(0, graph.num_nodes - 1))
+    # Each round expands a drawn share of the boundary, in drawn order.
+    schedule = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**31), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return graph, query, schedule, draw(st.booleans())
 
 
 class TestRestorationEquivalence:
@@ -84,15 +150,42 @@ class TestRestorationEquivalence:
         vec, ref = lockstep_views(g, query=3, rounds=8)
         assert_views_equal(vec, ref)
 
-    def test_search_results_identical_either_path(self, er_graph):
-        """End-to-end: flipping DEFAULT_VECTORIZED changes nothing."""
-        results = []
-        try:
-            for flag in (True, False):
-                LocalView.DEFAULT_VECTORIZED = flag
-                results.append(flos_top_k(er_graph, RWR(0.5), 5, 6))
-        finally:
-            LocalView.DEFAULT_VECTORIZED = True
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(restoration_cases())
+    def test_oracle_equivalence_on_drawn_graphs(self, case):
+        """Library view and scalar oracle grown in lockstep under drawn
+        expansion batches end in the same state after every round."""
+        graph, query, schedule, tighten = case
+        vec = LocalView(graph, query, track_tightening=tighten)
+        ref = ScalarLocalView(graph, query, track_tightening=tighten)
+        assert_views_equal(vec, ref)
+        for seed, share in schedule:
+            frontier = np.flatnonzero(vec.boundary_mask())
+            if len(frontier) == 0:
+                break
+            take = max(1, int(round(share * len(frontier))))
+            batch = np.random.default_rng(seed).permutation(frontier)[:take]
+            assert vec.expand_batch(batch) == ref.expand_batch(batch)
+            assert_views_equal(vec, ref)
+        assert vec.neighbor_queries == ref.neighbor_queries
+        assert vec.check_invariants() == ref.check_invariants() == []
+
+    def test_visit_sequence_matches_oracle(self, er_graph):
+        vec, ref = LocalView(er_graph, 0), ScalarLocalView(er_graph, 0)
+        nodes = np.arange(1, 40)
+        vec.visit_sequence(nodes)
+        ref.visit_sequence(nodes)
+        assert_views_equal(vec, ref)
+
+    def test_search_results_identical_either_path(self, er_graph, monkeypatch):
+        """End-to-end: the driver on the scalar oracle changes nothing."""
+        results = [flos_top_k(er_graph, RWR(0.5), 5, 6)]
+        monkeypatch.setattr(flos, "LocalView", ScalarLocalView)
+        results.append(flos_top_k(er_graph, RWR(0.5), 5, 6))
         a, b = results
         assert list(a.nodes) == list(b.nodes)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
@@ -168,8 +261,8 @@ class TestRefreshPath:
         """Warm-started across growth, exactly as the PHP engine drives
         it: same sweep count, bounds equal to 1e-12, at every round."""
         decay, tau, dummy_value = 0.5, 1e-5, 0.9
-        view = LocalView(
-            rmat_graph, 7, vectorized=vectorized, track_tightening=tighten
+        view = make_view(
+            vectorized, rmat_graph, 7, track_tightening=tighten
         )
         kernel = DualBoundKernel(view, decay)
         lb = ub = np.ones(1)
@@ -208,8 +301,8 @@ class TestRefreshPath:
     @RESTORATION
     def test_tht_dp_matches_dense_dp(self, rmat_graph, vectorized):
         horizon = 10
-        view = LocalView(
-            rmat_graph, 7, vectorized=vectorized, track_tightening=False
+        view = make_view(
+            vectorized, rmat_graph, 7, track_tightening=False
         )
         kernel = THTDPKernel(view)
         for _ in grow(view):
@@ -364,10 +457,11 @@ class TestTransitionOperator:
         st.sampled_from([0.5, 0.9, 1.0]),
     )
     def test_matches_dense_through_growth(self, case, vectorized, seed, decay):
-        """1-D and ``(m, 2)`` products, both restoration paths, random
-        expansion orders; row 0 (the query) always comes out zero."""
+        """1-D and ``(m, 2)`` products, the library view and the scalar
+        oracle, random expansion orders; row 0 (the query) always comes
+        out zero."""
         graph, q, _ = case
-        view = LocalView(graph, q, vectorized=vectorized)
+        view = make_view(vectorized, graph, q)
         op = view.transition_operator(decay)
         rng = np.random.default_rng(seed)
         for _ in range(8):
@@ -400,7 +494,7 @@ class TestTransitionOperator:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_zero_degree_query(self, vectorized):
         graph = CSRGraph.from_edges(4, np.array([[0, 1], [1, 2]]))
-        view = LocalView(graph, 3, vectorized=vectorized)
+        view = make_view(vectorized, graph, 3)
         op = view.transition_operator(0.5)
         assert op.sync() == 1
         np.testing.assert_array_equal(op.apply(np.ones(1)), [0.0])

@@ -10,6 +10,13 @@ import pytest
 from repro.core.localgraph import LocalView
 from repro.graph.generators import erdos_renyi, paper_example_graph, rmat
 
+from .references import ScalarLocalView
+
+
+def make_view(vectorized, graph, query):
+    """The library view, or the scalar oracle when ``vectorized`` is False."""
+    return (LocalView if vectorized else ScalarLocalView)(graph, query)
+
 
 def reference_state(graph, visited: list[int], decay: float):
     """Brute-force recomputation of everything LocalView maintains."""
@@ -148,7 +155,7 @@ def test_degrees_array_matches_graph():
 @pytest.mark.parametrize("vectorized", [True, False])
 def test_local_id_raises_for_unvisited(vectorized):
     g = erdos_renyi(40, 120, seed=3)
-    view = LocalView(g, 0, vectorized=vectorized)
+    view = make_view(vectorized, g, 0)
     view.expand(0)
     for local, gid in enumerate(view.global_ids()):
         assert view.local_id(int(gid)) == local
@@ -159,7 +166,7 @@ def test_local_id_raises_for_unvisited(vectorized):
 
 def grown_view(vectorized, seed=4):
     g = rmat(7, 400, seed=seed, weighted=True)
-    view = LocalView(g, 1, vectorized=vectorized)
+    view = make_view(vectorized, g, 1)
     for _ in range(4):
         boundary = np.flatnonzero(view.boundary_mask())
         if not len(boundary):

@@ -19,19 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import flos
 from repro.core.flos import FLoSOptions
-from repro.core.localgraph import LocalView
 from repro.core.session import QuerySession
 from repro.graph.memory import CSRGraph
 from repro.nputil import top_k_indices
 
+from .references import ScalarLocalView
+
 
 @pytest.fixture
-def scalar_view():
-    prior = LocalView.DEFAULT_VECTORIZED
-    LocalView.DEFAULT_VECTORIZED = False
-    yield
-    LocalView.DEFAULT_VECTORIZED = prior
+def scalar_view(monkeypatch):
+    """Run the driver on the one-node-at-a-time restoration oracle."""
+    monkeypatch.setattr(flos, "LocalView", ScalarLocalView)
 
 
 def _serve(graph, query, k, *, measure="php", **options):
