@@ -405,7 +405,7 @@ def _bench_serve_process(args) -> int:
     round_seconds = []
     try:
         queries = sample_queries(graph, args.queries, seed=args.seed)
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph,
             measure,
             options=options,

@@ -243,8 +243,8 @@ def flos_top_k(
         against the same graph (amortised setup, LRU cache, metrics).
     repro.serve.ShardedServer : the multi-process serving tier — same
         constructor surface as :class:`QuerySession`
-        (``ShardedServer.from_graph(graph, measure, options=...,
-        cache_size=..., workers=N)``), workers attached zero-copy to
+        (``ShardedServer(graph, measure, options=..., cache_size=...,
+        workers=N)``), workers attached zero-copy to
         one shared graph; switching a service from in-process to
         sharded serving is a one-line change.
     repro.serve.open_shared : publish a graph's CSR arrays once via

@@ -27,7 +27,7 @@ from repro.core.session import QuerySession
 from repro.graph.base import GraphAccess
 from repro.measures.resolve import MeasureSpec
 
-__all__ = ["BatchSummary", "flos_top_k_batch"]
+__all__ = ["flos_top_k_batch"]
 
 
 def flos_top_k_batch(

@@ -42,6 +42,7 @@ ablation benchmark measures its effect.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +61,16 @@ from repro.errors import (
 )
 from repro.graph.base import GraphAccess
 
+# The expansion schedule (Alg. 3; see ``FLoSOptions.adaptive_batching``).
+# Read at call time, so a test may set them to drive other schedules.
+#: Boundary nodes expanded per round (paper: 1); the adaptive
+#: schedule's floor.
+EXPAND_BATCH = 1
+#: Divisor of the adaptive growth rule; smaller = more aggressive.
+GROWTH_DIVISOR = 24
+#: Upper limit on one round's expansion batch.
+MAX_BATCH = 4096
+
 
 @dataclass(frozen=True)
 class FLoSOptions:
@@ -77,17 +88,14 @@ class FLoSOptions:
     tau: float = 1e-5
     #: Apply the star-to-mesh self-loop tightening of Sec. 5.3.
     tighten: bool = True
-    #: Number of boundary nodes expanded per iteration (paper: 1).
-    #: Larger batches trade extra visited nodes for fewer bound solves.
-    expand_batch: int = 1
     #: Size each expansion round by two rules.  Growth: the base batch is
-    #: ``max(expand_batch, |S| // adaptive_divisor)``, which keeps the
+    #: ``max(EXPAND_BATCH, |S| // GROWTH_DIVISOR)``, which keeps the
     #: number of bound refreshes logarithmic in the visited-set size.
     #: Shortfall: Alg. 6 cannot close before ``k`` eligible nodes are
     #: settled, so while fewer are, a round expands at least the missing
     #: count ``k - settled``; the extra nodes are cut before the chosen
     #: nodes' unvisited neighbors outnumber ``|S|``, so such a round at
-    #: most doubles the ball.  Both are capped at ``max_batch``.  The
+    #: most doubles the ball.  Both are capped at ``MAX_BATCH``.  The
     #: paper's C++ implementation expands one node per iteration;
     #: re-solving the bounds after every single expansion is what a
     #: Python reproduction cannot afford.  Exactness is unaffected
@@ -95,10 +103,6 @@ class FLoSOptions:
     #: is a bounded overshoot in visited nodes.  Set to False to
     #: reproduce the paper's expansion schedule verbatim.
     adaptive_batching: bool = True
-    #: Divisor of the adaptive schedule; smaller = more aggressive.
-    adaptive_divisor: int = 24
-    #: Upper limit on one iteration's expansion batch.
-    max_batch: int = 4096
     #: Visited-node budget (soft under ``on_budget="degrade"``).
     max_visited: int | None = None
     #: Outer expansion-iteration budget (soft under ``on_budget="degrade"``).
@@ -117,8 +121,6 @@ class FLoSOptions:
     #: per-node bounds, and ``stats.termination`` / ``stats.bound_gap``
     #: recording which budget fired and the residual certificate gap.
     on_budget: str = "raise"
-    #: Inner-solver iteration cap.
-    max_inner_iterations: int = 10_000
     #: Tie tolerance of the termination certificate.  With the default 0
     #: the returned set is strictly exact, but an *exact tie* between the
     #: k-th and (k+1)-th proximity values can only be resolved by
@@ -154,16 +156,15 @@ class FLoSOptions:
         supplied by :class:`~repro.core.session.QuerySession` and the
         per-query entry points.  Returns ``self`` for chaining.
         """
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be positive")
-        if self.expand_batch < 1:
-            raise ConfigurationError("expand_batch must be >= 1")
-        if self.adaptive_divisor < 1:
-            raise ConfigurationError("adaptive_divisor must be >= 1")
-        if self.max_batch < 1:
-            raise ConfigurationError("max_batch must be >= 1")
-        if self.tie_epsilon < 0:
-            raise ConfigurationError("tie_epsilon must be non-negative")
+        # NaN fails every comparison, so each check is phrased to
+        # reject it: a NaN tie tolerance would close Alg. 6 at once, a
+        # NaN tau never stops the solver, a NaN deadline never fires.
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigurationError("tau must be positive and finite")
+        if not (math.isfinite(self.tie_epsilon) and self.tie_epsilon >= 0):
+            raise ConfigurationError(
+                "tie_epsilon must be non-negative and finite"
+            )
         if self.max_visited is not None:
             if self.max_visited < 1:
                 raise ConfigurationError("max_visited must be >= 1")
@@ -174,15 +175,14 @@ class FLoSOptions:
                 )
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
+            # ``+inf`` passes: it is the "no deadline" value.
             raise ConfigurationError("deadline_seconds must be positive")
         if self.on_budget not in ("raise", "degrade"):
             raise ConfigurationError(
                 f"on_budget must be 'raise' or 'degrade', got "
                 f"{self.on_budget!r}"
             )
-        if self.max_inner_iterations < 1:
-            raise ConfigurationError("max_inner_iterations must be >= 1")
         if self.audit not in ("off", "record", "check"):
             raise ConfigurationError(
                 f"audit must be 'off', 'record' or 'check', got "
@@ -193,11 +193,8 @@ class FLoSOptions:
     def batch_size(self, visited: int) -> int:
         """Expansion batch for the current visited-set size."""
         if not self.adaptive_batching:
-            return self.expand_batch
-        return min(
-            max(self.expand_batch, visited // self.adaptive_divisor),
-            self.max_batch,
-        )
+            return EXPAND_BATCH
+        return min(max(EXPAND_BATCH, visited // GROWTH_DIVISOR), MAX_BATCH)
 
 
 @dataclass
@@ -391,7 +388,7 @@ class FLoSDriver:
             # Settle-shortfall round: Alg. 6 cannot close before k
             # eligible nodes are settled, so expand at least as many
             # boundary nodes as are still missing.
-            batch = min(max(base, self.k - self._settled), opts.max_batch)
+            batch = min(max(base, self.k - self._settled), MAX_BATCH)
         batch = min(batch, len(boundary))
         scores = self._expansion_scores()[boundary]
         if batch < len(boundary):
@@ -727,7 +724,6 @@ class PHPSpaceEngine(FLoSDriver):
             e_lower,
             e_upper,
             tau=opts.tau,
-            max_iterations=opts.max_inner_iterations,
         )
         self.stats.solver_iterations += sweeps
         self.stats.rows_swept += m * sweeps

@@ -57,21 +57,17 @@ class DualBoundKernel:
         e_upper: np.ndarray,
         *,
         tau: float,
-        max_iterations: int,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Solve both bound systems; returns ``(lb, ub, sweeps)``.
 
         Each system ``r = (c·T_S + diag) r + e`` is iterated from its
-        warm start until the max-norm update falls below ``tau``;
-        ``sweeps`` is the sum of both solves' iteration counts.
+        warm start until the max-norm update falls below ``tau`` (at
+        most :data:`~repro.core.iterative.DEFAULT_MAX_ITERATIONS` sweeps
+        each); ``sweeps`` is the sum of both solves' iteration counts.
         """
         op = self._bind(diag)
-        lb, it_lb = jacobi_solve(
-            op, e_lower, lb, tau=tau, max_iterations=max_iterations
-        )
-        ub, it_ub = jacobi_solve(
-            op, e_upper, ub, tau=tau, max_iterations=max_iterations
-        )
+        lb, it_lb = jacobi_solve(op, e_lower, lb, tau=tau)
+        ub, it_ub = jacobi_solve(op, e_upper, ub, tau=tau)
         return lb, ub, it_lb + it_ub
 
     def residual_norms(

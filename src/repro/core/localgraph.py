@@ -618,30 +618,22 @@ class TransitionOperator:
                 row_scale = np.where(degrees > 0, self.factor / degrees, 0.0)
             row_scale[0] = 0.0  # the query row of T is zero (Table 1)
             self.row_scale = row_scale
-            self._row_scale_col = row_scale[:, None]
             self.size = m
         self._store = (indptr, indices, weights)
         return m
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``scale · T_S @ x`` for ``x`` of shape ``(m,)`` or ``(m, k)``."""
+        """``scale · T_S @ x`` for a vector ``x`` of length ``m``."""
         m = self.size
-        if x.shape[0] != m:
+        if x.shape != (m,):
             raise TransitionStoreError(
-                f"operator over {m} nodes applied to {x.shape[0]} rows"
+                f"operator over {m} nodes applied to shape {x.shape}"
             )
         x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.zeros(x.shape)
-        if x.ndim == 1:
-            _sparsetools.csr_matvec(m, m, *self._store, x, y)
-            _sparsetools.csc_matvec(m, m, *self._store, x, y)
-            y *= self.row_scale
-        else:
-            k = x.shape[1]
-            flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-            _sparsetools.csr_matvecs(m, m, k, *self._store, flat_x, flat_y)
-            _sparsetools.csc_matvecs(m, m, k, *self._store, flat_x, flat_y)
-            y *= self._row_scale_col
+        y = np.zeros(m)
+        _sparsetools.csr_matvec(m, m, *self._store, x, y)
+        _sparsetools.csc_matvec(m, m, *self._store, x, y)
+        y *= self.row_scale
         return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

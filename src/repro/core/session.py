@@ -71,6 +71,9 @@ from repro.measures.tht import THT
 #: so long-running sessions report recent serving latency, not history).
 _WALL_TIME_WINDOW = 10_000
 
+#: Worst-latency engine runs kept by :meth:`QuerySession.slow_queries`.
+SLOW_LOG_SIZE = 32
+
 
 @dataclass(frozen=True)
 class SessionMetrics:
@@ -225,9 +228,6 @@ class QuerySession:
         depend on the budget that produced them — and on wall-clock
         scheduling for deadlines — so replaying one later could serve a
         worse answer than the caller's budget allows.
-    slow_log_size:
-        Number of worst-latency queries retained by
-        :meth:`slow_queries` (0 disables the log).
     """
 
     def __init__(
@@ -237,7 +237,6 @@ class QuerySession:
         *,
         options: FLoSOptions | None = None,
         cache_size: int = 256,
-        slow_log_size: int = 32,
         **measure_params,
     ):
         self.graph = graph
@@ -245,8 +244,6 @@ class QuerySession:
         self.options = (options or FLoSOptions()).validate()
         if cache_size < 0:
             raise SearchError("cache_size must be >= 0")
-        if slow_log_size < 0:
-            raise SearchError("slow_log_size must be >= 0")
 
         if isinstance(self.measure, THT):
             self._engine_kind = "tht"
@@ -301,9 +298,8 @@ class QuerySession:
         self._audit_violations = 0
         self._cache_invalidations = 0
         # Slow-query log: min-heap of (wall_seconds, seq, entry) keeping
-        # the worst ``slow_log_size`` engine runs; ``seq`` breaks ties so
+        # the worst ``SLOW_LOG_SIZE`` engine runs; ``seq`` breaks ties so
         # dict entries are never compared.
-        self._slow_log_size = slow_log_size
         self._slow_log: list[tuple[float, int, dict]] = []
         self._slow_seq = 0
 
@@ -500,9 +496,9 @@ class QuerySession:
 
         Each entry is a JSON-serializable dict:
         ``{"query", "k", "wall_seconds", "visited_nodes", "termination",
-        "exact"}``.  The log keeps the ``slow_log_size`` slowest engine
-        runs seen so far (cache hits are never logged); use it to find
-        the pathological queries that deserve a per-call deadline.
+        "exact"}``.  The log keeps the :data:`SLOW_LOG_SIZE` (32) slowest
+        engine runs seen so far (cache hits are never logged); use it to
+        find the pathological queries that deserve a per-call deadline.
         """
         with self._lock:
             worst = sorted(self._slow_log, key=lambda t: (-t[0], t[1]))
@@ -776,18 +772,17 @@ class QuerySession:
             )
             self._audit_checks += stats.audit_checks
             self._audit_violations += stats.audit_violations
-            if self._slow_log_size > 0:
-                entry = {
-                    "query": int(result.query),
-                    "k": int(result.k),
-                    "wall_seconds": float(stats.wall_time_seconds),
-                    "visited_nodes": int(stats.visited_nodes),
-                    "termination": str(stats.termination),
-                    "exact": bool(result.exact),
-                }
-                item = (float(stats.wall_time_seconds), self._slow_seq, entry)
-                self._slow_seq += 1
-                if len(self._slow_log) < self._slow_log_size:
-                    heapq.heappush(self._slow_log, item)
-                elif item[0] > self._slow_log[0][0]:
-                    heapq.heapreplace(self._slow_log, item)
+            entry = {
+                "query": int(result.query),
+                "k": int(result.k),
+                "wall_seconds": float(stats.wall_time_seconds),
+                "visited_nodes": int(stats.visited_nodes),
+                "termination": str(stats.termination),
+                "exact": bool(result.exact),
+            }
+            item = (float(stats.wall_time_seconds), self._slow_seq, entry)
+            self._slow_seq += 1
+            if len(self._slow_log) < SLOW_LOG_SIZE:
+                heapq.heappush(self._slow_log, item)
+            elif item[0] > self._slow_log[0][0]:
+                heapq.heapreplace(self._slow_log, item)

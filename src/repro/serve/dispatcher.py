@@ -33,17 +33,16 @@ Requests use the same :class:`~repro.core.api.QueryRequest` /
 answer through :meth:`QuerySession.serve`, so results are
 bitwise-identical to in-process serving.
 
-:class:`~repro.graph.base.GraphAccess` backends that cannot cross a
-process boundary (anything that is not a
-:class:`~repro.graph.memory.CSRGraph` or a
-:class:`~repro.graph.disk.store.DiskGraph`) fall back to a single
-in-process session when ``workers=1`` and raise
-:class:`~repro.errors.ConfigurationError` otherwise; a string path
-that fails publication (not a ``.flos`` store) always raises.
+A graph that cannot cross a process boundary (anything that is not a
+:class:`~repro.graph.memory.CSRGraph`, a
+:class:`~repro.graph.disk.store.DiskGraph` or a ``.flos`` path) raises
+:class:`~repro.errors.ConfigurationError` at any worker count; serve
+it in-process with :class:`QuerySession` instead.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import deque
@@ -55,7 +54,6 @@ import repro.errors as errors_mod
 from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
 from repro.core.flos import FLoSOptions
 from repro.core.result import BatchSummary, TopKResult
-from repro.core.session import QuerySession
 from repro.errors import (
     AdmissionRejectedError,
     ConfigurationError,
@@ -151,11 +149,10 @@ class ShardedServer:
     """Multi-process serving tier over one zero-copy published graph.
 
     The constructor mirrors :class:`~repro.core.session.QuerySession`
-    (same ``options`` / ``cache_size`` / ``slow_log_size`` names — they
-    configure each worker's private session) plus the serving knobs::
+    (same ``options`` / ``cache_size`` names — they configure each
+    worker's private session) plus the serving knobs::
 
-        with ShardedServer.from_graph(graph, "rwr", c=0.9,
-                                      workers=4) as server:
+        with ShardedServer(graph, "rwr", c=0.9, workers=4) as server:
             batch = server.top_k_many(range(100), k=10)
             print(server.metrics().to_dict())
 
@@ -165,9 +162,9 @@ class ShardedServer:
         A :class:`~repro.graph.memory.CSRGraph` (published once via
         shared memory), a :class:`~repro.graph.disk.store.DiskGraph`
         or ``.flos`` path (workers mmap the store — graphs larger than
-        RAM), or any other :class:`~repro.graph.base.GraphAccess`
-        (in-process fallback, ``workers=1`` only).
-    measure, options, cache_size, slow_log_size, **measure_params:
+        RAM).  Any other graph raises
+        :class:`~repro.errors.ConfigurationError`.
+    measure, options, cache_size, **measure_params:
         Exactly as in :class:`~repro.core.session.QuerySession`.
     workers:
         Worker process count (default: ``os.cpu_count()``).
@@ -188,7 +185,6 @@ class ShardedServer:
         *,
         options: FLoSOptions | None = None,
         cache_size: int = 256,
-        slow_log_size: int = 32,
         workers: int | None = None,
         start_method: str | None = None,
         mutable: bool = False,
@@ -203,7 +199,6 @@ class ShardedServer:
         self._measure = resolve_measure(measure, **measure_params)
         self._options = (options or FLoSOptions()).validate()
         self._cache_size = cache_size
-        self._slow_log_size = slow_log_size
         self._num_workers = workers
         self._closed = False
         # Mutable serving (``apply_updates``): each worker wraps the
@@ -232,9 +227,11 @@ class ShardedServer:
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._first_submit: float | None = None
         self._last_completion: float | None = None
+        # Metric requests still awaited, and the replies parked for
+        # them; a reply nobody awaits any more is dropped on arrival.
+        self._metric_wanted: set[int] = set()
         self._metric_replies: dict[int, tuple[int, dict]] = {}
 
-        self._local_session: QuerySession | None = None
         self._shared = None
         self._workers: list[_WorkerState] = []
         try:
@@ -242,29 +239,15 @@ class ShardedServer:
         except ConfigurationError as err:
             if not isinstance(graph, GraphAccess):
                 # A string/Path input that fails publication is a bad
-                # path or spelling, not a non-shareable backend: there
-                # is nothing to serve in-process, so surface the clear
-                # configuration message instead of letting the raw
-                # string reach QuerySession.
+                # path or spelling: surface the clear message as is.
                 raise
-            if workers > 1:
-                raise ConfigurationError(
-                    f"cannot shard over {workers} processes: {err}  "
-                    "(supports_concurrent_reads="
-                    f"{getattr(graph, 'supports_concurrent_reads', False)} "
-                    "— for thread-level parallelism on such backends use "
-                    "QuerySession.top_k_many instead, or pass workers=1 "
-                    "for an in-process fallback)"
-                ) from err
-            # Single worker requested: serve in-process, same API.
-            self._local_session = QuerySession(
-                graph,
-                self._measure,
-                options=self._options,
-                cache_size=cache_size,
-                slow_log_size=slow_log_size,
-            )
-            return
+            raise ConfigurationError(
+                f"cannot serve this graph from worker processes: {err}  "
+                "(supports_concurrent_reads="
+                f"{getattr(graph, 'supports_concurrent_reads', False)} "
+                "— serve it in-process with QuerySession instead; "
+                "QuerySession.top_k_many gives thread-level parallelism)"
+            ) from err
 
         if self._mutable:
             if self._shared.kind != "shm" or not isinstance(graph, CSRGraph):
@@ -287,34 +270,6 @@ class ShardedServer:
             self.close()
             raise
 
-    @classmethod
-    def from_graph(
-        cls,
-        graph: GraphAccess | str,
-        measure,
-        *,
-        options: FLoSOptions | None = None,
-        cache_size: int = 256,
-        slow_log_size: int = 32,
-        workers: int | None = None,
-        start_method: str | None = None,
-        mutable: bool = False,
-        **measure_params,
-    ) -> "ShardedServer":
-        """Build a server; the canonical spelling (mirrors
-        ``QuerySession(graph, measure, ...)`` argument for argument)."""
-        return cls(
-            graph,
-            measure,
-            options=options,
-            cache_size=cache_size,
-            slow_log_size=slow_log_size,
-            workers=workers,
-            start_method=start_method,
-            mutable=mutable,
-            **measure_params,
-        )
-
     # ------------------------------------------------------------------
     # Serving API (the QueryRequest contract)
     # ------------------------------------------------------------------
@@ -322,10 +277,6 @@ class ShardedServer:
     def serve(self, request: QueryRequest) -> TopKResult:
         """Answer one :class:`~repro.core.api.QueryRequest`."""
         self._check_open()
-        if self._local_session is not None:
-            self._admit(request)  # may raise / count degraded admission
-            request = self._maybe_floor_deadline(request)
-            return self._serve_local(request)
         seq = self._submit(request)
         return self._wait([seq])[0]
 
@@ -365,14 +316,6 @@ class ShardedServer:
         request_list = list(requests)
         if not request_list:
             raise SearchError("request batch must not be empty")
-        if self._local_session is not None:
-            out = []
-            for request in request_list:
-                self._admit(request)
-                out.append(
-                    self._serve_local(self._maybe_floor_deadline(request))
-                )
-            return out
         seqs: list[int] = []
         try:
             for request in request_list:
@@ -416,20 +359,22 @@ class ShardedServer:
     ) -> int:
         """Apply a batch of edge updates to every worker's overlay.
 
-        The batch is validated synchronously on the dispatcher's shadow
-        overlay — an invalid update (unknown node, removing a missing
-        edge) raises here *before* anything is broadcast, so workers
-        never diverge.  The broadcast itself is fire-and-forget: each
-        worker's FIFO request queue guarantees the updates are applied
-        before any later query on that worker, and each worker's
-        session invalidates only the cached entries whose visited ball
-        the update touched (no global flush).  A worker-side failure
-        (which the shadow validation makes unreachable short of a
-        worker bug) surfaces at the next ``apply_updates`` call.
+        The batch is applied first to the dispatcher's shadow overlay,
+        strictly in order, as :func:`~repro.graph.updates
+        .apply_edge_updates` does.  An invalid update (unknown node,
+        removing a missing edge) raises there; the updates before it
+        are applied, so exactly that prefix is broadcast before the
+        error propagates and the workers never diverge from the
+        shadow.  The broadcast itself is fire-and-forget: each worker's
+        FIFO request queue guarantees the updates are applied before
+        any later query on that worker, and each worker's session
+        invalidates only the cached entries whose visited ball the
+        update touched (no global flush).  A worker-side failure (which
+        the shadow makes unreachable short of a worker bug) surfaces at
+        the next ``apply_updates`` call.
 
         Returns the number of updates applied.  Requires
-        ``mutable=True`` (multi-process) or a mutable graph
-        (in-process fallback).
+        ``mutable=True``.
         """
         self._check_open()
         batch = [
@@ -438,16 +383,6 @@ class ShardedServer:
         ]
         if not batch:
             return 0
-        if self._local_session is not None:
-            graph = self._local_session.graph
-            if not hasattr(graph, "add_edge"):
-                raise ConfigurationError(
-                    "apply_updates needs a mutable graph; wrap it in "
-                    "DynamicGraph (repro.graph) before serving"
-                )
-            applied = apply_edge_updates(graph, batch)
-            self._updates_applied += applied
-            return applied
         if not self._mutable:
             raise ConfigurationError(
                 "server was not started with mutable=True"
@@ -455,26 +390,31 @@ class ShardedServer:
         if self._update_errors:
             name, text = self._update_errors.pop(0)
             raise _rebuild_error(name, text)
-        # Shadow validation: raises without touching any worker.
-        apply_edge_updates(self._shadow, batch)
-        self._updates.extend(batch)
-        for state in self._workers:
-            if not state.process.is_alive():
-                # _spawn replays the full history (including this
-                # batch) into the fresh worker — don't enqueue twice.
-                self._respawn(state)
-                continue
-            seq = self._seq
-            self._seq += 1
-            state.queue.put(("update", seq, batch))
-        self._updates_applied += len(batch)
+        before = self._shadow.version
+        try:
+            apply_edge_updates(self._shadow, batch)
+        finally:
+            # Every applied update bumps the shadow's version once, so
+            # this is the applied prefix even when the batch failed.
+            applied = batch[: self._shadow.version - before]
+            if applied:
+                self._updates.extend(applied)
+                for state in self._workers:
+                    if not state.process.is_alive():
+                        # _spawn replays the full history (including
+                        # this batch) into the fresh worker — don't
+                        # enqueue twice.
+                        self._respawn(state)
+                        continue
+                    seq = self._seq
+                    self._seq += 1
+                    state.queue.put(("update", seq, applied))
+                self._updates_applied += len(applied)
         return len(batch)
 
     @property
     def graph_version(self) -> int:
         """Version of the (shadow) overlay after all applied updates."""
-        if self._local_session is not None:
-            return int(getattr(self._local_session.graph, "version", 0))
         return int(self._shadow.version) if self._shadow is not None else 0
 
     # ------------------------------------------------------------------
@@ -486,15 +426,7 @@ class ShardedServer:
         metrics (fetched over the control channel; a worker that cannot
         answer within ``timeout`` contributes an empty dict)."""
         self._check_open()
-        per_worker: list[dict] = []
-        if self._local_session is not None:
-            session = self._local_session.metrics().to_dict()
-            per_worker.append(
-                {"worker": 0, "pid": os.getpid(), "respawns": 0,
-                 "ewma_seconds": None, **session}
-            )
-        else:
-            per_worker = self._collect_worker_metrics(timeout)
+        per_worker = self._collect_worker_metrics(timeout)
         cache_hits = sum(w.get("cache_hits", 0) for w in per_worker)
         degraded_results = sum(
             w.get("degraded_results", 0) for w in per_worker
@@ -537,13 +469,11 @@ class ShardedServer:
 
     @property
     def descriptor(self):
-        """The published graph's descriptor (None in-process)."""
+        """The published graph's descriptor (None once closed)."""
         return self._shared.descriptor if self._shared else None
 
     def worker_pids(self) -> list[int | None]:
-        """Current pid per worker slot (None in-process fallback)."""
-        if self._local_session is not None:
-            return [None]
+        """Current pid per worker slot."""
         return [state.pid for state in self._workers]
 
     # ------------------------------------------------------------------
@@ -593,9 +523,7 @@ class ShardedServer:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "in-process" if self._local_session is not None else (
-            self._shared.kind if self._shared else "closed"
-        )
+        mode = self._shared.kind if self._shared else "closed"
         return (
             f"ShardedServer({mode}, workers={self._num_workers}, "
             f"dispatched={self._dispatched})"
@@ -610,16 +538,16 @@ class ShardedServer:
         deadline = request.overrides.deadline_seconds
         if deadline is None or deadline == float("inf"):
             return
+        if math.isnan(deadline):
+            # Compares false to every estimate; the workers' option
+            # validation would reject it too, but only once admitted.
+            raise ConfigurationError("deadline_seconds must not be NaN")
         policy = request.overrides.on_budget or self._options.on_budget
         if deadline <= 0:
             estimate = 0.0
         else:
-            state = (
-                self._workers[self.shard_of(request.query)]
-                if self._workers
-                else None
-            )
-            if state is None or state.ewma_seconds is None:
+            state = self._workers[self.shard_of(request.query)]
+            if state.ewma_seconds is None:
                 return  # no service-time evidence yet: admit
             estimate = state.ewma_seconds * (len(state.inflight) + 1)
             if estimate <= deadline:
@@ -651,18 +579,6 @@ class ShardedServer:
                 request.overrides, deadline_seconds=_DEGRADE_DEADLINE_FLOOR
             ),
         )
-
-    def _serve_local(self, request: QueryRequest) -> TopKResult:
-        started = time.monotonic()
-        if self._first_submit is None:
-            self._first_submit = started
-        self._dispatched += 1
-        result = self._local_session.serve(request)
-        now = time.monotonic()
-        self._completed_count += 1
-        self._last_completion = now
-        self._latencies.append(now - started)
-        return result
 
     # ------------------------------------------------------------------
     # Dispatch / collect
@@ -762,7 +678,8 @@ class ShardedServer:
             # spawn path consumes these — nothing to do here.
             return
         if kind == "metrics":
-            self._metric_replies[seq] = (worker_id, payload)
+            if seq in self._metric_wanted:
+                self._metric_replies[seq] = (worker_id, payload)
             return
         if kind == "updated":
             # Fire-and-forget update acknowledgement; nothing to track.
@@ -821,7 +738,6 @@ class ShardedServer:
                 self._measure,
                 self._options,
                 self._cache_size,
-                self._slow_log_size,
                 state.queue,
                 send_conn,
                 self._mutable,
@@ -927,7 +843,7 @@ class ShardedServer:
 
     def _collect_worker_metrics(self, timeout: float) -> list[dict]:
         replies: dict[int, dict] = {}
-        wanted: set[int] = set()
+        wanted = self._metric_wanted
         for state in self._workers:
             if not state.process.is_alive():
                 self._respawn(state)
@@ -943,6 +859,8 @@ class ShardedServer:
                     worker_id, payload = self._metric_replies.pop(seq)
                     replies[worker_id] = payload
                     wanted.discard(seq)
+        # Workers that missed the timeout answer later, to nobody.
+        wanted.clear()
         return [
             {
                 "worker": state.worker_id,

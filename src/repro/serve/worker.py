@@ -73,7 +73,6 @@ def worker_main(
     measure,
     options: FLoSOptions | None,
     cache_size: int,
-    slow_log_size: int,
     requests,
     responses,
     mutable: bool = False,
@@ -93,11 +92,7 @@ def worker_main(
         handle = attach_shared(descriptor)
         graph = DynamicGraph(handle.graph) if mutable else handle.graph
         session = QuerySession(
-            graph,
-            measure,
-            options=options,
-            cache_size=cache_size,
-            slow_log_size=slow_log_size,
+            graph, measure, options=options, cache_size=cache_size
         )
     except BaseException as err:  # report, don't traceback to stderr
         responses.send(

@@ -56,6 +56,24 @@ def measure(request):
     return ALL_MEASURES[request.param]
 
 
+def schedule_options(monkeypatch, schedule: dict) -> dict:
+    """``FLoSOptions`` fields of an expansion schedule.
+
+    Upper-case keys name schedule constants of :mod:`repro.core.flos`
+    (``EXPAND_BATCH``, ``GROWTH_DIVISOR``, ``MAX_BATCH``) and are set
+    through ``monkeypatch``; the remaining keys are returned.
+    """
+    from repro.core import flos
+
+    options = {}
+    for name, value in schedule.items():
+        if name.isupper():
+            monkeypatch.setattr(flos, name, value)
+        else:
+            options[name] = value
+    return options
+
+
 def assert_topk_matches_oracle(graph, measure, result, q, k, *, atol=1e-6):
     """The returned set must be *a* valid top-k under the exact values.
 

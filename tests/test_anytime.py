@@ -29,6 +29,8 @@ from repro import (
     flos_top_k,
     flos_top_k_batch,
 )
+from repro.core import flos
+from repro.core import session as session_mod
 from repro.errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -73,7 +75,7 @@ class TestVisitedBudgetDegradation:
         result = flos_top_k(graph, measure, QUERY, K, options=options)
         assert result.exact is False
         assert result.stats.termination == "visited_budget"
-        assert result.stats.visited_nodes <= 15 + options.max_batch
+        assert result.stats.visited_nodes <= 15 + flos.MAX_BATCH
         assert result.stats.bound_gap >= 0.0
         assert_bounds_contain_oracle(graph, measure, result)
 
@@ -288,17 +290,13 @@ class TestSessionIntegration:
         for result in batch:
             assert result.stats.termination in ("exact", "deadline")
 
-    def test_slow_query_log_records_terminations(self, graph):
-        session = QuerySession(graph, PHP(0.5), slow_log_size=2)
+    def test_slow_query_log_records_terminations(self, graph, monkeypatch):
+        monkeypatch.setattr(session_mod, "SLOW_LOG_SIZE", 2)
+        session = QuerySession(graph, PHP(0.5))
         for q in (QUERY, 11, 23, 42):
             session.top_k(q, K)
         slow = session.slow_queries()
-        assert len(slow) == 2  # capped at slow_log_size
+        assert len(slow) == 2  # capped at SLOW_LOG_SIZE
         assert slow[0]["wall_seconds"] >= slow[1]["wall_seconds"]
         assert {"query", "k", "wall_seconds", "visited_nodes",
                 "termination", "exact"} <= set(slow[0])
-
-    def test_slow_log_disabled(self, graph):
-        session = QuerySession(graph, PHP(0.5), slow_log_size=0)
-        session.top_k(QUERY, K)
-        assert session.slow_queries() == []

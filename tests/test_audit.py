@@ -27,6 +27,8 @@ from repro.errors import AuditError, ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.measures import resolve_measure
 
+from .conftest import schedule_options
+
 GRAPH = erdos_renyi(80, 240, seed=11)
 QUERY = 3
 K = 5
@@ -47,7 +49,7 @@ SCHEDULES = {
     "jacobi": {},  # paper defaults
     "fused": {"adaptive_batching": False},  # one refresh per expansion
     "gauss_seidel": {"tau": 1e-9},  # tight convergence threshold
-    "selective": {"expand_batch": 8},  # large warm-started jumps
+    "selective": {"EXPAND_BATCH": 8},  # large warm-started jumps
 }
 
 
@@ -301,8 +303,11 @@ class TestCertificateReplay:
 class TestAuditModes:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("measure,kwargs", MEASURES)
-    def test_check_mode_passes_everywhere(self, measure, kwargs, schedule):
-        session = _session(measure, kwargs, audit="check", **SCHEDULES[schedule])
+    def test_check_mode_passes_everywhere(
+        self, measure, kwargs, schedule, monkeypatch
+    ):
+        options = schedule_options(monkeypatch, SCHEDULES[schedule])
+        session = _session(measure, kwargs, audit="check", **options)
         result = session.top_k(QUERY, K)
         assert result.audit is not None
         assert result.audit.ok
@@ -394,7 +399,7 @@ class TestCorruptionDetection:
         (:meth:`DualBoundKernel.residual_norms`) can fire on them.
         """
 
-        def lazy(self, lb, ub, diag, e_lower, e_upper, *, tau, max_iterations):
+        def lazy(self, lb, ub, diag, e_lower, e_upper, *, tau):
             self._op.sync()
             return lb.copy(), ub.copy(), 1  # stale bounds, claims done
 

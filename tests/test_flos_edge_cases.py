@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DHT, EI, PHP, RWR, THT, FLoSOptions, flos_top_k
+from repro.core import flos
 from repro.core.basic_search import basic_top_k
 from repro.errors import (
     BudgetExceededError,
@@ -27,24 +28,18 @@ class TestOptionsValidation:
         with pytest.raises(SearchError, match="tau"):
             FLoSOptions(tau=0.0)
 
-    def test_bad_batch(self):
-        with pytest.raises(SearchError, match="expand_batch"):
-            FLoSOptions(expand_batch=0)
-
-    def test_bad_divisor(self):
-        with pytest.raises(SearchError, match="divisor"):
-            FLoSOptions(adaptive_divisor=0)
-
-    def test_bad_max_batch(self):
-        with pytest.raises(SearchError, match="max_batch"):
-            FLoSOptions(max_batch=0)
-
-    def test_batch_schedule(self):
-        opts = FLoSOptions(adaptive_batching=True, adaptive_divisor=10)
+    def test_batch_schedule(self, monkeypatch):
+        opts = FLoSOptions(adaptive_batching=True)
         assert opts.batch_size(5) == 1
+        assert opts.batch_size(240) == 10
+        assert opts.batch_size(10**9) == flos.MAX_BATCH == 4096
+        fixed = FLoSOptions(adaptive_batching=False)
+        assert fixed.batch_size(10**6) == 1
+        # The schedule constants are read at call time.
+        monkeypatch.setattr(flos, "EXPAND_BATCH", 3)
+        monkeypatch.setattr(flos, "GROWTH_DIVISOR", 10)
+        assert opts.batch_size(5) == 3
         assert opts.batch_size(100) == 10
-        assert opts.batch_size(10**9) == opts.max_batch
-        fixed = FLoSOptions(adaptive_batching=False, expand_batch=3)
         assert fixed.batch_size(10**6) == 3
 
 

@@ -53,13 +53,13 @@ class TestExactness:
         assert_topk_matches_oracle(g, PHP(0.5), res, 11, 6)
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
-    def test_expand_batch_preserves_exactness(self, batch):
+    def test_expand_batch_preserves_exactness(self, batch, monkeypatch):
+        from repro.core import flos
         from repro.measures import RWR
 
         g = rmat(7, 500, seed=24)
-        opts = FLoSOptions(
-            tau=1e-7, expand_batch=batch, adaptive_batching=False
-        )
+        monkeypatch.setattr(flos, "EXPAND_BATCH", batch)
+        opts = FLoSOptions(tau=1e-7, adaptive_batching=False)
         res = flos_top_k(g, RWR(0.5), 1, 5, options=opts)
         assert_topk_matches_oracle(g, RWR(0.5), res, 1, 5)
 

@@ -564,7 +564,7 @@ class TestMutableServing:
         return erdos_renyi(200, 700, seed=5)
 
     def test_apply_updates_requires_mutable(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "php", c=0.5, workers=2
         ) as server:
             with pytest.raises(ConfigurationError, match="mutable"):
@@ -575,7 +575,7 @@ class TestMutableServing:
             EdgeUpdate(0, 150, "add", weight=3.0),
             EdgeUpdate(7, 160, "add", weight=2.0),
         ]
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "php", c=0.5, workers=2, mutable=True
         ) as server:
             server.top_k_many(range(12), k=5)
@@ -610,7 +610,7 @@ class TestMutableServing:
             v for v in range(1, graph.num_nodes)
             if v not in set(map(int, ids))
         )
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "php", c=0.5, workers=2, mutable=True
         ) as server:
             with pytest.raises(GraphError, match="failed"):
@@ -618,13 +618,13 @@ class TestMutableServing:
                     [EdgeUpdate(0, non_neighbor, "remove")]
                 )
             # The shadow caught it synchronously; serving still works
-            # and no partial batch reached the workers.
+            # and the failing update reached no worker.
             result = server.top_k(3, 4)
             assert result.exact
 
     def test_respawned_worker_replays_updates(self, graph):
         updates = [EdgeUpdate(1, 180, "add", weight=4.0)]
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "php", c=0.5, workers=2, mutable=True
         ) as server:
             server.apply_updates(updates)
@@ -640,15 +640,38 @@ class TestMutableServing:
         for served, truth in zip(batch, oracle):
             np.testing.assert_array_equal(served.nodes, truth.nodes)
 
-    def test_in_process_fallback_applies_updates(self, graph):
-        dyn = DynamicGraph(graph)  # not publishable: in-process path
-        with ShardedServer.from_graph(
-            dyn, "php", c=0.5, workers=1
+    def test_failed_batch_broadcasts_applied_prefix(self):
+        # Regression: the shadow kept the updates before a failing one
+        # while no worker received them, so the overlays drifted apart.
+        graph = erdos_renyi(200, 600, seed=3)
+        mirror = DynamicGraph(graph)
+        assert not mirror.has_edge(0, 1) and not mirror.has_edge(5, 6)
+        apply_edge_updates(mirror, [EdgeUpdate(0, 1, "add")])
+        with ShardedServer(
+            graph, "php", c=0.5, workers=2, mutable=True
         ) as server:
-            before = server.top_k(0, 3)
-            assert server.apply_updates(
-                [EdgeUpdate(0, 150, "add", weight=50.0)]
-            ) == 1
-            after = server.top_k(0, 3)
-        assert 150 in set(map(int, after.nodes))
-        assert 150 not in set(map(int, before.nodes))
+            with pytest.raises(GraphError, match="2/2"):
+                server.apply_updates(
+                    [EdgeUpdate(0, 1, "add"), EdgeUpdate(5, 6, "remove")]
+                )
+            assert server.graph_version == mirror.version == 1
+            batch = server.top_k_many(range(12), k=5)
+            oracle = QuerySession(mirror, "php", c=0.5).top_k_many(
+                range(12), k=5
+            )
+            for served, truth in zip(batch, oracle):
+                np.testing.assert_array_equal(served.nodes, truth.nodes)
+                np.testing.assert_allclose(
+                    served.values, truth.values, rtol=0, atol=1e-12
+                )
+            # The workers hold edge 0-1, so removing it is valid there.
+            assert server.apply_updates([EdgeUpdate(0, 1, "remove")]) == 1
+            result = server.top_k(0, 5)
+            metrics = server.metrics()
+            assert server._update_errors == []
+        assert metrics.updates_applied == 2
+        reference = QuerySession(graph, "php", c=0.5).top_k(0, 5)
+        np.testing.assert_array_equal(result.nodes, reference.nodes)
+        np.testing.assert_allclose(
+            result.values, reference.values, rtol=0, atol=1e-12
+        )

@@ -33,7 +33,7 @@ from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.memory import CSRGraph
 from repro.measures import PHP, RWR, solve_direct
 
-from .conftest import assert_topk_matches_oracle
+from .conftest import assert_topk_matches_oracle, schedule_options
 from .references import ScalarLocalView
 
 
@@ -286,8 +286,7 @@ class TestRefreshPath:
             want_ub, it_ub = dense_jacobi(a, e_upper, ub, tau)
 
             lb, ub, sweeps = kernel.refresh(
-                lb, ub, diag if tighten else None, e_lower, e_upper,
-                tau=tau, max_iterations=10_000,
+                lb, ub, diag if tighten else None, e_lower, e_upper, tau=tau
             )
             assert sweeps == it_lb + it_ub
             np.testing.assert_allclose(lb, want_lb, rtol=0, atol=1e-12)
@@ -329,7 +328,7 @@ class TestRefreshPath:
 SCHEDULES = {
     "default": {},
     "paper": {"adaptive_batching": False},  # one refresh per expansion
-    "batched": {"expand_batch": 8},
+    "batched": {"EXPAND_BATCH": 8},
     "tight": {"tau": 1e-9},
 }
 
@@ -342,18 +341,19 @@ class TestSolverModes:
         so a tie at rank k (THT's hitting times tie here) may be
         completed by a different member.
         """
-        for name, options in SCHEDULES.items():
-            result = flos_top_k(
-                er_graph, measure, 5, 6, options=FLoSOptions(**options)
-            )
+        for name, schedule in SCHEDULES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                options = FLoSOptions(**schedule_options(mp, schedule))
+                result = flos_top_k(er_graph, measure, 5, 6, options=options)
             assert result.exact, name
             assert_topk_matches_oracle(er_graph, measure, result, 5, 6)
 
     def test_stats_counters(self, er_graph):
-        for name, options in SCHEDULES.items():
-            stats = flos_top_k(
-                er_graph, PHP(0.5), 5, 6, options=FLoSOptions(**options)
-            ).stats
+        for name, schedule in SCHEDULES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                options = FLoSOptions(**schedule_options(mp, schedule))
+                result = flos_top_k(er_graph, PHP(0.5), 5, 6, options=options)
+            stats = result.stats
             assert stats.solver_iterations >= 2, name
             assert stats.rows_swept > 0
             # A sweep touches every visited row once.
@@ -457,9 +457,9 @@ class TestTransitionOperator:
         st.sampled_from([0.5, 0.9, 1.0]),
     )
     def test_matches_dense_through_growth(self, case, vectorized, seed, decay):
-        """1-D and ``(m, 2)`` products, the library view and the scalar
-        oracle, random expansion orders; row 0 (the query) always comes
-        out zero."""
+        """Products with and without the diagonal, the library view and
+        the scalar oracle, random expansion orders; row 0 (the query)
+        always comes out zero."""
         graph, q, _ = case
         view = make_view(vectorized, graph, q)
         op = view.transition_operator(decay)
@@ -467,17 +467,15 @@ class TestTransitionOperator:
         for _ in range(8):
             m = op.sync()
             dense = decay * dense_transition(graph, view)
-            x = rng.standard_normal((m, 2))
+            x = rng.standard_normal(m)
             y = op.apply(x)
             np.testing.assert_allclose(y, dense @ x, atol=1e-12)
-            np.testing.assert_allclose(
-                op.apply(x[:, 0]), dense @ x[:, 0], atol=1e-12
-            )
-            assert not y[0].any()
+            assert y[0] == 0.0
+            x = rng.standard_normal(m)
             diag = rng.random(m)
             np.testing.assert_allclose(
-                view.transition_operator(decay, diag) @ x[:, 1],
-                dense @ x[:, 1] + diag * x[:, 1],
+                view.transition_operator(decay, diag) @ x,
+                dense @ x + diag * x,
                 atol=1e-12,
             )
             frontier = np.flatnonzero(view.boundary_mask())
@@ -498,7 +496,6 @@ class TestTransitionOperator:
         op = view.transition_operator(0.5)
         assert op.sync() == 1
         np.testing.assert_array_equal(op.apply(np.ones(1)), [0.0])
-        np.testing.assert_array_equal(op.apply(np.ones((1, 2))), [[0.0, 0.0]])
         assert view.check_invariants() == []
 
 
@@ -552,7 +549,7 @@ class TestStoreGuard:
         e = np.zeros(m)
         with pytest.raises(TransitionStoreError):
             kernel.refresh(
-                np.zeros(m), np.ones(m), None, e, e, tau=1e-5, max_iterations=50
+                np.zeros(m), np.ones(m), None, e, e, tau=1e-5
             )
 
     def test_wrong_length_vector_raises(self, view):
@@ -560,4 +557,6 @@ class TestStoreGuard:
         with pytest.raises(TransitionStoreError):
             op.apply(np.ones(view.size + 1))
         with pytest.raises(TransitionStoreError):
-            op.apply(np.ones((view.size - 1, 2)))
+            op.apply(np.ones(view.size - 1))
+        with pytest.raises(TransitionStoreError):
+            op.apply(np.ones((view.size, 2)))  # vectors only

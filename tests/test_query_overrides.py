@@ -164,3 +164,54 @@ class TestUniformContract:
             2, 4, overrides=QueryOverrides(audit="record")
         )
         np.testing.assert_array_equal(via_serve.nodes, via_top_k.nodes)
+
+
+# ----------------------------------------------------------------------
+# NaN options: every comparison with NaN is false, so a check written
+# as ``x <= 0`` waves it through
+# ----------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    @pytest.mark.parametrize(
+        "field", ["tau", "tie_epsilon", "deadline_seconds"]
+    )
+    def test_options_reject_nan(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            FLoSOptions(**{field: NAN})
+
+    def test_infinite_values(self):
+        with pytest.raises(ConfigurationError, match="tau"):
+            FLoSOptions(tau=float("inf"))
+        with pytest.raises(ConfigurationError, match="tie_epsilon"):
+            FLoSOptions(tie_epsilon=float("inf"))
+        # +inf is the "no deadline" value.
+        assert FLoSOptions(deadline_seconds=float("inf"))
+
+    def test_every_entry_point_rejects_nan_deadline(self, graph):
+        from repro.serve import ShardedServer
+
+        nan_deadline = QueryOverrides(deadline_seconds=NAN)
+        with pytest.raises(ConfigurationError, match="deadline"):
+            flos_top_k(graph, "php", 0, 5, c=0.5, overrides=nan_deadline)
+        session = QuerySession(graph, "php", c=0.5)
+        with pytest.raises(ConfigurationError, match="deadline"):
+            session.top_k(0, 5, overrides=nan_deadline)
+        with ShardedServer(graph, "php", c=0.5, workers=2) as server:
+            with pytest.raises(ConfigurationError, match="deadline"):
+                server.top_k(0, 5, overrides=nan_deadline)
+            # Once the shard has a service-time estimate, admission
+            # compares the deadline against it: still a NaN, not a
+            # rejection for lack of time.
+            server.top_k(0, 5)
+            for policy in ("raise", "degrade"):
+                with pytest.raises(ConfigurationError, match="deadline"):
+                    server.top_k(
+                        0,
+                        5,
+                        overrides=QueryOverrides(
+                            deadline_seconds=NAN, on_budget=policy
+                        ),
+                    )

@@ -153,7 +153,7 @@ class TestSharedGraph:
 
 class TestShardedServing:
     def test_bitwise_identical_to_in_process(self, graph, baseline):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             batch = server.top_k_many(range(30), k=8)
@@ -169,7 +169,7 @@ class TestShardedServing:
     def test_mmap_backed_serving(self, graph, baseline, tmp_path):
         path = tmp_path / "g.flos"
         write_disk_graph(graph, path)
-        with ShardedServer.from_graph(
+        with ShardedServer(
             str(path), "rwr", c=0.5, workers=2
         ) as server:
             batch = server.top_k_many(range(30), k=8)
@@ -178,7 +178,7 @@ class TestShardedServing:
                 np.testing.assert_array_equal(ours.values, ref.values)
 
     def test_single_request_and_request_object(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             via_top_k = server.top_k(4, 6)
@@ -186,7 +186,7 @@ class TestShardedServing:
             np.testing.assert_array_equal(via_top_k.nodes, via_serve.nodes)
 
     def test_worker_error_propagates(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             with pytest.raises(SearchError, match="NodeNotFoundError"):
@@ -195,20 +195,20 @@ class TestShardedServing:
             assert server.top_k(0, 5).exact
 
     def test_sharding_is_deterministic_and_spread(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=4
         ) as server:
             first = [server.shard_of(q) for q in range(64)]
             second = [server.shard_of(q) for q in range(64)]
             assert first == second
             assert set(first) == {0, 1, 2, 3}
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=4
         ) as other:
             assert [other.shard_of(q) for q in range(64)] == first
 
     def test_cache_affinity(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             server.top_k_many(range(20), k=5)
@@ -219,13 +219,28 @@ class TestShardedServing:
             assert metrics.cache_hits >= 20
             assert metrics.requests_completed == 40
 
+    def test_late_metrics_reply_is_dropped(self, graph):
+        # A worker that answers a metrics request after its timeout
+        # answers nobody: the reply must not stay parked.
+        with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            victim = server.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                metrics = server.metrics(timeout=0.3)
+            finally:
+                os.kill(victim, signal.SIGCONT)
+            assert "queries_served" not in metrics.per_worker[0]
+            server.top_k_many(range(10), k=5)
+            assert server._metric_replies == {}
+            assert server.metrics().per_worker[0]["queries_served"] >= 1
+
     def test_large_batch_does_not_deadlock_the_pipes(self, graph, baseline):
         # Regression: submit-then-collect with no backpressure fills the
         # ~64KiB response pipe (worker blocks in send), the worker stops
         # draining its request queue, and the dispatcher deadlocks in
         # put.  A batch far beyond pipe capacity must complete.
         queries = list(range(30)) * 70  # 2100 requests, heavy repeats
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             batch = server.top_k_many(queries, k=8)
@@ -238,7 +253,7 @@ class TestShardedServing:
             assert server._completed == {}
 
     def test_metrics_aggregation(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             server.top_k_many(range(12), k=5)
@@ -265,7 +280,7 @@ class TestCrashRecovery:
     def test_killed_worker_respawns_and_batch_completes(
         self, graph, baseline
     ):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             victim = server.worker_pids()[0]
@@ -283,7 +298,7 @@ class TestCrashRecovery:
     ):
         import threading
 
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             # Deterministic mid-flight crash: freeze worker 0 so the
@@ -311,7 +326,7 @@ class TestCrashRecovery:
             assert server._retried_seqs == set()
 
     def test_crash_control_hook_respawns(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             # The "crash" control message makes the worker os._exit(1)
@@ -323,7 +338,7 @@ class TestCrashRecovery:
 
     def test_no_leaked_segments_after_worker_kill(self, graph):
         before = set(_segments())
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             os.kill(server.worker_pids()[1], signal.SIGKILL)
@@ -344,7 +359,7 @@ class TestCrashRecovery:
 
 class TestAdmissionControl:
     def test_past_deadline_rejected_before_dispatch(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             with pytest.raises(AdmissionRejectedError, match="already"):
@@ -364,7 +379,7 @@ class TestAdmissionControl:
             )
 
     def test_past_deadline_degrades_instead_when_asked(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             result = server.top_k(
@@ -389,7 +404,7 @@ class TestAdmissionControl:
         # must not park the already-dispatched requests' results in the
         # dispatcher's completed map forever (unbounded growth in a
         # long-lived server).
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
             requests = [QueryRequest(query=q, k=5) for q in range(10)]
@@ -416,7 +431,7 @@ class TestAdmissionControl:
             assert server._completed == {}
 
     def test_infeasible_deadline_uses_service_time_estimate(self, graph):
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph, "rwr", c=0.5, workers=1, cache_size=0
         ) as server:
             server.top_k_many(range(10), k=8)  # establish an EWMA
@@ -438,7 +453,7 @@ class TestAdmissionControl:
 
     def test_session_default_policy_applies(self, graph):
         # No per-request on_budget: the session-level options decide.
-        with ShardedServer.from_graph(
+        with ShardedServer(
             graph,
             "rwr",
             c=0.5,
@@ -487,28 +502,13 @@ class TestBackendGating:
         with pytest.raises(
             ConfigurationError, match="supports_concurrent_reads"
         ):
-            ShardedServer.from_graph(_OpaqueGraph(), "rwr", c=0.5, workers=2)
+            ShardedServer(_OpaqueGraph(), "rwr", c=0.5, workers=2)
 
     def test_single_worker_falls_back_in_process(self):
-        opaque = _OpaqueGraph()
-        with ShardedServer.from_graph(
-            opaque, "rwr", c=0.5, workers=1
-        ) as server:
-            reference = QuerySession(opaque._inner, "rwr", c=0.5).top_k(0, 5)
-            result = server.top_k(0, 5)
-            np.testing.assert_array_equal(result.nodes, reference.nodes)
-            metrics = server.metrics()
-            assert metrics.workers == 1
-            assert metrics.per_worker[0]["queries_served"] == 1
-            # Admission control still applies in the fallback.
-            with pytest.raises(AdmissionRejectedError):
-                server.top_k(
-                    0,
-                    5,
-                    overrides=QueryOverrides(
-                        deadline_seconds=-1.0, on_budget="raise"
-                    ),
-                )
+        # No in-process fallback at any worker count: the error points
+        # to QuerySession, which serves such a graph in-process.
+        with pytest.raises(ConfigurationError, match="QuerySession"):
+            ShardedServer(_OpaqueGraph(), "rwr", c=0.5, workers=1)
 
     def test_bad_path_does_not_fall_back_in_process(self):
         # A string path that fails publication is a configuration
@@ -516,12 +516,12 @@ class TestBackendGating:
         # must surface the clear message instead of handing the raw
         # string to QuerySession.
         with pytest.raises(ConfigurationError, match=".flos"):
-            ShardedServer.from_graph(
+            ShardedServer(
                 "edges.txt", "rwr", c=0.5, workers=1
             )
 
     def test_closed_server_refuses_requests(self, graph):
-        server = ShardedServer.from_graph(graph, "rwr", c=0.5, workers=1)
+        server = ShardedServer(graph, "rwr", c=0.5, workers=1)
         server.close()
         with pytest.raises(SearchError, match="closed"):
             server.top_k(0, 5)

@@ -232,8 +232,8 @@ class TestOptionValidation:
     def test_bad_options_fail_at_session_creation(self, graph):
         with pytest.raises(ConfigurationError, match="tau"):
             FLoSOptions(tau=0.0)
-        with pytest.raises(ConfigurationError, match="expand_batch"):
-            FLoSOptions(expand_batch=0)
+        with pytest.raises(ConfigurationError, match="tie_epsilon"):
+            FLoSOptions(tie_epsilon=-1.0)
 
     def test_max_visited_below_k_fails_before_search(self, graph):
         session = QuerySession(

@@ -25,6 +25,7 @@ from repro.core.session import QuerySession
 from repro.graph.memory import CSRGraph
 from repro.nputil import top_k_indices
 
+from .conftest import schedule_options
 from .references import ScalarLocalView
 
 
@@ -82,17 +83,18 @@ SCHEDULES = {
     "jacobi": {},  # paper defaults
     "fused": {"adaptive_batching": False},  # one refresh per expansion
     "gauss_seidel": {"tau": 1e-9},  # tight convergence threshold
-    "selective": {"expand_batch": 8},  # large warm-started jumps
+    "selective": {"EXPAND_BATCH": 8},  # large warm-started jumps
 }
 BITWISE_SCHEDULES = ["fused", "jacobi", "selective"]
 
 
 class TestExhaustedComponentTies:
     @pytest.mark.parametrize("schedule", BITWISE_SCHEDULES)
-    def test_gid_wins_over_discovery_order(self, schedule):
+    def test_gid_wins_over_discovery_order(self, schedule, monkeypatch):
         # These schedules preserve the symmetry bitwise: {1, 7} tie
         # exactly and the gid rule picks 1.
-        res = _serve(EXHAUSTED, 0, 3, **SCHEDULES[schedule])
+        options = schedule_options(monkeypatch, SCHEDULES[schedule])
+        res = _serve(EXHAUSTED, 0, 3, **options)
         assert set(map(int, res.nodes)) == {1, 2, 8}
         assert res.exact
 
@@ -130,13 +132,16 @@ TWO_TAILS = CSRGraph.from_edges(
 
 class TestSubTauTies:
     @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_any_tie_completion_is_accepted_and_deterministic(self, schedule):
-        first = _serve(TWO_TAILS, 0, 3, **SCHEDULES[schedule])
+    def test_any_tie_completion_is_accepted_and_deterministic(
+        self, schedule, monkeypatch
+    ):
+        options = schedule_options(monkeypatch, SCHEDULES[schedule])
+        first = _serve(TWO_TAILS, 0, 3, **options)
         got = set(map(int, first.nodes))
         assert {2, 8} <= got
         assert got - {2, 8} <= {1, 7}
         # Deterministic run-to-run: same set, same order, same values.
-        again = _serve(TWO_TAILS, 0, 3, **SCHEDULES[schedule])
+        again = _serve(TWO_TAILS, 0, 3, **options)
         assert np.array_equal(first.nodes, again.nodes)
         assert np.array_equal(first.values, again.values)
 
