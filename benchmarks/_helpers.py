@@ -33,7 +33,10 @@ def sweep_family(
     queries: int,
     seed: int,
 ) -> tuple[list[MethodRun], dict[str, float]]:
-    """Run every (method, k) cell; returns runs + preprocess seconds."""
+    """Run every (method, k) cell; returns runs + preprocess seconds.
+
+    Each query's answer is kept in ``MethodRun.results``.
+    """
     workload = sample_queries(graph, queries, seed=seed)
     runs: list[MethodRun] = []
     prep_seconds: dict[str, float] = {}
@@ -44,7 +47,15 @@ def sweep_family(
             prep_seconds[name] = seconds
         for k in ks:
             runs.append(
-                run_method(method, graph, measure, workload, k, index=index)
+                run_method(
+                    method,
+                    graph,
+                    measure,
+                    workload,
+                    k,
+                    index=index,
+                    keep_results=True,
+                )
             )
     return runs, prep_seconds
 

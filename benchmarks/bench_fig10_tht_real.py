@@ -14,6 +14,7 @@ clear advantage, and the k-growth shape of FLoS_THT matches.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from _helpers import (
@@ -26,7 +27,8 @@ from _helpers import (
     time_table,
     write_report,
 )
-from repro.measures import THT
+from repro.baselines.registry import BENCH_FLOS_OPTIONS
+from repro.measures import THT, solve_direct
 
 KS = [1, 8]
 METHOD_NAMES = ["FLoS_THT", "GI_THT", "LS_THT"]
@@ -66,10 +68,27 @@ def test_fig10_report(dataset, benchmark):
     write_report(f"fig10_{name}", table)
 
     by = {(r.method, r.k): r for r in runs}
-    # Every method returns k nodes and completes; exactness of FLoS_THT
-    # itself is covered by the unit tests.
     assert by[("FLoS_THT", 8)].mean_seconds > 0
     assert by[("LS_THT", 8)].mean_visited <= graph.num_nodes
+    # FLoS_THT is exact: its top-k equals GI_THT's on every query and k.
+    # Compared by exact value, so members within the certificate's tie
+    # tolerance may swap.
+    tolerance = BENCH_FLOS_OPTIONS.tie_epsilon + 1e-9
+    exact = {}
+    for k in KS:
+        pairs = zip(by[("FLoS_THT", k)].results, by[("GI_THT", k)].results)
+        for flos, gi in pairs:
+            assert flos.exact and flos.query == gi.query
+            if flos.query not in exact:
+                exact[flos.query] = solve_direct(THT(10), graph, flos.query)
+            values = exact[flos.query]
+            np.testing.assert_allclose(
+                np.sort(values[flos.nodes]),
+                np.sort(values[gi.nodes]),
+                rtol=0,
+                atol=tolerance,
+                err_msg=f"{name} query {flos.query}, k={k}",
+            )
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)

@@ -66,8 +66,6 @@ from repro.graph.base import GraphAccess
 #: Boundary nodes expanded per round (paper: 1); the adaptive
 #: schedule's floor.
 EXPAND_BATCH = 1
-#: Divisor of the adaptive growth rule; smaller = more aggressive.
-GROWTH_DIVISOR = 24
 #: Upper limit on one round's expansion batch.
 MAX_BATCH = 4096
 
@@ -89,8 +87,10 @@ class FLoSOptions:
     #: Apply the star-to-mesh self-loop tightening of Sec. 5.3.
     tighten: bool = True
     #: Size each expansion round by two rules.  Growth: the base batch is
-    #: ``max(EXPAND_BATCH, |S| // GROWTH_DIVISOR)``, which keeps the
-    #: number of bound refreshes logarithmic in the visited-set size.
+    #: ``max(EXPAND_BATCH, |S| // divisor)``, which keeps the number of
+    #: bound refreshes logarithmic in the visited-set size.  The bound
+    #: model owns the divisor: 24 PHP-space, 4 THT (why: see
+    #: ``FLoSDriver.growth_divisor``).
     #: Shortfall: Alg. 6 cannot close before ``k`` eligible nodes are
     #: settled, so while fewer are, a round expands at least the missing
     #: count ``k - settled``; the extra nodes are cut before the chosen
@@ -190,12 +190,6 @@ class FLoSOptions:
             )
         return self
 
-    def batch_size(self, visited: int) -> int:
-        """Expansion batch for the current visited-set size."""
-        if not self.adaptive_batching:
-            return EXPAND_BATCH
-        return min(max(EXPAND_BATCH, visited // GROWTH_DIVISOR), MAX_BATCH)
-
 
 @dataclass
 class EngineOutcome:
@@ -235,6 +229,8 @@ class FLoSDriver:
     * :meth:`_expansion_scores` — the best-first key of Algorithm 3.
     * :meth:`_unvisited_cap` — an upper bound on the ranking score of
       every unvisited node, given the current boundary.
+    * :attr:`growth_divisor` — the adaptive schedule's growth rule
+      (:meth:`_round_batches`).
 
     Deadlines are measured on ``time.monotonic()`` — the contract for
     every deadline check in this library.  A wall-clock source
@@ -243,6 +239,14 @@ class FLoSDriver:
     and the engines would make per-call deadline accounting
     inconsistent.
     """
+
+    #: Divisor of the adaptive growth rule, ``|S| // growth_divisor``
+    #: (smaller = more aggressive).  A refresh that restarts from zero
+    #: wants geometric rounds: total work is about ``1 + divisor`` final
+    #: refreshes and the overshoot at most ``|S| / divisor`` nodes.  A
+    #: warm-started refresh costs what changed, so small rounds are
+    #: cheap and a large divisor keeps the ball tight.
+    growth_divisor: int
 
     def __init__(
         self,
@@ -379,16 +383,23 @@ class FLoSDriver:
     # Algorithm 3 — LocalExpansion
     # ------------------------------------------------------------------
 
+    def _round_batches(self, size: int) -> tuple[int, int]:
+        """``(base, batch)`` of a round over ``size`` visited nodes.
+
+        ``base`` is the growth rule; ``batch`` also covers the settle
+        shortfall.  The paper's schedule expands ``EXPAND_BATCH``.
+        """
+        if not self.options.adaptive_batching:
+            return EXPAND_BATCH, EXPAND_BATCH
+        base = min(max(EXPAND_BATCH, size // self.growth_divisor), MAX_BATCH)
+        # Settle-shortfall round: Alg. 6 cannot close before k eligible
+        # nodes are settled, so expand at least as many boundary nodes
+        # as are still missing.
+        return base, min(max(base, self.k - self._settled), MAX_BATCH)
+
     def _select_expansion(self, boundary: np.ndarray) -> np.ndarray:
-        opts = self.options
         size = self.view.size
-        base = opts.batch_size(size)
-        batch = base
-        if opts.adaptive_batching:
-            # Settle-shortfall round: Alg. 6 cannot close before k
-            # eligible nodes are settled, so expand at least as many
-            # boundary nodes as are still missing.
-            batch = min(max(base, self.k - self._settled), MAX_BATCH)
+        base, batch = self._round_batches(size)
         batch = min(batch, len(boundary))
         scores = self._expansion_scores()[boundary]
         if batch < len(boundary):
@@ -620,6 +631,8 @@ class FLoSDriver:
 
 class PHPSpaceEngine(FLoSDriver):
     """FLoS over the PHP recursion ``r = decay · T r + e_q``."""
+
+    growth_divisor = 24  # warm-started refresh; see FLoSDriver
 
     def __init__(
         self,

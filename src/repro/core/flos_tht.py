@@ -53,6 +53,8 @@ from repro.graph.base import GraphAccess
 class THTEngine(FLoSDriver):
     """FLoS for truncated hitting time with horizon ``L``."""
 
+    growth_divisor = 4  # the DP restarts from zero; see FLoSDriver
+
     def __init__(
         self,
         graph: GraphAccess,

@@ -60,8 +60,10 @@ def schedule_options(monkeypatch, schedule: dict) -> dict:
     """``FLoSOptions`` fields of an expansion schedule.
 
     Upper-case keys name schedule constants of :mod:`repro.core.flos`
-    (``EXPAND_BATCH``, ``GROWTH_DIVISOR``, ``MAX_BATCH``) and are set
-    through ``monkeypatch``; the remaining keys are returned.
+    (``EXPAND_BATCH``, ``MAX_BATCH``) and are set through
+    ``monkeypatch``; the remaining keys are returned.  The growth
+    rule's divisor is a bound-model attribute
+    (``FLoSDriver.growth_divisor``), patched on the model class.
     """
     from repro.core import flos
 

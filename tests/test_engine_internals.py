@@ -138,6 +138,42 @@ class TestTHTEngineInternals:
         for snap in outcome.trace:
             assert all(v <= 6.0 + 1e-12 for v in snap.upper.values())
 
+    # THT refreshes restart the DP from zero, so its rounds grow
+    # geometrically (``THTEngine.growth_divisor`` = 4, not 24).
+
+    @staticmethod
+    def tht_run(g, q, k):
+        outcome = THTEngine(g, q, k, horizon=10).run()
+        rounds = outcome.stats.solver_iterations // (2 * 10)
+        top = set(outcome.view.global_ids()[outcome.top_locals].tolist())
+        return outcome, rounds, top
+
+    def test_rounds_logarithmic_when_certificate_needs_the_component(
+        self, monkeypatch
+    ):
+        # A sparse ER graph: THT's spectrum is compressed near the k-th
+        # value, so the certificate only closes near the whole component.
+        g = erdos_renyi(3000, 4500, seed=5)
+        outcome, rounds, top = self.tht_run(g, 1418, 20)
+        assert outcome.exact and outcome.stats.visited_nodes > 2500
+        bound = math.log(outcome.stats.visited_nodes) / math.log(1.25)
+        assert rounds <= bound
+        # The PHP-space growth rule takes far more rounds on this search.
+        monkeypatch.setattr(THTEngine, "growth_divisor", 24)
+        _, slow_rounds, slow_top = self.tht_run(g, 1418, 20)
+        assert slow_rounds > bound
+        assert slow_top == top
+
+    @pytest.mark.parametrize("q", [60 * 120 + 60, 1926])
+    def test_grid_locality_cost_bounded(self, q, monkeypatch):
+        # A small THT ball: the coarser rounds may overshoot it a little.
+        g = grid_graph(120, 120)
+        fast, _, fast_top = self.tht_run(g, q, 20)
+        monkeypatch.setattr(THTEngine, "growth_divisor", 24)
+        slow, _, slow_top = self.tht_run(g, q, 20)
+        assert fast.stats.visited_nodes <= 1.15 * slow.stats.visited_nodes
+        assert fast_top == slow_top
+
 
 class TestExpansionSchedule:
     def test_paper_schedule_expands_one_node(self):
@@ -186,10 +222,11 @@ class TestExpansionSchedule:
         g = rmat(11, 16000, seed=3)
         hub = int(np.argmax(g.degrees))
         options = FLoSOptions(record_trace=True)
-        outcome = PHPSpaceEngine(g, hub, k, decay=0.5, options=options).run()
+        engine = PHPSpaceEngine(g, hub, k, decay=0.5, options=options)
+        outcome = engine.run()
         size, shortfall_rounds = 1, 0
         for snap in outcome.trace:
-            if len(snap.expanded) > options.batch_size(size):
+            if len(snap.expanded) > engine._round_batches(size)[0]:
                 shortfall_rounds += 1
                 assert len(snap.newly_visited) <= size
             size += len(snap.newly_visited)
@@ -212,6 +249,7 @@ class TestOneDriver:
     """Both engines are bound models of one driver."""
 
     DRIVER_STEPS = (
+        "_round_batches",
         "_select_expansion",
         "_expand",
         "_eligible_mask",

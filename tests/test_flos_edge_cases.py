@@ -6,6 +6,8 @@ import pytest
 from repro import DHT, EI, PHP, RWR, THT, FLoSOptions, flos_top_k
 from repro.core import flos
 from repro.core.basic_search import basic_top_k
+from repro.core.flos import PHPSpaceEngine
+from repro.core.flos_tht import THTEngine
 from repro.errors import (
     BudgetExceededError,
     NodeNotFoundError,
@@ -29,18 +31,30 @@ class TestOptionsValidation:
             FLoSOptions(tau=0.0)
 
     def test_batch_schedule(self, monkeypatch):
-        opts = FLoSOptions(adaptive_batching=True)
-        assert opts.batch_size(5) == 1
-        assert opts.batch_size(240) == 10
-        assert opts.batch_size(10**9) == flos.MAX_BATCH == 4096
-        fixed = FLoSOptions(adaptive_batching=False)
-        assert fixed.batch_size(10**6) == 1
-        # The schedule constants are read at call time.
+        g = path_graph(3)
+
+        def engine(cls, adaptive):
+            options = FLoSOptions(adaptive_batching=adaptive)
+            if cls is THTEngine:
+                return THTEngine(g, 0, 1, horizon=10, options=options)
+            return PHPSpaceEngine(g, 0, 1, decay=0.5, options=options)
+
+        php = engine(PHPSpaceEngine, True)
+        assert php._round_batches(5)[0] == 1
+        assert php._round_batches(240)[0] == 10
+        assert php._round_batches(10**9)[0] == flos.MAX_BATCH == 4096
+        # The growth rule is the bound model's: THT grows by |S| / 4.
+        tht = engine(THTEngine, True)
+        assert tht._round_batches(240)[0] == 60
+        assert tht._round_batches(10**9)[0] == flos.MAX_BATCH
+        fixed = [engine(cls, False) for cls in (PHPSpaceEngine, THTEngine)]
+        assert [e._round_batches(10**6)[0] for e in fixed] == [1, 1]
+        # The schedule constants and the divisor are read at call time.
         monkeypatch.setattr(flos, "EXPAND_BATCH", 3)
-        monkeypatch.setattr(flos, "GROWTH_DIVISOR", 10)
-        assert opts.batch_size(5) == 3
-        assert opts.batch_size(100) == 10
-        assert fixed.batch_size(10**6) == 3
+        monkeypatch.setattr(PHPSpaceEngine, "growth_divisor", 10)
+        assert php._round_batches(5)[0] == 3
+        assert php._round_batches(100)[0] == 10
+        assert [e._round_batches(10**6)[0] for e in fixed] == [3, 3]
 
 
 class TestQueryValidation:
