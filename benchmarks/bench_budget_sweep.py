@@ -27,8 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench.tables import format_table, write_report
-from repro.bench.workload import sample_queries
+from benchkit.tables import format_table, write_report
+from benchkit.workload import sample_queries
 from repro.core.flos import FLoSOptions
 from repro.core.session import QuerySession
 from repro.graph.generators import rmat

@@ -87,7 +87,7 @@ def test_fig11_varying_size(benchmark, model):
         note="paper sizes / 64; expect GI to grow with |V|, local "
         "methods to stay nearly flat",
     )
-    from repro.bench.ascii_chart import ascii_chart
+    from benchkit.ascii_chart import ascii_chart
 
     series = {}
     for r in rows:

@@ -83,7 +83,7 @@ def test_fig12_varying_size(benchmark, model):
         note="paper sizes / 512; Castanet should cut GI's time; "
         "LS_RWR near-flat",
     )
-    from repro.bench.ascii_chart import ascii_chart
+    from benchkit.ascii_chart import ascii_chart
 
     series = {}
     for r in rows:

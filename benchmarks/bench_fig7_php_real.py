@@ -61,7 +61,7 @@ def test_fig7_report(dataset, benchmark):
         note=f"{cfg.queries} random queries per cell; paper uses the "
         "full SNAP graphs in C++ — compare shapes, not absolutes",
     )
-    from repro.bench.ascii_chart import chart_from_runs
+    from benchkit.ascii_chart import chart_from_runs
 
     table += "\n" + chart_from_runs(
         runs, KS, title=f"Figure 7({name}) series"

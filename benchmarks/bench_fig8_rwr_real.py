@@ -64,7 +64,7 @@ def test_fig8_report(dataset, benchmark):
         note=f"{cfg.queries} random queries per cell; K-dash/GE_RWR "
         "restricted to AZ/DP as in the paper",
     )
-    from repro.bench.ascii_chart import chart_from_runs
+    from benchkit.ascii_chart import chart_from_runs
 
     table += "\n" + chart_from_runs(
         runs, KS, title=f"Figure 8({name}) series"

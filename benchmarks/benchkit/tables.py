@@ -48,14 +48,9 @@ def _fmt(cell: object) -> str:
 
 
 def results_dir() -> Path:
-    """Directory for benchmark artifacts (created on demand)."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "benchmarks").is_dir():
-            out = parent / "benchmarks" / "results"
-            out.mkdir(exist_ok=True)
-            return out
-    out = Path.cwd() / "benchmark-results"
+    """``benchmarks/results/``, the directory for benchmark artifacts
+    (created on demand)."""
+    out = Path(__file__).resolve().parents[1] / "results"
     out.mkdir(exist_ok=True)
     return out
 

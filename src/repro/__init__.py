@@ -17,12 +17,12 @@ visiting only a small neighborhood of the query (``result.stats``).
 
 For serving many queries against one graph, hold a
 :class:`~repro.core.session.QuerySession` — it reuses per-graph state,
-caches recent results, runs batches in parallel, and reports metrics::
+caches recent results, and reports metrics::
 
     from repro import QuerySession
 
     session = QuerySession(graph, "rwr", c=0.9)
-    batch = session.top_k_many(range(100), k=10, workers=4)
+    batch = session.top_k_many(range(100), k=10)
     print(session.metrics().to_dict())
 
 See README.md for the architecture overview and DESIGN.md for the
@@ -40,7 +40,6 @@ from repro.core import (
     TopKResult,
     basic_top_k,
     flos_top_k,
-    flos_top_k_batch,
 )
 from repro.graph import CSRGraph, GraphAccess, GraphBuilder
 from repro.measures import (
@@ -54,11 +53,10 @@ from repro.measures import (
     solve_direct,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "flos_top_k",
-    "flos_top_k_batch",
     "basic_top_k",
     "QueryOverrides",
     "QueryRequest",

@@ -2,7 +2,6 @@
 
 from repro.core.api import QueryOverrides, QueryRequest, flos_top_k
 from repro.core.basic_search import basic_top_k
-from repro.core.batch import flos_top_k_batch
 from repro.core.degree_index import DegreeIndex, degree_descending_order
 from repro.core.flos import FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
@@ -17,7 +16,6 @@ from repro.core.session import QuerySession, SessionMetrics
 
 __all__ = [
     "flos_top_k",
-    "flos_top_k_batch",
     "QueryOverrides",
     "QueryRequest",
     "BatchSummary",

@@ -29,11 +29,10 @@ dispatch:
 
 Applications that issue many queries against the same graph should hold
 a :class:`~repro.core.session.QuerySession` instead: it amortises the
-per-graph setup, caches recent results, fans workloads out over a
-thread pool, and reports serving metrics.  To go past one process —
-the thread pool is GIL-bound on CPU-heavy bound sweeps — hold a
-:class:`repro.serve.ShardedServer` (same constructor surface, N worker
-processes attached zero-copy to one shared graph).
+per-graph setup, caches recent results, and reports serving metrics.
+For parallel serving hold a :class:`repro.serve.ShardedServer` (same
+constructor surface, N worker processes attached zero-copy to one
+shared graph); threads in one process contend for the GIL.
 
 The returned :class:`~repro.core.result.TopKResult` carries the certified
 top-k set (closest first), native value bounds for each returned node, and

@@ -30,18 +30,18 @@ otherwise force visiting the whole component).  ``top_k`` and
 ``top_k_many`` take a per-call
 :class:`~repro.core.api.QueryOverrides` (``deadline_seconds``,
 ``on_budget``, ``audit``) — the same contract the one-shot
-helpers and the multi-process :class:`repro.serve.ShardedServer`
-accept.
+:func:`~repro.core.api.flos_top_k` and the multi-process
+:class:`repro.serve.ShardedServer` accept.
 
-``top_k_many`` fans a workload out over a thread pool.  Every query
-builds its own engine instance (engines are single-use by design), so
-the only shared state is the immutable graph, the shared degree order,
-and the lock-guarded cache/metrics — results are deterministic and
-returned in workload order regardless of ``workers``.
+``top_k_many`` serves a workload as a loop of ``top_k`` calls, in
+workload order.  Every query builds its own engine instance (engines
+are single-use by design), so the only shared state is the graph, the
+shared degree order, and the lock-guarded cache/metrics: callers may
+share one session across their own threads.  Process-level parallelism
+is :class:`repro.serve.ShardedServer`.
 
-The one-shot helpers :func:`repro.core.api.flos_top_k` and
-:func:`repro.core.batch.flos_top_k_batch` are thin wrappers over a
-throwaway session, so older call sites keep working unchanged.
+The one-shot helper :func:`repro.core.api.flos_top_k` is a thin wrapper
+over a throwaway session.
 """
 
 from __future__ import annotations
@@ -414,52 +414,26 @@ class QuerySession:
         queries: Sequence[int] | Iterable[int],
         k: int,
         *,
-        workers: int = 1,
         exclude: set[int] | frozenset[int] | None = None,
         overrides: QueryOverrides | None = None,
     ) -> BatchSummary:
         """Serve a workload; results come back in workload order.
 
-        ``workers > 1`` fans the queries out over a thread pool when the
-        graph supports concurrent reads
-        (:attr:`~repro.graph.base.GraphAccess.supports_concurrent_reads`
-        — true for the immutable in-memory CSR graph); each query runs
-        in its own single-use engine instance, so parallel results are
-        identical to a serial loop.  Stateful substrates (disk stores,
-        dynamic overlays) silently fall back to serial execution.
-
-        Duplicate queries inside one parallel batch may race past the
-        result cache and be computed more than once; the engines are
-        deterministic, so this only costs duplicate work (visible as
-        extra cache misses in :meth:`metrics`), never divergent
-        results.
-
         ``overrides`` (:class:`~repro.core.api.QueryOverrides`) applies
         *per query* (each query gets the full deadline), exactly as in
         :meth:`top_k` — under ``on_budget="degrade"`` a pathological
         query in the workload degrades to an anytime result instead of
-        stalling its worker, so batch latency stays bounded.
+        stalling the batch, so batch latency stays bounded.
         """
         query_list = [int(q) for q in queries]
         if not query_list:
             raise SearchError("query batch must not be empty")
-        if workers < 1:
-            raise SearchError("workers must be >= 1")
-
-        def one(q: int) -> TopKResult:
-            return self.top_k(q, k, exclude=exclude, overrides=overrides)
-
-        effective = min(workers, len(query_list))
-        if effective <= 1 or not self.graph.supports_concurrent_reads:
-            return BatchSummary([one(q) for q in query_list])
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=effective) as pool:
-            # Executor.map preserves input order, so results land in
-            # workload order no matter which worker finishes first.
-            results = list(pool.map(one, query_list))
-        return BatchSummary(results)
+        return BatchSummary(
+            [
+                self.top_k(q, k, exclude=exclude, overrides=overrides)
+                for q in query_list
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -39,8 +39,10 @@ class GraphAccess(abc.ABC):
     #: True when reads (``neighbors`` / ``degree``) from multiple threads
     #: are safe without external locking.  Immutable in-memory substrates
     #: set this; stateful readers (page caches, mutable overlays) leave it
-    #: False and :meth:`repro.core.session.QuerySession.top_k_many` falls
-    #: back to serial execution for them.
+    #: False.  No search branches on it: callers that share a session
+    #: across their own threads should check it, and
+    #: :class:`repro.serve.ShardedServer` reports it when it refuses to
+    #: publish a graph.
     supports_concurrent_reads: bool = False
 
     @property

@@ -1,14 +1,13 @@
 """Sharded multi-process dispatcher: :class:`ShardedServer`.
 
-The GIL caps :meth:`QuerySession.top_k_many`'s thread pool at roughly
-one core of useful work — the engines are numpy-heavy but interleave
-enough Python bookkeeping that threads contend.  ``ShardedServer``
-escapes this by running N worker *processes* against one zero-copy
-published graph (:mod:`repro.serve.shared`): the graph is paid for
-once, each worker owns a private :class:`~repro.core.session
-.QuerySession`, and requests are sharded by **query node** with a
-stable hash so repeated queries land on the same worker and hit its
-LRU cache.
+A search is numpy over small arrays interleaved with Python
+bookkeeping, so threads inside one process contend for the GIL and add
+no throughput.  ``ShardedServer`` is the library's one parallel path: it
+runs N worker *processes* against one zero-copy published graph
+(:mod:`repro.serve.shared`).  The graph is paid for once, each worker
+owns a private :class:`~repro.core.session.QuerySession`, and requests
+are sharded by **query node** with a stable hash so repeated queries
+land on the same worker and hit its LRU cache.
 
 On top of routing, the dispatcher adds what a serving boundary needs:
 
@@ -245,8 +244,7 @@ class ShardedServer:
                 f"cannot serve this graph from worker processes: {err}  "
                 "(supports_concurrent_reads="
                 f"{getattr(graph, 'supports_concurrent_reads', False)} "
-                "— serve it in-process with QuerySession instead; "
-                "QuerySession.top_k_many gives thread-level parallelism)"
+                "— serve it in-process with QuerySession instead)"
             ) from err
 
         if self._mutable:

@@ -3,13 +3,10 @@
 Sampling actual walks is the third classical way (besides iteration and
 linear solves) to evaluate random-walk proximities, and a standard
 baseline in the personalized-PageRank literature [Fogaras et al. 2005;
-Avrachenkov et al. 2007].  The library ships it for two reasons:
-
-* it is an *independent* implementation path — the test suite
-  cross-validates the exact solvers against sampled estimates, which
-  would catch a systematic error shared by the algebraic code paths;
-* it gives users a cheap anytime estimator with standard-error output
-  for graphs where even one global iteration is too expensive.
+Avrachenkov et al. 2007].  It lives in ``tests/`` as a reference: an
+*independent* implementation path against which the test suite
+cross-validates the exact solvers, which would catch a systematic error
+shared by the algebraic code paths.
 
 Estimators
 ----------

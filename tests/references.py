@@ -1,8 +1,9 @@
 """Reference implementations the library's fast paths are tested against.
 
 Each function and class here is the plain, loop-based version of
-something the library does in batched numpy.  They are kept only as oracles for the
-equivalence tests and are never imported by ``src/``.
+something the library does in batched numpy, or an oracle check the
+tests share.  They are kept only for the equivalence tests and are never
+imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -208,3 +209,57 @@ def community_graph_loop(
     spine = rng.permutation(num_nodes).astype(np.int64)
     builder.add_edges(np.stack([spine[:-1], spine[1:]], axis=1))
     return builder.build()
+
+
+def oracle_mismatch(result, oracle, *, atol: float = 1e-8) -> str | None:
+    """Why ``result`` disagrees with the cold-start ``oracle`` (or None).
+
+    Exact ties at the rank-k boundary admit more than one correct top-k
+    set (the fuzz harness documents the same caveat), so the check is
+    tie-aware rather than naively bitwise.  The served top-k *value
+    multiset* must match the oracle's up to float tolerance, each shared
+    node's certified interval must contain the oracle's value, and any
+    node outside the oracle set must tie the rank-k boundary (interval
+    overlap with the oracle's k-th entry).
+    """
+    if len(result.nodes) != len(oracle.nodes):
+        return (
+            f"returned {len(result.nodes)} nodes, oracle returned "
+            f"{len(oracle.nodes)}"
+        )
+    if len(oracle.nodes) == 0:
+        return None
+    served_values = np.sort(np.asarray(result.values, dtype=np.float64))
+    oracle_values = np.sort(np.asarray(oracle.values, dtype=np.float64))
+    if not np.allclose(served_values, oracle_values, rtol=1e-6, atol=atol):
+        return "top-k value multiset diverges from the cold oracle"
+    truth = {
+        int(n): (float(v), float(lo), float(hi))
+        for n, v, lo, hi in zip(
+            oracle.nodes, oracle.values, oracle.lower, oracle.upper
+        )
+    }
+    boundary_lo = float(oracle.lower[-1])
+    boundary_hi = float(oracle.upper[-1])
+    for node, value, lo, hi in zip(
+        result.nodes, result.values, result.lower, result.upper
+    ):
+        node = int(node)
+        if node in truth:
+            t_value, t_lo, t_hi = truth[node]
+            if max(lo, t_lo) > min(hi, t_hi) + atol:
+                return (
+                    f"node {node}: certified [{lo:.6g}, {hi:.6g}] disjoint "
+                    f"from oracle's [{t_lo:.6g}, {t_hi:.6g}]"
+                )
+            if not (lo - atol <= t_value <= hi + atol):
+                return (
+                    f"oracle value {t_value:.6g} for node {node} outside "
+                    f"certified [{lo:.6g}, {hi:.6g}]"
+                )
+        elif max(lo, boundary_lo) > min(hi, boundary_hi) + atol:
+            return (
+                f"node {node} absent from the oracle top-k and not a "
+                f"rank-k boundary tie"
+            )
+    return None

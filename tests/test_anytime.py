@@ -27,7 +27,6 @@ from repro import (
     QueryOverrides,
     QuerySession,
     flos_top_k,
-    flos_top_k_batch,
 )
 from repro.core import flos
 from repro.core import session as session_mod
@@ -277,14 +276,9 @@ class TestSessionIntegration:
         assert session.metrics().terminations == {"visited_budget": 1}
 
     def test_batch_deadline_bounds_every_query(self, hard_graph):
-        batch = flos_top_k_batch(
-            hard_graph,
-            "rwr",
-            [QUERY, 11, 23],
-            K,
-            c=0.9,
-            overrides=DEADLINE_1MS_DEGRADE,
-        )
+        batch = QuerySession(
+            hard_graph, "rwr", cache_size=0, c=0.9
+        ).top_k_many([QUERY, 11, 23], K, overrides=DEADLINE_1MS_DEGRADE)
         assert len(batch) == 3
         assert not batch.all_exact
         for result in batch:

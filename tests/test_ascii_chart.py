@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.ascii_chart import ascii_chart, chart_from_runs
-from repro.bench.runner import MethodRun
+from benchmarks.benchkit.ascii_chart import ascii_chart, chart_from_runs
+from benchmarks.benchkit.runner import MethodRun
 
 
 def test_basic_rendering():

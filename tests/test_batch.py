@@ -1,10 +1,10 @@
-"""Tests for the batch query API."""
+"""Tests for batch queries: ``QuerySession(..., cache_size=0).top_k_many``,
+the one-shot form of a workload."""
 
 import numpy as np
 import pytest
 
-from repro import PHP, RWR, flos_top_k
-from repro.core.batch import flos_top_k_batch
+from repro import PHP, RWR, QuerySession, flos_top_k
 from repro.errors import SearchError
 from repro.graph.generators import erdos_renyi
 
@@ -14,15 +14,19 @@ def graph():
     return erdos_renyi(400, 1200, seed=80)
 
 
+def one_shot_batch(graph, measure, queries, k):
+    return QuerySession(graph, measure, cache_size=0).top_k_many(queries, k)
+
+
 def test_results_in_input_order(graph):
     queries = [5, 99, 17]
-    batch = flos_top_k_batch(graph, PHP(0.5), queries, 4)
+    batch = one_shot_batch(graph, PHP(0.5), queries, 4)
     assert [r.query for r in batch] == queries
     assert len(batch) == 3
 
 
 def test_matches_single_queries(graph):
-    batch = flos_top_k_batch(graph, PHP(0.5), [5, 99], 4)
+    batch = one_shot_batch(graph, PHP(0.5), [5, 99], 4)
     for res in batch:
         single = flos_top_k(graph, PHP(0.5), res.query, 4)
         assert list(res.nodes) == list(single.nodes)
@@ -30,7 +34,7 @@ def test_matches_single_queries(graph):
 
 
 def test_summary_statistics(graph):
-    batch = flos_top_k_batch(graph, PHP(0.5), [5, 99, 17], 4)
+    batch = one_shot_batch(graph, PHP(0.5), [5, 99, 17], 4)
     assert batch.total_seconds > 0
     assert batch.mean_visited > 0
     assert batch.all_exact
@@ -38,7 +42,7 @@ def test_summary_statistics(graph):
 
 
 def test_rwr_batch_shares_degree_order(graph):
-    batch = flos_top_k_batch(graph, RWR(0.5), [5, 99], 3)
+    batch = one_shot_batch(graph, RWR(0.5), [5, 99], 3)
     assert batch.all_exact
     for res in batch:
         assert len(res.nodes) == 3
@@ -46,9 +50,9 @@ def test_rwr_batch_shares_degree_order(graph):
 
 def test_empty_batch_rejected(graph):
     with pytest.raises(SearchError, match="empty"):
-        flos_top_k_batch(graph, PHP(0.5), [], 4)
+        one_shot_batch(graph, PHP(0.5), [], 4)
 
 
 def test_accepts_numpy_queries(graph):
-    batch = flos_top_k_batch(graph, PHP(0.5), np.array([5, 99]), 2)
+    batch = one_shot_batch(graph, PHP(0.5), np.array([5, 99]), 2)
     assert len(batch) == 2

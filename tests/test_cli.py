@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -158,54 +160,6 @@ class TestQuery:
         assert "deadline_seconds" in capsys.readouterr().err
 
 
-class TestBenchServe:
-    def test_serve_prints_metrics_table(self, graph_file, capsys):
-        code = main(
-            [
-                "bench", "serve", str(graph_file),
-                "--queries", "5", "--k", "3", "--rounds", "2",
-                "--workers", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving metrics" in out
-        assert "cache hits" in out
-        # round 2 replays the same workload: every query hits the LRU
-        assert "cache hit rate            | 50.0%" in out
-        assert "visited-node histogram" in out
-
-    def test_serve_rwr_measure(self, graph_file, capsys):
-        assert main(
-            [
-                "bench", "serve", str(graph_file),
-                "--measure", "rwr", "--c", "0.9",
-                "--queries", "3", "--k", "2", "--rounds", "1",
-            ]
-        ) == 0
-        assert "RWR(c=0.9)" in capsys.readouterr().out
-
-    def test_bench_without_subcommand_prints_help(self, capsys):
-        assert main(["bench"]) == 2
-        assert "serve" in capsys.readouterr().out
-
-    def test_serve_reports_terminations_and_slow_queries(
-        self, graph_file, capsys
-    ):
-        code = main(
-            [
-                "bench", "serve", str(graph_file),
-                "--queries", "4", "--k", "3", "--rounds", "1",
-                "--deadline", "60",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "degraded results" in out
-        assert "terminated: exact" in out
-        assert "slowest queries" in out
-
-
 class TestDatasets:
     def test_list(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -232,3 +186,19 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_exactly_the_documented_commands(self, capsys):
+        """``bench`` is gone: perfbench is the one performance harness."""
+        from repro.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {
+            "generate", "convert", "stats", "query", "fuzz", "datasets"
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -15,7 +15,10 @@ Covers the PR-10 contract end to end:
   in ``tests/references.py`` (hypothesis);
 * DynamicGraph ↔ ``compact()`` equivalence under randomized edit
   sequences, and top-k agreement across all five measures;
-* update broadcast through :class:`~repro.serve.ShardedServer`.
+* update broadcast through :class:`~repro.serve.ShardedServer`;
+* a churn replay: localized invalidation and a flush-every-round session
+  both checked, answer by answer, against a cold session on the
+  compacted graph, with localized invalidation keeping more hits.
 """
 
 from __future__ import annotations
@@ -551,6 +554,102 @@ class TestOverlayReadsAreBatched:
         assert result.exact and read
         assert len(calls["neighbors"]) <= len(read)
         assert calls["degree"] == []
+
+
+# ----------------------------------------------------------------------
+# Churn replay against a cold oracle
+# ----------------------------------------------------------------------
+
+
+def churn_schedule(base, rounds: int, churn: int, seed: int):
+    """A valid edge-update schedule (~80% add, 20% remove) per round.
+
+    Simulated on a scratch overlay so every remove names an edge that
+    exists at its point in the sequence; every policy and the oracle
+    mirror replay the same batches.
+    """
+    rng = np.random.default_rng(seed)
+    sim = DynamicGraph(base)
+    n = base.num_nodes
+    batches: list[list[EdgeUpdate]] = []
+    for _ in range(rounds):
+        batch: list[EdgeUpdate] = []
+        for _ in range(churn):
+            u = int(rng.integers(n))
+            update = None
+            if rng.random() < 0.2:
+                ids, _ = sim.neighbors(u)
+                if len(ids):
+                    v = int(ids[int(rng.integers(len(ids)))])
+                    update = EdgeUpdate(u, v, "remove")
+            if update is None:
+                v = int(rng.integers(n))
+                while v == u:
+                    v = int(rng.integers(n))
+                update = EdgeUpdate(
+                    u, v, "add", weight=float(rng.uniform(0.5, 1.5))
+                )
+            apply_edge_updates(sim, [update])
+            batch.append(update)
+        batches.append(batch)
+    return batches
+
+
+class TestChurnAgainstColdOracle:
+    SEED = 20140622
+
+    def test_every_served_answer_matches_the_compacted_oracle(self):
+        base = erdos_renyi(4000, 16000, seed=1)
+        rng = np.random.default_rng(self.SEED)
+        queries: list[int] = []
+        while len(queries) < 24:
+            q = int(rng.integers(base.num_nodes))
+            if base.degree(q) > 0:
+                queries.append(q)
+        batches = churn_schedule(base, rounds=4, churn=6, seed=self.SEED)
+        measure = resolve_measure("php", c=0.5)
+        options = FLoSOptions(tau=1e-3, audit="check")
+        k = 5
+
+        graph_localized = DynamicGraph(base)
+        graph_flush = DynamicGraph(base)
+        oracle_mirror = DynamicGraph(base)
+        localized = QuerySession(
+            graph_localized, measure, options=options, cache_size=256
+        )
+        flush = QuerySession(
+            graph_flush, measure, options=options, cache_size=256
+        )
+
+        mismatches: list[str] = []
+        for round_no in range(len(batches) + 1):
+            if round_no > 0:
+                batch = batches[round_no - 1]
+                for graph in (graph_localized, graph_flush, oracle_mirror):
+                    apply_edge_updates(graph, batch)
+                flush.clear_cache()
+            oracle = QuerySession(
+                oracle_mirror.compact(), measure, options=options,
+                cache_size=0,
+            )
+            for q in queries:
+                expected = oracle.top_k(q, k)
+                for label, session in (
+                    ("localized", localized), ("flush", flush)
+                ):
+                    problem = references.oracle_mismatch(
+                        session.top_k(q, k), expected
+                    )
+                    if problem is not None:
+                        mismatches.append(
+                            f"round {round_no} query {q} [{label}]: {problem}"
+                        )
+        assert mismatches == []
+
+        m_localized, m_flush = localized.metrics(), flush.metrics()
+        assert m_localized.queries_served == m_flush.queries_served == 120
+        assert m_localized.audit_violations == m_flush.audit_violations == 0
+        assert m_localized.cache_hit_rate > m_flush.cache_hit_rate
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import MeasureError
 from repro.graph.generators import erdos_renyi, paper_example_graph, path_graph
 from repro.measures import PHP, RWR, solve_direct
-from repro.measures.montecarlo import monte_carlo_php, monte_carlo_rwr
+from tests.montecarlo import monte_carlo_php, monte_carlo_rwr
 
 
 class TestMonteCarloRWR:
@@ -109,7 +109,7 @@ class TestRandomnessContract:
 
 class TestSpawnRngs:
     def test_reproducible_and_distinct(self):
-        from repro.measures.montecarlo import spawn_rngs
+        from tests.montecarlo import spawn_rngs
 
         a = spawn_rngs(7, 4)
         b = spawn_rngs(7, 4)
@@ -120,7 +120,7 @@ class TestSpawnRngs:
         assert len(set(flat)) == 4  # children are independent streams
 
     def test_spawn_from_generator(self):
-        from repro.measures.montecarlo import spawn_rngs
+        from tests.montecarlo import spawn_rngs
 
         children = spawn_rngs(np.random.default_rng(3), 3)
         assert len(children) == 3
@@ -128,7 +128,7 @@ class TestSpawnRngs:
         assert len(draws) == 3
 
     def test_negative_count_rejected(self):
-        from repro.measures.montecarlo import spawn_rngs
+        from tests.montecarlo import spawn_rngs
 
         with pytest.raises(MeasureError):
             spawn_rngs(0, -1)
@@ -136,7 +136,7 @@ class TestSpawnRngs:
 
 class TestManyStarts:
     def test_reproducible_and_matches_exact(self):
-        from repro.measures.montecarlo import monte_carlo_php_many
+        from tests.montecarlo import monte_carlo_php_many
 
         g = erdos_renyi(40, 120, seed=4)
         starts = [1, 2, 3]

@@ -6,7 +6,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
 
 
 def test_top_level_exports():
@@ -34,7 +34,7 @@ def test_readme_session_quickstart_runs():
 
     graph = erdos_renyi(500, 2_000, seed=42)
     session = QuerySession(graph, "rwr", c=0.9)
-    batch = session.top_k_many(range(10), k=5, workers=4)
+    batch = session.top_k_many(range(10), k=5)
     assert len(batch) == 10
     metrics = session.metrics().to_dict()
     assert metrics["queries_served"] == 10
@@ -49,17 +49,31 @@ def test_measure_constructors_keyword_friendly():
 
 
 def test_subpackage_imports():
+    import repro.audit
     import repro.baselines
-    import repro.bench
     import repro.core
     import repro.graph
     import repro.graph.disk
     import repro.graph.generators
     import repro.graph.io
     import repro.measures
+    import repro.serve
 
     assert repro.baselines.METHODS
-    assert callable(repro.bench.run_method)
+    assert callable(repro.serve.ShardedServer)
+
+
+def test_removed_surface_stays_removed():
+    """Benchmark helpers, the Monte-Carlo reference, the batch alias and
+    the thread-pool fan-out are not part of the library."""
+    import importlib.util
+    import inspect
+
+    assert importlib.util.find_spec("repro.bench") is None
+    assert importlib.util.find_spec("repro.measures.montecarlo") is None
+    assert not hasattr(repro, "flos_top_k_batch")
+    params = inspect.signature(repro.QuerySession.top_k_many).parameters
+    assert "workers" not in params
 
 
 def test_search_stats_to_dict_round_trips_anytime_fields():

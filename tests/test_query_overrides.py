@@ -1,8 +1,8 @@
 """The unified QueryOverrides / QueryRequest contract (repro.core.api).
 
 One request shape flows through every entry point — ``flos_top_k``,
-``QuerySession.top_k`` / ``top_k_many``, ``flos_top_k_batch``, and the
-serving dispatcher's wire format.
+``QuerySession.top_k`` / ``top_k_many``, and the serving dispatcher's
+wire format.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro import (
     QueryRequest,
     QuerySession,
     flos_top_k,
-    flos_top_k_batch,
 )
 from repro.core.api import NO_OVERRIDES
 from repro.errors import ConfigurationError, SearchError
@@ -148,9 +147,8 @@ class TestUniformContract:
         assert all(r.audit is not None for r in batch.results)
 
     def test_batch_helper_accepts_overrides(self, graph):
-        batch = flos_top_k_batch(
-            graph, "rwr", range(4), 5, c=0.5,
-            overrides=QueryOverrides(audit="record"),
+        batch = QuerySession(graph, "rwr", cache_size=0, c=0.5).top_k_many(
+            range(4), 5, overrides=QueryOverrides(audit="record")
         )
         assert all(r.audit is not None for r in batch.results)
 

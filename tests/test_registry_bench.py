@@ -9,9 +9,9 @@ from repro.baselines.registry import (
     get_method,
     methods_for_family,
 )
-from repro.bench.runner import prepare_index, run_method
-from repro.bench.tables import format_table
-from repro.bench.workload import bench_config, sample_queries
+from benchmarks.benchkit.runner import prepare_index, run_method
+from benchmarks.benchkit.tables import format_table
+from benchmarks.benchkit.workload import bench_config, sample_queries
 from repro.errors import SearchError
 from repro.graph.generators import erdos_renyi
 from repro.graph.memory import CSRGraph

@@ -298,6 +298,7 @@ class TestCrashRecovery:
     ):
         import threading
 
+        segments_before = set(_segments())
         with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
@@ -315,8 +316,10 @@ class TestCrashRecovery:
                 batch = server.top_k_many(range(30), k=8)
             finally:
                 killer.cancel()
+            assert len(batch) == 30
             for ours, ref in zip(batch.results, baseline.results):
                 np.testing.assert_array_equal(ours.nodes, ref.nodes)
+                np.testing.assert_array_equal(ours.values, ref.values)
             metrics = server.metrics()
             assert metrics.respawns >= 1
             assert metrics.retried >= 1
@@ -324,6 +327,8 @@ class TestCrashRecovery:
             # Retry bookkeeping is dropped once a request resolves —
             # it must not grow for the lifetime of the server.
             assert server._retried_seqs == set()
+        # The crash and the respawn leak no shared-memory segment.
+        assert set(_segments()) == segments_before
 
     def test_crash_control_hook_respawns(self, graph):
         with ShardedServer(

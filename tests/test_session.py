@@ -1,14 +1,16 @@
 """Tests for the QuerySession serving layer.
 
-Covers the tentpole guarantees: parallel ``top_k_many`` bit-identical to
-a serial ``flos_top_k`` loop across all five measures, LRU cache
-hit/expiry behavior, monotone metrics counters, measure-spec strings,
-result serialization, and up-front option validation.
+Covers the serving guarantees: ``top_k_many`` bit-identical to a serial
+``flos_top_k`` loop across all five measures, also from caller threads
+sharing one session; LRU cache hit/expiry behavior, monotone metrics
+counters, measure-spec strings, result serialization, and up-front
+option validation.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro import (
     FLoSOptions,
     QuerySession,
     flos_top_k,
-    flos_top_k_batch,
     resolve_measure,
 )
 from repro.errors import ConfigurationError, MeasureError, SearchError
@@ -38,46 +39,42 @@ QUERIES = [5, 99, 17, 42, 5, 123, 99, 8]
 
 class TestParallelIdentity:
     def test_parallel_matches_serial_flos_top_k(self, graph, measure):
-        """workers=4 must be bit-identical to a serial loop, all measures."""
+        """Caller threads sharing one session serve batches bit-identical
+        to a serial ``flos_top_k`` loop, all measures."""
         session = QuerySession(graph, measure)
-        batch = session.top_k_many(QUERIES, 5, workers=4)
-        assert len(batch) == len(QUERIES)
-        for result, q in zip(batch, QUERIES):
-            single = flos_top_k(graph, measure, q, 5)
-            assert result.query == q
-            assert list(result.nodes) == list(single.nodes)
-            np.testing.assert_array_equal(result.values, single.values)
-            np.testing.assert_array_equal(result.lower, single.lower)
-            np.testing.assert_array_equal(result.upper, single.upper)
-            assert result.exact == single.exact
+        batches: list = [None] * 3
+        errors: list[Exception] = []
 
-    def test_worker_count_does_not_change_results(self, graph):
-        serial = QuerySession(graph, RWR(0.5)).top_k_many(QUERIES, 4)
-        wide = QuerySession(graph, RWR(0.5)).top_k_many(
-            QUERIES, 4, workers=8
-        )
-        for a, b in zip(serial, wide):
-            assert list(a.nodes) == list(b.nodes)
-            np.testing.assert_array_equal(a.values, b.values)
+        def serve(i: int) -> None:
+            try:
+                batches[i] = session.top_k_many(QUERIES, 5)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        for batch in batches:
+            assert len(batch) == len(QUERIES)
+            for result, q in zip(batch, QUERIES):
+                single = flos_top_k(graph, measure, q, 5)
+                assert result.query == q
+                assert list(result.nodes) == list(single.nodes)
+                np.testing.assert_array_equal(result.values, single.values)
+                np.testing.assert_array_equal(result.lower, single.lower)
+                np.testing.assert_array_equal(result.upper, single.upper)
+                assert result.exact == single.exact
 
     def test_workload_order_preserved(self, graph):
-        batch = QuerySession(graph, PHP(0.5)).top_k_many(
-            QUERIES, 3, workers=4
-        )
+        batch = QuerySession(graph, PHP(0.5)).top_k_many(QUERIES, 3)
         assert [r.query for r in batch] == QUERIES
 
     def test_empty_workload_rejected(self, graph):
         with pytest.raises(SearchError, match="empty"):
             QuerySession(graph, PHP(0.5)).top_k_many([], 3)
-
-    def test_bad_worker_count_rejected(self, graph):
-        with pytest.raises(SearchError, match="workers"):
-            QuerySession(graph, PHP(0.5)).top_k_many([1], 3, workers=0)
-
-    def test_batch_wrapper_accepts_workers(self, graph):
-        batch = flos_top_k_batch(graph, "php", QUERIES, 3, workers=4)
-        assert [r.query for r in batch] == QUERIES
-        assert batch.all_exact
 
 
 class TestLRUCache:

@@ -74,7 +74,7 @@ class TestMonotonicDeadlines:
             2, 5, overrides=QueryOverrides(deadline_seconds=1e-9)
         )
         assert degraded.stats.termination == "deadline"
-        session.top_k_many([3, 4, 3], 5, workers=2)
+        session.top_k_many([3, 4, 3], 5)
         session.metrics()
         session.slow_queries()
 
@@ -147,9 +147,27 @@ class TestConcurrencyHammer:
         assert metrics.cache_misses == len(set(queries))
 
     def test_parallel_batch_keeps_slow_log_and_metrics_valid(self):
+        # Four caller threads each serve a batch of five distinct
+        # queries through one shared session.
         session = QuerySession(GRAPH, PHP(0.5))
-        summary = session.top_k_many(list(range(20)), 5, workers=8)
-        assert len(summary.results) == 20
+        summaries: list = [None] * 4
+        errors: list[Exception] = []
+
+        def serve(worker: int) -> None:
+            try:
+                summaries[worker] = session.top_k_many(
+                    range(5 * worker, 5 * worker + 5), 5
+                )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert sum(len(s.results) for s in summaries) == 20
         metrics = session.metrics()
         assert (
             metrics.cache_hits + metrics.cache_misses
