@@ -10,7 +10,9 @@ worktree, and the head is the checkout itself.  Every workload in
 perfbench and both sides of a pair on the same seed.  The gate fails on
 a nonzero exit or a failed operation, and when a head median of an
 end-to-end metric is worse than the base median by more than that
-metric's ``bound``.
+metric's ``bound``.  Beside each verdict it prints every pair's base and
+head values and each side's min–max spread, so a reader can tell a
+real shift from run-to-run noise.
 """
 
 from __future__ import annotations
@@ -68,18 +70,32 @@ def gate(base_tree: Path) -> list[str]:
                 failures += [f"{workload} {side} pair {pair + 1}: {p}"
                              for p in problems]
                 if metrics:
-                    runs[side].append(metrics)
+                    runs[side].append((pair + 1, metrics))
         if not (runs["base"] and runs["head"]):
             continue
         for metric in SPEC["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            b = statistics.median(r[name] for r in runs["base"])
-            h = statistics.median(r[name] for r in runs["head"])
+            values = {side: {pair: m[name] for pair, m in rows}
+                      for side, rows in runs.items()}
+            b = statistics.median(values["base"].values())
+            h = statistics.median(values["head"].values())
             change = (h - b) / b if b else 0.0
             worse = -change if metric["better"] == "higher" else change
             print(f"{workload:6s} {name:12s} base {b:10.4g}  head {h:10.4g}  "
                   f"{change:+7.1%}  ({metric['better']} is better, bound "
                   f"{bound:.0%})  {'FAIL' if worse > bound else 'ok'}",
+                  flush=True)
+            nan = float("nan")
+            pairs = "  ".join(
+                f"{pair}: {values['base'].get(pair, nan):.4g} -> "
+                f"{values['head'].get(pair, nan):.4g}"
+                for pair in range(1, PAIRS + 1)
+            )
+            spread = "  ".join(
+                f"{side} {min(v.values()):.4g}..{max(v.values()):.4g}"
+                for side, v in values.items()
+            )
+            print(f"{'':19s}pairs (base -> head) {pairs}; spread {spread}",
                   flush=True)
             if worse > bound:
                 failures.append(f"{workload} {name} {change:+.1%}, bound {bound:.0%}")

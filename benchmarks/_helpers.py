@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchkit.runner import MethodRun, prepare_index, run_method
 from benchkit.tables import format_table, write_report
 from benchkit.workload import bench_config, sample_queries
-from repro.baselines.registry import Method, get_method
+from repro.baselines.registry import get_method
 from repro.graph.datasets import load_dataset
 from repro.graph.memory import CSRGraph
 from repro.measures.base import Measure

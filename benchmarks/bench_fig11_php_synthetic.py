@@ -19,7 +19,6 @@ import pytest
 
 from _helpers import (
     bench_config,
-    sample_queries,
     sweep_family,
     format_table,
     write_report,

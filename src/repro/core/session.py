@@ -14,8 +14,9 @@ object that owns everything reusable across queries on one
   :func:`repro.measures.resolve_measure`) and its engine dispatch;
 * :class:`~repro.core.flos.FLoSOptions`, validated once at session
   creation instead of deep inside the engine;
-* a bounded LRU of recent :class:`~repro.core.result.TopKResult`\\ s
-  keyed by ``(query, k, exclude)`` (exact results only);
+* a bounded LRU of recent exact :class:`~repro.core.result.TopKResult`\\ s
+  (:class:`~repro.core.cache.ResultCache`, the same cache
+  :class:`repro.serve.ShardedServer` keeps in its dispatcher);
 * cumulative serving metrics (:meth:`QuerySession.metrics`), including
   per-termination-reason counters for anytime/degraded results, and a
   slow-query log (:meth:`QuerySession.slow_queries`).
@@ -49,13 +50,14 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
+from repro.core.cache import ResultCache, result_key
 from repro.core.degree_index import DegreeIndex, degree_descending_order
 from repro.core.flos import EngineOutcome, FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
@@ -156,57 +158,6 @@ class SessionMetrics:
         }
 
 
-@dataclass
-class _CacheEntry:
-    """One cached result plus the state needed to validate it later.
-
-    ``version`` is the graph's update-log version the result was
-    computed at (fast-forwarded on access when no event touched the
-    ball); ``fingerprint`` is the fallback mutation detector for graphs
-    without an update log.  ``ball`` is the closed visited ball (sorted
-    ``int32``) and ``max_degree`` the graph's max degree at compute
-    time — the Sec. 5.6 RWR guard read it, so a kept hit must see it
-    unchanged.
-    """
-
-    result: TopKResult
-    version: int
-    fingerprint: tuple
-    ball: np.ndarray | None = None
-    max_degree: float = 0.0
-
-
-class _ResultCache:
-    """Bounded LRU of cache entries; thread safety comes from the caller."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._store: OrderedDict[tuple, _CacheEntry] = OrderedDict()
-
-    def get(self, key: tuple) -> _CacheEntry | None:
-        entry = self._store.get(key)
-        if entry is not None:
-            self._store.move_to_end(key)
-        return entry
-
-    def put(self, key: tuple, entry: _CacheEntry) -> None:
-        if self.maxsize <= 0:
-            return
-        self._store[key] = entry
-        self._store.move_to_end(key)
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-
-    def evict(self, key: tuple) -> None:
-        self._store.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-
 class QuerySession:
     """Reusable top-k query engine bound to one ``(graph, measure)`` pair.
 
@@ -242,8 +193,11 @@ class QuerySession:
         self.graph = graph
         self.measure: Measure = resolve_measure(measure, **measure_params)
         self.options = (options or FLoSOptions()).validate()
-        if cache_size < 0:
-            raise SearchError("cache_size must be >= 0")
+        # Incremental serving: graphs that expose an ``update_log``
+        # (e.g. :class:`~repro.graph.dynamic.DynamicGraph`) get
+        # version-aware, ball-localized cache invalidation; any other
+        # mutable graph falls back to a coarse fingerprint check.
+        self._cache = ResultCache(cache_size, graph, self.measure)
 
         if isinstance(self.measure, THT):
             self._engine_kind = "tht"
@@ -267,22 +221,7 @@ class QuerySession:
         ):
             self._degree_order = degree_descending_order(graph)
 
-        # Incremental serving: graphs that expose an ``update_log``
-        # (e.g. :class:`~repro.graph.dynamic.DynamicGraph`) get
-        # version-aware, ball-localized cache invalidation; any other
-        # mutable graph falls back to a coarse fingerprint check.
-        self._update_log = getattr(graph, "update_log", None)
-        # Degree-weighted measures (RWR) read ``graph.max_degree`` in the
-        # Sec. 5.6 termination guard whenever no CSR DegreeIndex exists —
-        # a kept cache hit must see that value unchanged to stay sound.
-        self._needs_degree_guard = (
-            self._engine_kind == "php"
-            and self.measure.uses_degree_weighting()
-            and not isinstance(graph, CSRGraph)
-        )
-
         self._lock = threading.Lock()
-        self._cache = _ResultCache(cache_size)
         self._queries_served = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -296,7 +235,6 @@ class QuerySession:
         self._terminations: dict[str, int] = {}
         self._audit_checks = 0
         self._audit_violations = 0
-        self._cache_invalidations = 0
         # Slow-query log: min-heap of (wall_seconds, seq, entry) keeping
         # the worst ``SLOW_LOG_SIZE`` engine runs; ``seq`` breaks ties so
         # dict entries are never compared.
@@ -340,57 +278,36 @@ class QuerySession:
         resolved = overrides if overrides is not None else NO_OVERRIDES
         options = self._per_call_options(resolved)
         options.validate(k)
-        excluded = (
-            frozenset(int(v) for v in exclude) if exclude else frozenset()
-        )
-        # audit changes the result payload (the attached audit report),
-        # so it partitions the cache; budget overrides do not — a cached
-        # exact answer satisfies any budget.
-        key = (int(query), int(k), excluded, resolved.audit)
+        key = result_key(query, k, exclude, resolved.audit)
 
         # Cache lookup, validation against the graph's update log, hit
         # accounting, and the defensive copy happen under one lock
         # acquisition: copying outside it would let a concurrent
         # caller's mutation of the shared cached object race the copy,
         # and split lookup/accounting would let the metrics drift from
-        # the cache state observed.
+        # the cache state observed.  A stale entry is evicted and the
+        # query recomputed from scratch.
         with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                if self._validate_entry(entry) == "hit":
-                    elapsed = time.monotonic() - started
-                    self._queries_served += 1
-                    self._cache_hits += 1
-                    self._total_wall_seconds += elapsed
-                    self._wall_samples.append(elapsed)
-                    return entry.result.copy()
-                # Stale: drop it and recompute from scratch.
-                self._cache.evict(key)
-                self._cache_invalidations += 1
+            cached = self._cache.lookup(key)
+            if cached is not None:
+                elapsed = time.monotonic() - started
+                self._queries_served += 1
+                self._cache_hits += 1
+                self._total_wall_seconds += elapsed
+                self._wall_samples.append(elapsed)
+                return cached
+            # Stamp *before* executing: a mutation racing the engine
+            # run leaves the entry conservatively old, and the next
+            # access replays the missed events.
+            stamp = self._cache.stamp()
 
-        # Capture the version *before* executing: a mutation racing the
-        # engine run then stamps the entry conservatively stale, and the
-        # next access replays the missed events.
-        version_now = self._graph_version()
-        fingerprint_now = self._graph_fingerprint()
-        result = self._execute(int(query), int(k), excluded, options)
+        query, k, excluded, _audit = key  # normalized by result_key
+        result = self._execute(query, k, excluded, options)
         result.stats.wall_time_seconds = time.monotonic() - started
-        if result.exact:
-            entry = _CacheEntry(
-                # Store a private copy: the caller owns ``result`` and
-                # may mutate it after we return.
-                result=result.copy(),
-                version=version_now,
-                fingerprint=fingerprint_now,
-                ball=result.stats.visited_ball,
-                max_degree=(
-                    float(self.graph.max_degree)
-                    if self._needs_degree_guard
-                    else 0.0
-                ),
-            )
-            with self._lock:
-                self._cache.put(key, entry)
+        with self._lock:
+            # The cache keeps a private copy: the caller owns ``result``
+            # and may mutate it after we return.
+            self._cache.store(key, result, stamp)
         self._record_miss(result)
         return result
 
@@ -462,7 +379,7 @@ class QuerySession:
                 terminations=dict(self._terminations),
                 audit_checks=self._audit_checks,
                 audit_violations=self._audit_violations,
-                cache_invalidations=self._cache_invalidations,
+                cache_invalidations=self._cache.invalidations,
             )
 
     def slow_queries(self) -> list[dict]:
@@ -495,64 +412,6 @@ class QuerySession:
             f"[{self.graph.num_nodes} nodes], {self.measure!r}, "
             f"served={self._queries_served})"
         )
-
-    # ------------------------------------------------------------------
-    # Incremental serving: version-aware cache validation
-    # ------------------------------------------------------------------
-
-    def _graph_version(self) -> int:
-        return self._update_log.version if self._update_log is not None else 0
-
-    def _graph_fingerprint(self) -> tuple:
-        """Coarse mutation detector for graphs without an update log."""
-        return (int(self.graph.num_edges), int(self.graph.num_nodes))
-
-    def _validate_entry(self, entry: _CacheEntry) -> str:
-        """Decide whether a cached entry is still good (caller holds the
-        lock).
-
-        Returns ``"hit"`` (serve it) or ``"cold"`` (evict, recompute from
-        scratch).  The decision tree, justified in ``docs/serving.md``:
-
-        * no update log → fingerprint fallback (satellite bugfix: a
-          mutable graph edited after caching must never serve stale);
-        * version current → hit;
-        * events fell off the replay window (or ``compact()`` ran) →
-          cold, nothing is known about what changed;
-        * no event endpoint intersects the entry's **closed** ball
-          (visited ∪ one-hop boundary — the boundary's degrees entered
-          the star-to-mesh tightening, so the open ball is not enough) →
-          hit, and the entry's version fast-forwards so later lookups
-          skip the replay.  Degree-weighted measures additionally
-          require ``graph.max_degree`` unchanged (Sec. 5.6 guard);
-        * anything else → cold.
-        """
-        log = self._update_log
-        if log is None:
-            if self._graph_fingerprint() == entry.fingerprint:
-                return "hit"
-            return "cold"
-        events = log.events_since(entry.version)
-        if events is None:
-            return "cold"
-        if not events:
-            return "hit"
-        if entry.ball is None:
-            return "cold"
-        touched = np.fromiter(
-            (x for e in events for x in (e.u, e.v)),
-            dtype=np.int64,
-            count=2 * len(events),
-        )
-        touched = np.unique(touched)
-        if not np.isin(touched, entry.ball).any():
-            if self._needs_degree_guard and (
-                float(self.graph.max_degree) != entry.max_degree
-            ):
-                return "cold"
-            entry.version = log.version
-            return "hit"
-        return "cold"
 
     # ------------------------------------------------------------------
     # Engine dispatch (the logic formerly inlined in api.flos_top_k)
@@ -606,7 +465,7 @@ class QuerySession:
             # Isolated query: every proximity is degenerate (0 for
             # hitting probabilities, L for THT); no meaningful ranking.
             result = self._empty_result(query, k)
-            if self._update_log is not None:
+            if self._cache.update_log is not None:
                 # Its ball is the query alone — an edge landing on the
                 # query must invalidate this entry.
                 ball = np.array([query], dtype=np.int32)
@@ -617,7 +476,7 @@ class QuerySession:
         outcome = engine.run()
         result = finalize(outcome, query, k)
 
-        if self._update_log is not None:
+        if self._cache.update_log is not None:
             # Persist the closed visited ball on the result so the cache
             # can localize later invalidation (ISSUE: compact sorted
             # int32 in ``TopKResult.stats``).  Read-only — ``copy()``

@@ -36,15 +36,6 @@ class GraphAccess(abc.ABC):
     then ``u`` appears in ``neighbors(v)`` with the same weight.
     """
 
-    #: True when reads (``neighbors`` / ``degree``) from multiple threads
-    #: are safe without external locking.  Immutable in-memory substrates
-    #: set this; stateful readers (page caches, mutable overlays) leave it
-    #: False.  No search branches on it: callers that share a session
-    #: across their own threads should check it, and
-    #: :class:`repro.serve.ShardedServer` reports it when it refuses to
-    #: publish a graph.
-    supports_concurrent_reads: bool = False
-
     @property
     @abc.abstractmethod
     def num_nodes(self) -> int:

@@ -27,8 +27,6 @@ class CSRGraph(GraphAccess):
     :meth:`from_edges`, or :meth:`from_scipy`.  Instances are immutable.
     """
 
-    supports_concurrent_reads = True
-
     def __init__(
         self,
         indptr: np.ndarray,

@@ -5,12 +5,13 @@ Layering:
 * :mod:`repro.serve.shared` — publish a graph once
   (``multiprocessing.shared_memory`` for in-memory CSR, mmap for
   ``.flos`` disk stores) and attach zero-copy from worker processes.
-* :mod:`repro.serve.worker` — the worker-process loop: one private
-  :class:`~repro.core.session.QuerySession` per worker over the shared
-  graph.
-* :mod:`repro.serve.dispatcher` — :class:`ShardedServer`: stable-hash
-  sharding by query node (cache affinity), deadline-aware admission
-  control, crash recovery with respawn-and-retry-once, and aggregated
+* :mod:`repro.serve.worker` — the worker-process loop: one private,
+  cache-less :class:`~repro.core.session.QuerySession` per worker over
+  the shared graph.
+* :mod:`repro.serve.dispatcher` — :class:`ShardedServer`: one result
+  cache in front of the worker pipes, stable-hash sharding by query
+  node, deadline-aware admission control, crash recovery with
+  respawn-and-retry-once, and aggregated
   :class:`~repro.serve.metrics.ServeMetrics`.
 
 Requests use the :class:`~repro.core.api.QueryRequest` /

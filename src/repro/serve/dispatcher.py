@@ -5,11 +5,20 @@ bookkeeping, so threads inside one process contend for the GIL and add
 no throughput.  ``ShardedServer`` is the library's one parallel path: it
 runs N worker *processes* against one zero-copy published graph
 (:mod:`repro.serve.shared`).  The graph is paid for once, each worker
-owns a private :class:`~repro.core.session.QuerySession`, and requests
-are sharded by **query node** with a stable hash so repeated queries
-land on the same worker and hit its LRU cache.
+owns a private :class:`~repro.core.session.QuerySession` (with no
+result cache), and requests are sharded by **query node** with a stable
+hash.
 
 On top of routing, the dispatcher adds what a serving boundary needs:
+
+* **Result cache** — one :class:`~repro.core.cache.ResultCache` (the
+  class :class:`QuerySession` uses) in front of the worker pipes.  A
+  repeat request is answered in the dispatcher after admission, with no
+  queue, pipe or worker involved; a miss goes to its worker, and the
+  exact answer coming back is cached.  On a ``mutable=True`` server an
+  entry is stamped with the shadow overlay's version at dispatch time
+  and validated against the shadow's update log, so an answer that
+  arrives after an update touching its ball is never served again.
 
 * **Admission control** — a request whose deadline has already passed,
   or cannot plausibly be met given the target worker's queue depth and
@@ -29,8 +38,8 @@ On top of routing, the dispatcher adds what a serving boundary needs:
 Requests use the same :class:`~repro.core.api.QueryRequest` /
 :class:`~repro.core.api.QueryOverrides` contract as
 :func:`repro.core.api.flos_top_k` and :class:`QuerySession` — workers
-answer through :meth:`QuerySession.serve`, so results are
-bitwise-identical to in-process serving.
+answer through :meth:`QuerySession.serve`, and a hit is a copy of such
+an answer, so results are bitwise-identical to in-process serving.
 
 A graph that cannot cross a process boundary (anything that is not a
 :class:`~repro.graph.memory.CSRGraph`, a
@@ -51,6 +60,7 @@ import numpy as np
 
 import repro.errors as errors_mod
 from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
+from repro.core.cache import ResultCache, result_key
 from repro.core.flos import FLoSOptions
 from repro.core.result import BatchSummary, TopKResult
 from repro.errors import (
@@ -148,8 +158,7 @@ class ShardedServer:
     """Multi-process serving tier over one zero-copy published graph.
 
     The constructor mirrors :class:`~repro.core.session.QuerySession`
-    (same ``options`` / ``cache_size`` names — they configure each
-    worker's private session) plus the serving knobs::
+    (same ``options`` / ``cache_size`` names) plus the serving knobs::
 
         with ShardedServer(graph, "rwr", c=0.9, workers=4) as server:
             batch = server.top_k_many(range(100), k=10)
@@ -163,8 +172,11 @@ class ShardedServer:
         or ``.flos`` path (workers mmap the store — graphs larger than
         RAM).  Any other graph raises
         :class:`~repro.errors.ConfigurationError`.
-    measure, options, cache_size, **measure_params:
+    measure, options, **measure_params:
         Exactly as in :class:`~repro.core.session.QuerySession`.
+    cache_size:
+        Result-cache capacity *per worker*: the dispatcher's one cache
+        holds ``cache_size * workers`` results (0 disables caching).
     workers:
         Worker process count (default: ``os.cpu_count()``).
     start_method:
@@ -172,8 +184,8 @@ class ShardedServer:
     mutable:
         Enable :meth:`apply_updates`: each worker wraps the shared CSR
         segment in a private :class:`~repro.graph.dynamic.DynamicGraph`
-        overlay and invalidates its own cache *locally* per update (no
-        global flush).  Requires an in-memory ``CSRGraph`` (shared
+        overlay; the dispatcher's cache invalidates *locally* per update
+        (no global flush).  Requires an in-memory ``CSRGraph`` (shared
         memory); see ``docs/serving.md``, "Serving evolving graphs".
     """
 
@@ -193,11 +205,12 @@ class ShardedServer:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise SearchError("workers must be >= 1")
+        if cache_size < 0:
+            raise SearchError("cache_size must be >= 0")
         # Fail fast in the dispatcher process: a bad measure name or
         # option set should raise here, not asynchronously in a worker.
         self._measure = resolve_measure(measure, **measure_params)
         self._options = (options or FLoSOptions()).validate()
-        self._cache_size = cache_size
         self._num_workers = workers
         self._closed = False
         # Mutable serving (``apply_updates``): each worker wraps the
@@ -213,11 +226,13 @@ class ShardedServer:
 
         # Dispatcher counters (single-threaded dispatcher: no lock).
         self._seq = 0
-        self._inflight: dict[int, tuple[QueryRequest, int, float]] = {}
+        # seq -> (request, worker id, submit time, cache stamp).
+        self._inflight: dict[int, tuple[QueryRequest, int, float, tuple]] = {}
         self._completed: dict[int, tuple[str, object]] = {}
         self._abandoned: set[int] = set()
         self._retried_seqs: set[int] = set()
         self._dispatched = 0
+        self._cache_hits = 0
         self._completed_count = 0
         self._rejected = 0
         self._degraded_admissions = 0
@@ -242,9 +257,9 @@ class ShardedServer:
                 raise
             raise ConfigurationError(
                 f"cannot serve this graph from worker processes: {err}  "
-                "(supports_concurrent_reads="
-                f"{getattr(graph, 'supports_concurrent_reads', False)} "
-                "— serve it in-process with QuerySession instead)"
+                "(only a CSRGraph, a DiskGraph or a .flos path can be "
+                "published — serve it in-process with QuerySession "
+                "instead)"
             ) from err
 
         if self._mutable:
@@ -255,6 +270,11 @@ class ShardedServer:
                     f"stores cannot host an overlay); got {self._shared.kind}"
                 )
             self._shadow = DynamicGraph(graph)
+        # The published segment never changes, so without a shadow the
+        # cache validates against nothing (graph=None).
+        self._cache = ResultCache(
+            cache_size * workers, self._shadow, self._measure
+        )
 
         import multiprocessing as mp
 
@@ -425,7 +445,6 @@ class ShardedServer:
         answer within ``timeout`` contributes an empty dict)."""
         self._check_open()
         per_worker = self._collect_worker_metrics(timeout)
-        cache_hits = sum(w.get("cache_hits", 0) for w in per_worker)
         degraded_results = sum(
             w.get("degraded_results", 0) for w in per_worker
         )
@@ -449,7 +468,8 @@ class ShardedServer:
             degraded_results=degraded_results,
             retried=self._retried,
             respawns=self._respawns,
-            cache_hits=cache_hits,
+            cache_hits=self._cache_hits,
+            cache_invalidations=self._cache.invalidations,
             qps=qps,
             p50_wall_seconds=(
                 float(np.percentile(samples, 50)) if len(samples) else 0.0
@@ -585,6 +605,10 @@ class ShardedServer:
     def _submit(self, request: QueryRequest) -> int:
         self._admit(request)
         request = self._maybe_floor_deadline(request)
+        started = time.monotonic()
+        cached = self._cache.lookup(self._key(request))
+        if cached is not None:
+            return self._answer_hit(request, cached, started)
         state = self._workers[self.shard_of(request.query)]
         if not state.process.is_alive():
             # Dead worker noticed at submit time: respawn first so the
@@ -603,10 +627,47 @@ class ShardedServer:
         now = time.monotonic()
         if self._first_submit is None:
             self._first_submit = now
-        self._inflight[seq] = (request, state.worker_id, now)
+        # A request enqueued now is answered at exactly the shadow's
+        # current version: updates broadcast later queue behind it.
+        self._inflight[seq] = (
+            request, state.worker_id, now, self._cache.stamp()
+        )
         state.inflight.add(seq)
         self._dispatched += 1
         state.queue.put(("query", seq, request))
+        return seq
+
+    @staticmethod
+    def _key(request: QueryRequest) -> tuple:
+        return result_key(
+            request.query, request.k, request.exclude,
+            request.overrides.audit,
+        )
+
+    def _answer_hit(
+        self, request: QueryRequest, result: TopKResult, started: float
+    ) -> int:
+        """Complete a request from the cache, with no worker round trip.
+
+        The per-call options are validated as a worker session would
+        (before its cache lookup), so a bad override fails this request
+        whether or not its answer is cached.
+        """
+        seq = self._seq
+        self._seq += 1
+        try:
+            request.overrides.apply(self._options).validate(request.k)
+        except Exception as err:
+            self._completed[seq] = ("error", err)
+        else:
+            self._cache_hits += 1
+            self._completed[seq] = ("ok", result)
+        now = time.monotonic()
+        if self._first_submit is None:
+            self._first_submit = started
+        self._last_completion = now
+        self._latencies.append(now - started)
+        self._completed_count += 1
         return seq
 
     def _poll(self, timeout: float) -> bool:
@@ -690,7 +751,7 @@ class ShardedServer:
         entry = self._inflight.pop(seq, None)
         if entry is None:
             return  # duplicate answer after a retry — already served
-        _request, owner_id, submitted = entry
+        request, owner_id, submitted, stamp = entry
         state = self._workers[owner_id]
         state.inflight.discard(seq)
         now = time.monotonic()
@@ -699,6 +760,7 @@ class ShardedServer:
         self._latencies.append(latency)
         self._completed_count += 1
         if kind == "ok":
+            self._cache.store(self._key(request), payload, stamp)
             state.ewma_seconds = (
                 latency
                 if state.ewma_seconds is None
@@ -735,7 +797,6 @@ class ShardedServer:
                 self._shared.descriptor,
                 self._measure,
                 self._options,
-                self._cache_size,
                 state.queue,
                 send_conn,
                 self._mutable,
@@ -815,7 +876,7 @@ class ShardedServer:
         self._respawns += 1
         self._spawn(state)
         for seq in stranded:
-            request, _owner, submitted = self._inflight[seq]
+            request, _owner, submitted, _stamp = self._inflight[seq]
             if seq in self._retried_seqs:
                 # Second crash holding the same request: give up
                 # rather than retrying forever.
@@ -835,7 +896,11 @@ class ShardedServer:
                 continue
             self._retried_seqs.add(seq)
             self._retried += 1
-            self._inflight[seq] = (request, state.worker_id, submitted)
+            # The retry queues behind the full update history _spawn
+            # replayed, so it is answered at the shadow's version now.
+            self._inflight[seq] = (
+                request, state.worker_id, submitted, self._cache.stamp()
+            )
             state.inflight.add(seq)
             state.queue.put(("query", seq, request))
 

@@ -2,7 +2,7 @@
 
 :class:`ServeMetrics` is the dispatcher-level counterpart of
 :class:`~repro.core.session.SessionMetrics`: one immutable snapshot
-combining the dispatcher's own counters (dispatch/rejection/crash
+combining the dispatcher's own counters (dispatch/rejection/crash/cache
 accounting, end-to-end latency percentiles measured submit→completion,
 so queueing time counts) with one ``SessionMetrics.to_dict()`` per
 worker fetched over the control channel.
@@ -20,7 +20,12 @@ class ServeMetrics:
     Dispatcher counters:
 
     * ``requests_dispatched`` / ``requests_completed`` — requests that
-      passed admission and entered a worker queue / came back answered.
+      entered a worker queue / were answered.  A cache hit is answered
+      in the dispatcher: it counts as completed, never as dispatched.
+    * ``cache_hits`` / ``cache_invalidations`` — requests answered from
+      the dispatcher's result cache, and cached entries dropped as stale
+      after an edge update touched their ball (``mutable=True``).
+      Workers keep no cache, so their own ``cache_hits`` stay 0.
     * ``rejected`` — refused by admission control before dispatch
       (``on_budget="raise"`` and an unmeetable deadline).
     * ``degraded_admissions`` — admitted *despite* an unmeetable
@@ -34,16 +39,16 @@ class ServeMetrics:
       first dispatch to last completion (0.0 before two data points).
     * ``p50_wall_seconds`` / ``p95_wall_seconds`` — end-to-end request
       latency percentiles over a sliding window, measured at the
-      dispatcher (submit→completion, queueing included) — the number a
-      client would see, unlike the engine-side percentiles in
-      ``SessionMetrics``.
+      dispatcher (submit→completion, queueing included, cache hits
+      included) — the number a client would see, unlike the engine-side
+      percentiles in ``SessionMetrics``.
 
     ``per_worker`` holds one dict per worker slot:
     ``{"worker", "pid", "respawns", "ewma_seconds", **session}`` where
     ``session`` is the worker's own ``SessionMetrics.to_dict()``
-    (``queries_served``, ``cache_hits``, ``degraded_results``, …) or
-    ``{}`` when the worker could not be reached.  ``cache_hits`` and
-    ``degraded_results`` at the top level are the sums over workers.
+    (``queries_served``, ``degraded_results``, …) or ``{}`` when the
+    worker could not be reached.  ``degraded_results`` at the top level
+    is the sum over workers.
     """
 
     workers: int
@@ -61,6 +66,7 @@ class ServeMetrics:
     #: Edge updates applied through :meth:`ShardedServer.apply_updates`
     #: (counted once per update, not per worker broadcast).
     updates_applied: int = 0
+    cache_invalidations: int = 0
     per_worker: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
@@ -79,5 +85,6 @@ class ServeMetrics:
             "p50_wall_seconds": self.p50_wall_seconds,
             "p95_wall_seconds": self.p95_wall_seconds,
             "updates_applied": self.updates_applied,
+            "cache_invalidations": self.cache_invalidations,
             "per_worker": [dict(w) for w in self.per_worker],
         }

@@ -299,9 +299,9 @@ def attach_shared(descriptor: SharedGraphDescriptor) -> AttachedGraph:
 
     The returned :class:`AttachedGraph` holds views over the shared
     pages — no edge data is copied (see the module docstring for the
-    unweighted-store exception).  The wrapped graph sets
-    ``supports_concurrent_reads`` like any :class:`CSRGraph`: it is
-    immutable, so threads inside one worker may also share it.
+    unweighted-store exception).  Like any :class:`CSRGraph` the
+    wrapped graph is immutable, so threads inside one worker may also
+    share it.
     """
     if descriptor.kind == "shm":
         return _attach_shm(descriptor)

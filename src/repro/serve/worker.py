@@ -2,11 +2,12 @@
 
 Each worker attaches to the published graph (zero-copy, see
 :mod:`repro.serve.shared`), builds its own
-:class:`~repro.core.session.QuerySession` — private LRU cache, private
-metrics — and then loops on its request queue.  Because the worker
-answers through :meth:`QuerySession.serve`, the multi-process path
-executes the exact same code as in-process serving; bitwise-identical
-results are by construction, not by luck.
+:class:`~repro.core.session.QuerySession` — private metrics, no result
+cache (``cache_size=0``): the dispatcher's one cache answers repeats
+before they reach a worker — and then loops on its request queue.
+Because the worker answers through :meth:`QuerySession.serve`, the
+multi-process path executes the exact same code as in-process serving;
+bitwise-identical results are by construction, not by luck.
 
 Wire protocol (all tuples, pickled over multiprocessing queues):
 
@@ -36,9 +37,10 @@ immutable CSR segment in a private
 stay zero-copy; only the delta is per-worker, and because every worker
 applies the same update sequence in the same order (per-worker FIFO
 queues guarantee an update is visible to every later query on that
-worker), the overlays are replicas.  Cache invalidation then happens
-*inside* each worker's session via the overlay's update log — no global
-flush message exists, which is the point.
+worker), the overlays are replicas of the dispatcher's shadow overlay.
+The worker attaches the closed visited ball to each answer, and the
+dispatcher's cache validates it against the shadow's update log — no
+global flush message exists, which is the point.
 
 Responses travel over a **per-worker pipe**, not a shared queue, and
 that choice is load-bearing for crash recovery: a shared
@@ -72,7 +74,6 @@ def worker_main(
     descriptor: SharedGraphDescriptor,
     measure,
     options: FLoSOptions | None,
-    cache_size: int,
     requests,
     responses,
     mutable: bool = False,
@@ -91,9 +92,7 @@ def worker_main(
     try:
         handle = attach_shared(descriptor)
         graph = DynamicGraph(handle.graph) if mutable else handle.graph
-        session = QuerySession(
-            graph, measure, options=options, cache_size=cache_size
-        )
+        session = QuerySession(graph, measure, options=options, cache_size=0)
     except BaseException as err:  # report, don't traceback to stderr
         responses.send(
             (worker_id, -1, "fatal", (type(err).__name__, str(err)))

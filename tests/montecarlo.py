@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MeasureError
-from repro.graph.base import GraphAccess
 from repro.graph.memory import CSRGraph
 
 

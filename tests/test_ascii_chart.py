@@ -1,7 +1,5 @@
 """Tests for the ASCII chart renderer used in benchmark reports."""
 
-import pytest
-
 from benchmarks.benchkit.ascii_chart import ascii_chart, chart_from_runs
 from benchmarks.benchkit.runner import MethodRun
 

@@ -2,12 +2,11 @@
 
 import argparse
 
-import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.graph.generators import erdos_renyi
-from repro.graph.io import read_edgelist, save_npz, write_edgelist
+from repro.graph.io import read_edgelist, write_edgelist
 
 
 @pytest.fixture

@@ -15,7 +15,9 @@ Covers the PR-10 contract end to end:
   in ``tests/references.py`` (hypothesis);
 * DynamicGraph ↔ ``compact()`` equivalence under randomized edit
   sequences, and top-k agreement across all five measures;
-* update broadcast through :class:`~repro.serve.ShardedServer`;
+* update broadcast through :class:`~repro.serve.ShardedServer`, whose
+  dispatcher cache stamps an entry at submit time, so an answer that
+  arrives after an update touching its ball is never served again;
 * a churn replay: localized invalidation and a flush-every-round session
   both checked, answer by answer, against a cold session on the
   compacted graph, with localized invalidation keeping more hits.
@@ -29,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import flos_top_k
+from repro.core.api import QueryRequest
 from repro.core.flos import FLoSOptions
 from repro.core.session import QuerySession
 from repro.errors import ConfigurationError, GraphError
@@ -181,7 +184,7 @@ class TestLocalizedInvalidation:
         """The no-log path still detects mutations (coarsely)."""
         dyn = DynamicGraph(path_graph(6))
         session = QuerySession(dyn, "php", c=0.5)
-        session._update_log = None  # simulate a log-less mutable graph
+        session._cache.update_log = None  # simulate a log-less mutable graph
         session.top_k(0, 1)
         dyn.add_edge(0, 5, 50.0)  # num_edges changes the fingerprint
         after = session.top_k(0, 1)
@@ -700,6 +703,50 @@ class TestMutableServing:
                 truth.values, served.lower, served.upper
             ):
                 assert lo - 1e-6 <= value <= hi + 1e-6
+
+    def test_response_after_update_is_not_served_stale(self, graph):
+        request = QueryRequest(query=0, k=5)
+        update = EdgeUpdate(0, 150, "add", weight=3.0)  # on the query
+        with ShardedServer(
+            graph, "php", c=0.5, workers=2, mutable=True
+        ) as server:
+            # Submitted before the update, collected after it: the
+            # response is handled (and cached) once the shadow is at
+            # version 1, but it was computed at version 0.
+            seq = server._submit(request)
+            server.apply_updates([update])
+            (stale,) = server._wait([seq])
+            fresh = server.serve(request)
+            metrics = server.metrics()
+        before = QuerySession(graph, "php", c=0.5).top_k(0, 5)
+        np.testing.assert_array_equal(stale.nodes, before.nodes)
+        np.testing.assert_array_equal(stale.values, before.values)
+        mirror = DynamicGraph(graph)
+        apply_edge_updates(mirror, [update])
+        truth = QuerySession(mirror, "php", c=0.5).top_k(0, 5)
+        assert list(fresh.nodes) != list(stale.nodes)
+        np.testing.assert_array_equal(fresh.nodes, truth.nodes)
+        np.testing.assert_array_equal(fresh.values, truth.values)
+        np.testing.assert_array_equal(fresh.lower, truth.lower)
+        np.testing.assert_array_equal(fresh.upper, truth.upper)
+        assert metrics.cache_hits == 0
+        assert metrics.cache_invalidations == 1
+        assert metrics.requests_dispatched == 2
+
+    def test_untouched_ball_stays_a_dispatcher_hit(self, graph):
+        with ShardedServer(
+            graph, "php", c=0.5, workers=2, mutable=True
+        ) as server:
+            first = server.top_k(0, 5)
+            ball = set(map(int, first.stats.visited_ball))
+            far = [v for v in range(graph.num_nodes) if v not in ball]
+            server.apply_updates([EdgeUpdate(far[0], far[1], "add")])
+            again = server.top_k(0, 5)
+            metrics = server.metrics()
+        np.testing.assert_array_equal(again.nodes, first.nodes)
+        np.testing.assert_array_equal(again.values, first.values)
+        assert metrics.cache_hits == 1
+        assert metrics.cache_invalidations == 0
 
     def test_invalid_update_rejected_by_shadow_before_broadcast(
         self, graph

@@ -6,7 +6,12 @@ Covers the hard guarantees the tier makes:
   ``.flos`` store) with **no leaked segments** — after a clean shutdown
   and after a SIGKILLed worker;
 * results bitwise-identical to in-process
-  :meth:`QuerySession.top_k_many` (workers run the same code path);
+  :meth:`QuerySession.top_k_many` (workers run the same code path),
+  also when a repeat is answered from the dispatcher's result cache;
+* the dispatcher cache answers hits with no worker (stopped or killed
+  workers do not matter), hands out independent copies, validates
+  per-call options on a hit, and holds ``cache_size * workers``
+  results;
 * crash recovery: a dead worker is respawned against the still-live
   segment, in-flight requests retried at most once, nothing lost;
 * admission control: past-deadline requests are rejected *before*
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -156,7 +162,13 @@ class TestShardedServing:
         with ShardedServer(
             graph, "rwr", c=0.5, workers=2
         ) as server:
-            batch = server.top_k_many(range(30), k=8)
+            computed = server.top_k_many(range(30), k=8)
+            # Round 2 is answered from the dispatcher's cache.
+            cached = server.top_k_many(range(30), k=8)
+            metrics = server.metrics()
+        assert metrics.cache_hits == 30
+        assert metrics.requests_dispatched == 30
+        for batch in (computed, cached):
             assert len(batch) == len(baseline)
             for ours, ref in zip(batch.results, baseline.results):
                 np.testing.assert_array_equal(ours.nodes, ref.nodes)
@@ -214,10 +226,119 @@ class TestShardedServing:
             server.top_k_many(range(20), k=5)
             server.top_k_many(range(20), k=5)
             metrics = server.metrics()
-            # Second round must be all cache hits: the stable hash sent
-            # each repeat to the worker that cached it.
+            # Second round must be all cache hits, answered by the
+            # dispatcher's cache without reaching a worker.
             assert metrics.cache_hits >= 20
+            assert metrics.requests_dispatched == 20
             assert metrics.requests_completed == 40
+
+    def test_hit_needs_no_worker(self, graph, baseline):
+        with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            server.top_k_many(range(10), k=8)
+            pids = server.worker_pids()
+
+            def resume():
+                for pid in pids:
+                    os.kill(pid, signal.SIGCONT)
+
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            # Were a hit to need a worker, it would wait for this timer.
+            safety = threading.Timer(5.0, resume)
+            safety.start()
+            try:
+                started = time.monotonic()
+                batch = server.top_k_many(range(10), k=8)
+                elapsed = time.monotonic() - started
+            finally:
+                safety.cancel()
+                resume()
+            metrics = server.metrics()
+        assert elapsed < 1.0
+        assert metrics.cache_hits == 10
+        assert metrics.requests_dispatched == 10
+        assert metrics.requests_completed == 20
+        for ours, ref in zip(batch.results, baseline.results):
+            np.testing.assert_array_equal(ours.nodes, ref.nodes)
+            np.testing.assert_array_equal(ours.values, ref.values)
+
+    def test_hit_returns_independent_copy(self, graph, baseline):
+        with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            computed = server.top_k(3, 8)
+            hit = server.top_k(3, 8)
+            # Scribble over both the computed answer and the hit: the
+            # cache kept a private copy of the first and handed out a
+            # fresh copy as the second.
+            for result in (computed, hit):
+                result.nodes[:] = -1
+                result.values[:] = np.nan
+                result.lower[:] = np.nan
+                result.upper[:] = np.nan
+                result.stats.visited_nodes = -5
+            again = server.top_k(3, 8)
+            assert server.metrics().cache_hits == 2
+        ref = baseline.results[3]
+        np.testing.assert_array_equal(again.nodes, ref.nodes)
+        np.testing.assert_array_equal(again.values, ref.values)
+        np.testing.assert_array_equal(again.lower, ref.lower)
+        np.testing.assert_array_equal(again.upper, ref.upper)
+        assert again.stats.visited_nodes == ref.stats.visited_nodes
+
+    def test_invalid_override_on_hit_fails_that_request(self, graph):
+        bad = QueryOverrides(on_budget="bogus")
+        with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            # On a miss the worker session rejects the override.
+            with pytest.raises(ConfigurationError, match="on_budget"):
+                server.top_k(5, 6, overrides=bad)
+            server.top_k(5, 6)  # now cached
+            # On a hit the dispatcher rejects it the same way.
+            with pytest.raises(ConfigurationError, match="on_budget"):
+                server.top_k(5, 6, overrides=bad)
+            with pytest.raises(ConfigurationError, match="on_budget"):
+                server.serve_requests([
+                    QueryRequest(query=5, k=6),
+                    QueryRequest(query=5, k=6, overrides=bad),
+                ])
+            assert server._completed == {}
+            assert server.top_k(5, 6).exact  # the entry is still good
+            metrics = server.metrics()
+        assert metrics.cache_hits == 2
+        assert metrics.requests_dispatched == 2
+        assert metrics.requests_completed == 6
+
+    def test_cache_size_zero_never_hits(self, graph, baseline):
+        with ShardedServer(
+            graph, "rwr", c=0.5, workers=2, cache_size=0
+        ) as server:
+            server.top_k_many(range(10), k=8)
+            batch = server.top_k_many(range(10), k=8)
+            metrics = server.metrics()
+        assert metrics.cache_hits == 0
+        assert metrics.requests_dispatched == 20
+        assert sum(w["queries_served"] for w in metrics.per_worker) == 20
+        assert all(w["cache_hits"] == 0 for w in metrics.per_worker)
+        for ours, ref in zip(batch.results, baseline.results):
+            np.testing.assert_array_equal(ours.nodes, ref.nodes)
+
+    def test_cache_capacity_is_workers_times_cache_size(self, graph):
+        with ShardedServer(
+            graph, "rwr", c=0.5, workers=2, cache_size=3
+        ) as server:
+            for q in range(8):  # one at a time: a fixed LRU order
+                server.top_k(q, 5)
+            assert len(server._cache) == 6
+            server.top_k_many(range(2, 8), k=5)  # the 6 most recent
+            assert server.metrics().cache_hits == 6
+            server.top_k_many(range(2), k=5)  # evicted: recomputed
+            metrics = server.metrics()
+        assert metrics.cache_hits == 6
+        assert metrics.requests_dispatched == 10
+
+    def test_negative_cache_size_rejected(self, graph):
+        before = set(_segments())
+        with pytest.raises(SearchError, match="cache_size"):
+            ShardedServer(graph, "rwr", c=0.5, workers=1, cache_size=-1)
+        assert set(_segments()) == before
 
     def test_late_metrics_reply_is_dropped(self, graph):
         # A worker that answers a metrics request after its timeout
@@ -296,8 +417,6 @@ class TestCrashRecovery:
     def test_crash_mid_flight_retries_in_flight_requests(
         self, graph, baseline
     ):
-        import threading
-
         segments_before = set(_segments())
         with ShardedServer(
             graph, "rwr", c=0.5, workers=2
@@ -340,6 +459,29 @@ class TestCrashRecovery:
             batch = server.top_k_many(range(30), k=8)
             assert len(batch) == 30
             assert server.metrics().respawns >= 1
+
+    def test_hits_survive_worker_kill(self, graph, baseline):
+        with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            server.top_k_many(range(10), k=8)
+            for state in server._workers:
+                os.kill(state.pid, signal.SIGKILL)
+            for state in server._workers:
+                state.process.join(timeout=5.0)
+            batch = server.top_k_many(range(10), k=8)
+            # Answered with every worker dead, and none respawned.
+            assert not any(s.process.is_alive() for s in server._workers)
+            # A miss then respawns its worker as before.
+            fresh = server.top_k(12, 8)
+            metrics = server.metrics()
+        for ours, ref in zip(batch.results, baseline.results):
+            np.testing.assert_array_equal(ours.nodes, ref.nodes)
+            np.testing.assert_array_equal(ours.values, ref.values)
+        assert metrics.cache_hits == 10
+        assert metrics.requests_dispatched == 11
+        np.testing.assert_array_equal(
+            fresh.nodes, baseline.results[12].nodes
+        )
+        assert metrics.respawns >= 1
 
     def test_no_leaked_segments_after_worker_kill(self, graph):
         before = set(_segments())
@@ -505,7 +647,7 @@ class _OpaqueGraph(GraphAccess):
 class TestBackendGating:
     def test_multi_worker_non_csr_backend_raises(self):
         with pytest.raises(
-            ConfigurationError, match="supports_concurrent_reads"
+            ConfigurationError, match="only a CSRGraph, a DiskGraph or a .flos path"
         ):
             ShardedServer(_OpaqueGraph(), "rwr", c=0.5, workers=2)
 

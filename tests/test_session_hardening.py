@@ -19,7 +19,6 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro import PHP, FLoSOptions, QueryOverrides, QuerySession
 from repro.graph.generators import erdos_renyi
