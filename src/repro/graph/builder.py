@@ -1,25 +1,123 @@
-"""Incremental construction of :class:`~repro.graph.memory.CSRGraph`.
+"""Edge lists to :class:`~repro.graph.memory.CSRGraph`.
 
 ``GraphBuilder`` accepts edges one at a time (or in bulk), deduplicates,
 and produces an immutable CSR graph.  It exists because generators and
 file readers want an append-style API while the search code wants the
 frozen array layout.
+
+:func:`assemble_csr` is the one edge-list-to-CSR path: both
+:meth:`GraphBuilder.build` and :meth:`CSRGraph.from_edges
+<repro.graph.memory.CSRGraph.from_edges>` go through it.  It uses only
+stable counting sorts (scipy's ``coo_tocsr`` kernel, the COO-to-CSR
+bucket pass), so it runs in O(n + m) and each duplicate group keeps its
+input order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from repro.errors import GraphError
-from repro.graph.memory import CSRGraph
+from repro.graph.memory import CSRGraph, check_weights
+
+_INT32_LIMIT = 2**31
+
+
+def _counting_sort(num_rows, rows, cols, data, index_dtype):
+    """Stable bucket sort of ``(rows, cols, data)`` by ``rows``.
+
+    Returns CSR ``(indptr, cols, data)``: row ``r`` holds the entries
+    whose row is ``r``, in their input order.
+    """
+    nnz = len(rows)
+    indptr = np.empty(num_rows + 1, dtype=index_dtype)
+    out_cols = np.empty(nnz, dtype=index_dtype)
+    out_data = np.empty(nnz, dtype=data.dtype)
+    _sparsetools.coo_tocsr(
+        num_rows, num_rows, nnz, rows, cols, data, indptr, out_cols, out_data
+    )
+    return indptr, out_cols, out_data
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """Row id of every CSR entry."""
+    return np.repeat(
+        np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr)
+    )
+
+
+def assemble_csr(
+    num_nodes: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    weights: np.ndarray,
+    merge: str = "sum",
+) -> CSRGraph:
+    """Symmetric CSR graph of the undirected edges ``(u[i], v[i])``.
+
+    The caller has validated the input: ``u < v`` elementwise, endpoints
+    in range, weights positive and finite.  Duplicates of one edge are
+    merged in input order by ``merge`` (``"sum"``, ``"max"`` or
+    ``"first"``), and every row comes out sorted by neighbour id.
+
+    Three stable counting sorts do all the ordering: by ``v``, then by
+    ``u`` (together the order of a stable sort on ``(u, v)``), then the
+    symmetric layout with rows ``concat(v, u)``: each row lists its lower
+    neighbours ascending, then its higher ones ascending.
+    """
+    m = len(u)
+    sort_dtype = (
+        np.int32 if max(num_nodes, 2 * m) < _INT32_LIMIT else np.int64
+    )
+    u = u.astype(sort_dtype, copy=False)
+    v = v.astype(sort_dtype, copy=False)
+
+    by_v, u_by_v, w_by_v = _counting_sort(
+        num_nodes, v, u, weights, sort_dtype
+    )
+    upper_ptr, cols, w_sorted = _counting_sort(
+        num_nodes, u_by_v, _row_ids(by_v), w_by_v, sort_dtype
+    )
+    # Row u of the upper triangle now lists its v's ascending, each
+    # duplicate group in input order.  A group starts at every row start
+    # and wherever the column changes.
+    boundary = np.empty(m + 1, dtype=bool)
+    boundary[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=boundary[1:m])
+    boundary[upper_ptr] = True
+    rows = _row_ids(upper_ptr)
+    if boundary[:m].all():
+        merged_w = w_sorted
+    else:
+        starts = np.flatnonzero(boundary[:m])
+        rows, cols = rows[starts], cols[starts]
+        if merge == "sum":
+            merged_w = np.add.reduceat(w_sorted, starts)
+        elif merge == "max":
+            merged_w = np.maximum.reduceat(w_sorted, starts)
+        else:  # first
+            merged_w = w_sorted[starts]
+
+    both_rows = np.concatenate([cols, rows], dtype=np.int64)
+    both_cols = np.concatenate([rows, cols], dtype=np.int64)
+    indptr, indices, data = _counting_sort(
+        num_nodes,
+        both_rows,
+        both_cols,
+        np.concatenate([merged_w, merged_w]),
+        np.int64,
+    )
+    return CSRGraph(indptr, indices, data)
 
 
 class GraphBuilder:
     """Accumulate undirected weighted edges, then :meth:`build` a CSR graph.
 
-    Duplicate edges are merged by *summing* weights by default, or by
-    keeping the maximum with ``merge="max"`` — generators such as R-MAT
-    emit duplicates by design.
+    Duplicate edges are merged by *summing* weights by default, by
+    keeping the maximum with ``merge="max"``, or by keeping the first
+    added with ``merge="first"`` — generators such as R-MAT emit
+    duplicates by design.
     """
 
     def __init__(self, num_nodes: int, *, merge: str = "sum"):
@@ -29,6 +127,9 @@ class GraphBuilder:
             raise GraphError("merge must be one of 'sum', 'max', 'first'")
         self._num_nodes = num_nodes
         self._merge = merge
+        # Canonical endpoints are stored in the narrowest dtype that
+        # holds every node id, which is the dtype the sorts run in.
+        self._id_dtype = np.int32 if num_nodes < _INT32_LIMIT else np.int64
         self._us: list[np.ndarray] = []
         self._vs: list[np.ndarray] = []
         self._ws: list[np.ndarray] = []
@@ -53,32 +154,39 @@ class GraphBuilder:
     def add_edges(
         self, edges: np.ndarray, weights: np.ndarray | None = None
     ) -> None:
-        """Add a batch of edges given as an ``(m, 2)`` int array."""
+        """Add a batch of edges given as an ``(m, 2)`` int array.
+
+        Self loops are dropped silently: random generators produce them
+        and the paper's model excludes them.
+        """
         edges = np.asarray(edges, dtype=np.int64)
         if edges.size == 0:
             return
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise GraphError("edges must have shape (m, 2)")
-        if edges.min() < 0 or edges.max() >= self._num_nodes:
+        # A negative id wraps to a huge unsigned value: one max covers
+        # both ends of the range.
+        if edges.view(np.uint64).max() >= self._num_nodes:
             raise GraphError("edge endpoint out of range")
         if weights is None:
             weights = np.ones(edges.shape[0], dtype=np.float64)
         else:
             weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape[0] != edges.shape[0]:
+            if weights.shape != (edges.shape[0],):
                 raise GraphError("weights length must match edges")
-            if (weights <= 0).any():
-                raise GraphError("edge weights must be positive")
-        # Drop self loops silently: random generators produce them and the
-        # paper's model excludes them.
-        keep = edges[:, 0] != edges[:, 1]
-        edges, weights = edges[keep], weights[keep]
-        if edges.size == 0:
-            return
+            check_weights(weights)
+        a, b = edges[:, 0], edges[:, 1]
+        keep = a != b
+        if not keep.all():
+            a, b, weights = a[keep], b[keep], weights[keep]
+            if not len(a):
+                return
         # Canonical orientation u < v so duplicates collapse regardless of
         # the direction they arrived in.
-        u = np.minimum(edges[:, 0], edges[:, 1])
-        v = np.maximum(edges[:, 0], edges[:, 1])
+        u = np.empty(len(a), dtype=self._id_dtype)
+        v = np.empty(len(a), dtype=self._id_dtype)
+        np.minimum(a, b, out=u, casting="unsafe")
+        np.maximum(a, b, out=v, casting="unsafe")
         self._us.append(u)
         self._vs.append(v)
         self._ws.append(weights)
@@ -87,21 +195,14 @@ class GraphBuilder:
     def build(self) -> CSRGraph:
         """Freeze the accumulated edges into a :class:`CSRGraph`."""
         if not self._us:
-            return CSRGraph.from_edges(self._num_nodes, np.empty((0, 2), np.int64))
-        u = np.concatenate(self._us)
-        v = np.concatenate(self._vs)
-        w = np.concatenate(self._ws)
-        key = u * np.int64(self._num_nodes) + v
-        order = np.argsort(key, kind="stable")
-        key, u, v, w = key[order], u[order], v[order], w[order]
-        boundary = np.ones(len(key), dtype=bool)
-        boundary[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(boundary)
-        if self._merge == "sum":
-            merged_w = np.add.reduceat(w, starts)
-        elif self._merge == "max":
-            merged_w = np.maximum.reduceat(w, starts)
-        else:  # first
-            merged_w = w[starts]
-        edges = np.stack([u[starts], v[starts]], axis=1)
-        return CSRGraph.from_edges(self._num_nodes, edges, merged_w)
+            empty = np.empty(0, dtype=self._id_dtype)
+            return assemble_csr(
+                self._num_nodes, empty, empty, np.empty(0), self._merge
+            )
+        return assemble_csr(
+            self._num_nodes,
+            np.concatenate(self._us),
+            np.concatenate(self._vs),
+            np.concatenate(self._ws),
+            self._merge,
+        )

@@ -159,7 +159,8 @@ def load_dataset(
         node/edge counts).
     use_disk_cache:
         Persist/reuse the generated graph as ``.npz`` under
-        :func:`cache_dir`.
+        :func:`cache_dir`.  When false, nothing on disk is read,
+        written or created.
     """
     try:
         spec = DATASETS[name.upper()]
@@ -171,14 +172,18 @@ def load_dataset(
     key = (spec.name, eff_scale)
     if key in _memo:
         return _memo[key]
-    cache_file = cache_dir() / f"{spec.name}_v{DATASET_VERSION}_{eff_scale:g}.npz"
-    if use_disk_cache and cache_file.exists():
+    cache_file = None
+    if use_disk_cache:
+        cache_file = (
+            cache_dir() / f"{spec.name}_v{DATASET_VERSION}_{eff_scale:g}.npz"
+        )
+    if cache_file is not None and cache_file.exists():
         graph = load_npz(cache_file)
     else:
         nodes = max(64, int(spec.paper_nodes * eff_scale))
         edges = max(64, int(spec.paper_edges * eff_scale))
         graph = spec.build(nodes, edges, spec.seed)
-        if use_disk_cache:
+        if cache_file is not None:
             save_npz(graph, cache_file)
     _memo[key] = graph
     return graph

@@ -30,6 +30,8 @@ out.  ``examples``/``tests`` use this class to demonstrate it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import GraphError
@@ -85,8 +87,8 @@ class DynamicGraph(GraphAccess):
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Insert edge (u, v) or overwrite its weight."""
         self._check_pair(u, v)
-        if weight <= 0:
-            raise GraphError("edge weights must be positive")
+        if not 0.0 < weight < math.inf:  # NaN fails both comparisons
+            raise GraphError("edge weights must be positive and finite")
         old = self._current_weight(u, v)
         self._delta.setdefault(u, {})[v] = weight
         self._delta.setdefault(v, {})[u] = weight

@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.memory import CSRGraph
+from repro.nputil import concatenated_ranges
 
 
 def community_graph(
@@ -45,44 +46,63 @@ def community_graph(
         raise GraphError("average degrees must be non-negative")
     rng = np.random.default_rng(seed)
 
-    membership = np.sort(
-        np.arange(num_nodes, dtype=np.int64) % num_communities
-    )
+    # Communities are equally sized, the first num_nodes % C one node
+    # larger; community c is the slice order[offsets[c]:offsets[c + 1]].
+    sizes = np.full(num_communities, num_nodes // num_communities)
+    sizes[: num_nodes % num_communities] += 1
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     order = rng.permutation(num_nodes).astype(np.int64)
-    # nodes_of[c] lists the node ids assigned to community c: membership
-    # is sorted, so each community is one contiguous slice of ``order``.
-    bounds = np.searchsorted(membership, np.arange(1, num_communities))
-    nodes_of = np.split(order, bounds)
-    blocks = []
+    targets = np.minimum(
+        np.rint(avg_internal_degree * sizes / 2.0).astype(np.int64),
+        sizes * (sizes - 1) // 2,
+    )
+    active = np.flatnonzero(targets > 0)
 
-    for members in nodes_of:
-        size = len(members)
-        if size < 2:
-            continue
-        target = int(round(avg_internal_degree * size / 2.0))
-        target = min(target, size * (size - 1) // 2)
-        if target <= 0:
-            continue
-        u = rng.integers(0, size, size=target * 2, dtype=np.int64)
-        v = rng.integers(0, size, size=target * 2, dtype=np.int64)
-        keep = u != v
-        edges = np.stack([members[u[keep]], members[v[keep]]], axis=1)
-        blocks.append(edges[:target])
+    # The per-community draws, in community order, are the RNG stream
+    # that defines the graph; everything else is one vectorised pass.
+    draws_u, draws_v = [], []
+    for size, target in zip(sizes[active].tolist(), targets[active].tolist()):
+        draws_u.append(rng.integers(0, size, size=target * 2, dtype=np.int64))
+        draws_v.append(rng.integers(0, size, size=target * 2, dtype=np.int64))
+    pieces_u, pieces_v = [], []
+    if draws_u:
+        u = np.concatenate(draws_u)
+        v = np.concatenate(draws_v)
+        del draws_u, draws_v
+        # Keep the first ``target`` pairs with u != v of each community.
+        drawn = 2 * targets[active]
+        kept = np.flatnonzero(u != v)
+        first = np.searchsorted(kept, np.cumsum(drawn) - drawn)
+        take = np.minimum(
+            targets[active], np.diff(np.append(first, len(kept)))
+        )
+        picked = kept[concatenated_ranges(first, take)]
+        base = np.repeat(offsets[active], take)
+        pieces_u.append(order[base + u[picked]])
+        pieces_v.append(order[base + v[picked]])
 
     inter_target = int(round(avg_external_degree * num_nodes / 2.0))
     if inter_target > 0 and num_communities > 1:
         u = rng.integers(0, num_nodes, size=inter_target * 2, dtype=np.int64)
         v = rng.integers(0, num_nodes, size=inter_target * 2, dtype=np.int64)
         comm_of = np.empty(num_nodes, dtype=np.int64)
-        comm_of[order] = membership
-        keep = (u != v) & (comm_of[u] != comm_of[v])
-        edges = np.stack([u[keep], v[keep]], axis=1)
-        blocks.append(edges[:inter_target])
+        comm_of[order] = np.repeat(np.arange(num_communities), sizes)
+        picked = np.flatnonzero((u != v) & (comm_of[u] != comm_of[v]))
+        picked = picked[:inter_target]
+        pieces_u.append(u[picked])
+        pieces_v.append(v[picked])
 
     # Spanning path in random order guarantees connectivity.
     spine = rng.permutation(num_nodes).astype(np.int64)
-    blocks.append(np.stack([spine[:-1], spine[1:]], axis=1))
+    pieces_u.append(spine[:-1])
+    pieces_v.append(spine[1:])
+    # Endpoint rows of a (2, m) array: each column of the (m, 2)
+    # transpose handed to the builder is contiguous.
+    edges = np.empty((2, sum(map(len, pieces_u))), dtype=np.int64)
+    np.concatenate(pieces_u, out=edges[0])
+    np.concatenate(pieces_v, out=edges[1])
+    del pieces_u, pieces_v
     builder = GraphBuilder(num_nodes, merge="first")
-    builder.add_edges(np.concatenate(blocks))
-    del blocks  # the builder holds its own copy; keep build's peak low
+    builder.add_edges(edges.T)
+    del edges  # the builder holds its own copy; keep build's peak low
     return builder.build()

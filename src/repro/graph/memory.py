@@ -20,6 +20,13 @@ from repro.graph.base import GraphAccess
 from repro.nputil import concatenated_ranges
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """Raise :class:`GraphError` unless every edge weight is positive and
+    finite (``min``/``max`` propagate NaN, so NaN fails too)."""
+    if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
+        raise GraphError("edge weights must be positive and finite")
+
+
 class CSRGraph(GraphAccess):
     """Undirected, edge-weighted graph in CSR layout.
 
@@ -80,9 +87,13 @@ class CSRGraph(GraphAccess):
     ) -> "CSRGraph":
         """Build from an iterable of undirected ``(u, v)`` pairs.
 
-        Duplicate edges are collapsed (weights summed); self loops are
-        rejected.  ``weights`` defaults to 1.0 per edge.
+        Duplicate edges, in either orientation, are collapsed by summing
+        their weights in input order; self loops are rejected, and so
+        are weights that are not positive and finite.  ``weights``
+        defaults to 1.0 per edge.
         """
+        from repro.graph.builder import assemble_csr
+
         edge_arr = np.asarray(
             edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
         )
@@ -94,25 +105,15 @@ class CSRGraph(GraphAccess):
             w = np.ones(edge_arr.shape[0], dtype=np.float64)
         else:
             w = np.asarray(weights, dtype=np.float64)
-            if w.shape[0] != edge_arr.shape[0]:
+            if w.shape != (edge_arr.shape[0],):
                 raise GraphError("weights length must match number of edges")
-        if edge_arr.size and (
-            edge_arr.min() < 0 or edge_arr.max() >= num_nodes
-        ):
+        if edge_arr.size and edge_arr.view(np.uint64).max() >= num_nodes:
             raise GraphError("edge endpoint out of range")
-        if edge_arr.size and (edge_arr[:, 0] == edge_arr[:, 1]).any():
+        a, b = edge_arr[:, 0], edge_arr[:, 1]
+        if (a == b).any():
             raise GraphError("self loops are not allowed")
-        if (w <= 0).any():
-            raise GraphError("edge weights must be positive")
-
-        rows = np.concatenate([edge_arr[:, 0], edge_arr[:, 1]])
-        cols = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
-        vals = np.concatenate([w, w])
-        mat = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(num_nodes, num_nodes)
-        ).tocsr()
-        mat.sum_duplicates()
-        return cls.from_scipy(mat)
+        check_weights(w)
+        return assemble_csr(num_nodes, np.minimum(a, b), np.maximum(a, b), w)
 
     @classmethod
     def from_arrays(
@@ -306,8 +307,7 @@ class CSRGraph(GraphAccess):
             self._indices.min() < 0 or self._indices.max() >= n
         ):
             raise GraphError("neighbor index out of range")
-        if (self._weights < 0).any():
-            raise GraphError("edge weights must be positive")
+        check_weights(self._weights)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
         if (rows == self._indices).any():
             raise GraphError("self loops are not allowed")

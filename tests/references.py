@@ -9,10 +9,12 @@ imported by ``src/``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.localgraph import LocalView
 from repro.graph.builder import GraphBuilder
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.memory import CSRGraph
 
 
 def overlay_neighbors(dyn: DynamicGraph, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +162,59 @@ class ScalarLocalView(LocalView):
         else:
             self._loop_sum.append_scalar(0.0)
             self._tight_sum.append_scalar(0.0)
+
+
+def scipy_edges_to_csr(
+    num_nodes: int, edges: np.ndarray, weights: np.ndarray
+) -> CSRGraph:
+    """The scipy COO path ``CSRGraph.from_edges`` used to take.
+
+    Both orientations of every edge go into one COO matrix; scipy's
+    ``tocsr`` plus ``sum_duplicates`` merge duplicates (summed in an
+    order scipy picks) and sort each row.  ``edges`` must hold no self
+    loops.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    vals = np.concatenate([weights, weights])
+    mat = sp.coo_matrix(
+        (vals, (rows, cols)), shape=(num_nodes, num_nodes)
+    ).tocsr()
+    mat.sum_duplicates()
+    return CSRGraph.from_scipy(mat)
+
+
+def argsort_build(
+    num_nodes: int, edges: np.ndarray, weights: np.ndarray, merge: str
+) -> CSRGraph:
+    """The comparison-sort ``GraphBuilder`` build: drop self loops,
+    orient ``u < v``, stable ``argsort`` on ``u * n + v``, merge each
+    duplicate group in input order, then :func:`scipy_edges_to_csr`."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    keep = edges[:, 0] != edges[:, 1]
+    edges, weights = edges[keep], weights[keep]
+    u = np.minimum(edges[:, 0], edges[:, 1])
+    v = np.maximum(edges[:, 0], edges[:, 1])
+    key = u * np.int64(num_nodes) + v
+    order = np.argsort(key, kind="stable")
+    key, u, v, w = key[order], u[order], v[order], weights[order]
+    boundary = np.ones(len(key), dtype=bool)
+    boundary[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(boundary)
+    if not len(starts):
+        merged_w = w
+    elif merge == "sum":
+        merged_w = np.add.reduceat(w, starts)
+    elif merge == "max":
+        merged_w = np.maximum.reduceat(w, starts)
+    else:  # first
+        merged_w = w[starts]
+    return scipy_edges_to_csr(
+        num_nodes, np.stack([u[starts], v[starts]], axis=1), merged_w
+    )
 
 
 def community_graph_loop(

@@ -62,6 +62,19 @@ class TestMutations:
         with pytest.raises(GraphError, match="positive"):
             dyn.add_edge(0, 3, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # A NaN delta weight used to read as a tombstone: the edge
+        # vanished from neighbors() while degree() turned NaN.
+        dyn = DynamicGraph(path_graph(4))
+        with pytest.raises(GraphError, match="positive and finite"):
+            dyn.add_edge(0, 2, bad)
+        assert dyn.version == 0
+        assert not dyn.has_edge(0, 2)
+        assert list(dyn.neighbors(0)[0]) == [1]
+        assert dyn.degree(0) == 1.0
+        assert dyn.num_edges == 3
+
     def test_max_degree_tracks_updates(self, dyn):
         assert dyn.max_degree == 2.0
         dyn.add_edge(0, 2)

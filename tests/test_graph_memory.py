@@ -48,6 +48,18 @@ class TestConstruction:
         with pytest.raises(GraphError, match="positive"):
             CSRGraph.from_edges(2, [(0, 1)], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_by_from_edges(self, bad):
+        with pytest.raises(GraphError, match="positive and finite"):
+            CSRGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_zero_weight_rejected_by_from_arrays(self, bad):
+        indptr = np.array([0, 1, 2])
+        indices = np.array([1, 0])
+        with pytest.raises(GraphError, match="positive and finite"):
+            CSRGraph.from_arrays(indptr, indices, np.array([bad, bad]))
+
     def test_bad_edge_shape(self):
         with pytest.raises(GraphError, match="pairs"):
             CSRGraph.from_edges(3, np.array([[0, 1, 2]]))

@@ -768,6 +768,31 @@ class TestMutableServing:
             result = server.top_k(3, 4)
             assert result.exact
 
+    def test_non_finite_update_stops_batch_before_broadcast(self, graph):
+        # A NaN weight used to pass the shadow and reach every worker.
+        ok_first = EdgeUpdate(0, 150, "add", weight=3.0)
+        bad = EdgeUpdate(7, 160, "add", weight=float("nan"))
+        ok_last = EdgeUpdate(9, 170, "add", weight=2.0)
+        mirror = DynamicGraph(graph)
+        apply_edge_updates(mirror, [ok_first])
+        with ShardedServer(
+            graph, "php", c=0.5, workers=2, mutable=True
+        ) as server:
+            with pytest.raises(GraphError, match="update 2/3"):
+                server.apply_updates([ok_first, bad, ok_last])
+            assert server.graph_version == mirror.version == 1
+            batch = server.top_k_many(range(12), k=5)
+            metrics = server.metrics()
+        assert metrics.updates_applied == 1
+        oracle = QuerySession(mirror, "php", c=0.5).top_k_many(
+            range(12), k=5
+        )
+        for served, truth in zip(batch, oracle):
+            np.testing.assert_array_equal(served.nodes, truth.nodes)
+            np.testing.assert_allclose(
+                served.values, truth.values, rtol=0, atol=1e-12
+            )
+
     def test_respawned_worker_replays_updates(self, graph):
         updates = [EdgeUpdate(1, 180, "add", weight=4.0)]
         with ShardedServer(

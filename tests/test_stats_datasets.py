@@ -1,10 +1,18 @@
 """Tests for graph statistics and the dataset stand-ins."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.datasets import DATASETS, PAPER_TABLE4, clear_memo, load_dataset
+from repro.graph.datasets import (
+    DATASET_VERSION,
+    DATASETS,
+    PAPER_TABLE4,
+    clear_memo,
+    load_dataset,
+)
 from repro.graph.generators import path_graph, star_graph
 from repro.graph.memory import CSRGraph
 from repro.graph.stats import degree_histogram, graph_stats
@@ -81,3 +89,61 @@ class TestDatasets:
         g = load_dataset("YT", scale=0.01)
         degrees = np.diff(g._indptr)
         assert degrees.max() > 20 * np.median(degrees)
+
+    def test_no_disk_cache_touches_no_disk(self, tmp_path, monkeypatch):
+        # The cache directory cannot exist (its parent is a regular
+        # file); generating without the disk cache must not try.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        clear_memo()
+        g = load_dataset("AZ", scale=0.002, use_disk_cache=False)
+        clear_memo()
+        assert g.num_nodes > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+#: SHA-256 over ``dtype.str`` + bytes of ``indptr``, ``indices`` and
+#: ``weights`` of each stand-in, generated without any cache.  A change
+#: to a generator, the builder or the CSR assembly that alters a
+#: benchmark graph fails here; such a change must also bump
+#: ``DATASET_VERSION`` so stale on-disk caches are never read.
+STANDIN_DIGESTS = {
+    ("AZ", 0.03): (
+        "a4d432914d099aca7e596e16d65038f10698bac8e812e6da8691ce6c035e0bc4"
+    ),
+    ("AZ", 0.1): (
+        "cbea8293ab23a4e677a6b0fb4957119b22aebb4dc6bb8a6737405a4e973e03af"
+    ),
+    ("DP", 0.01): (
+        "397ecf5b0ef0c569d4986e2353a2ca76197424ef1595879a762f593e4fbe4430"
+    ),
+    ("YT", 0.005): (
+        "952b684d67c1341adc3a18660809ba8bfcb58524b948eccd1ef7568faeeebce9"
+    ),
+    ("LJ", 0.002): (
+        "29fa5288d458e8b84b8cdc290780bfad54f76cb585f8fb882a3e885e0f9a89fc"
+    ),
+}
+
+
+def graph_digest(graph: CSRGraph) -> str:
+    h = hashlib.sha256()
+    for arr in (graph._indptr, graph._indices, graph._weights):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, scale", list(STANDIN_DIGESTS), ids=str
+)
+def test_standin_digest_pinned(name, scale):
+    assert DATASET_VERSION == 2
+    clear_memo()
+    try:
+        graph = load_dataset(name, scale=scale, use_disk_cache=False)
+    finally:
+        clear_memo()
+    assert graph_digest(graph) == STANDIN_DIGESTS[(name, scale)]
