@@ -96,19 +96,24 @@ def test_table3_fig4_walkthrough(benchmark):
             0,
             2,
             options=FLoSOptions(
-                record_trace=True, tighten=False, adaptive_batching=False
+                audit="record", tighten=False, adaptive_batching=False
             ),
         )
 
     result = benchmark.pedantic(walkthrough, rounds=1, iterations=1)
+    # One audit snapshot per bound refresh; the last one is the round
+    # that terminated.  Round t first visited ``nodes[prev.size:size]``.
+    snaps = result.audit.snapshots
+    sizes = [1] + [snap.size for snap in snaps]
+    newly = [snap.nodes[prev : snap.size] + 1 for prev, snap in zip(sizes, snaps)]
     rows = []
-    for snap in result.trace:
+    for snap, fresh in zip(snaps, newly):
         rows.append(
             [
                 snap.iteration,
-                "{" + ",".join(str(v + 1) for v in snap.newly_visited) + "}",
+                "{" + ",".join(str(v) for v in fresh) + "}",
                 round(snap.dummy_value, 4),
-                "yes" if snap.terminated else "no",
+                "yes" if snap is snaps[-1] else "no",
             ]
         )
     table = format_table(
@@ -119,13 +124,13 @@ def test_table3_fig4_walkthrough(benchmark):
         "at iteration 4 so node 8 is never visited",
     )
     bounds_rows = []
-    final = result.trace[-1]
-    for node in sorted(final.lower):
+    final = snaps[-1]
+    for i in final.nodes.argsort():
         bounds_rows.append(
             [
-                node + 1,
-                round(final.lower[node], 4),
-                round(final.upper[node], 4),
+                final.nodes[i] + 1,
+                round(final.lower[i], 4),
+                round(final.upper[i], 4),
             ]
         )
     table += format_table(
@@ -135,6 +140,11 @@ def test_table3_fig4_walkthrough(benchmark):
     )
     write_report("table3_fig4_example", table)
 
-    newly = [tuple(sorted(v + 1 for v in s.newly_visited)) for s in result.trace]
-    assert newly == [(2, 3), (4,), (5,), (6, 7)]
+    assert [tuple(sorted(fresh.tolist())) for fresh in newly] == [
+        (2, 3),
+        (4,),
+        (5,),
+        (6, 7),
+    ]
+    assert result.exact
     assert result.node_set() == {1, 2}

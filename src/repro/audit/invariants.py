@@ -92,13 +92,23 @@ class InvariantViolation:
 
 @dataclass
 class BoundSnapshot:
-    """Bounds over the visited set after one refresh (arrays copied)."""
+    """Bounds over the visited set after one refresh (arrays copied).
+
+    ``lower`` / ``upper`` are indexed by local id and taken before the
+    driver's ``min(lower, upper)`` clamp; ``iteration`` counts refreshes
+    from 1.  ``nodes`` maps local to global ids and ``expanded`` holds
+    the global ids this round expanded.  The nodes first visited in
+    round ``t`` are ``nodes[prev.size:size]``, where ``prev.size`` is 1
+    (the query alone) before the first snapshot.
+    """
 
     iteration: int
     lower: np.ndarray
     upper: np.ndarray
     dummy_value: float
     size: int
+    nodes: np.ndarray
+    expanded: np.ndarray
 
 
 @dataclass

@@ -4,10 +4,14 @@
 FLoS driver (:class:`~repro.core.flos.FLoSDriver`) constructs one when
 ``FLoSOptions.audit != "off"``, and it is called:
 
-* :meth:`AuditRecorder.on_refresh` after every bound refresh — checks
-  bound ordering, monotone bound evolution against the previous
-  snapshot, and the :meth:`~repro.core.localgraph.LocalView.check_invariants`
-  state invariants;
+* :meth:`AuditRecorder.on_refresh` after every bound refresh, from the
+  driver's one refresh epilogue — checks bound ordering, monotone bound
+  evolution against the previous snapshot, and the
+  :meth:`~repro.core.localgraph.LocalView.check_invariants` state
+  invariants;
+* :meth:`AuditRecorder.on_solver_residuals` from the PHP-space bound
+  model's refresh, just before the ``on_refresh`` of the same refresh,
+  which checks it;
 * :meth:`AuditRecorder.on_certificate` at finalize — replays the
   termination decision from the recorded final bounds
   (:func:`~repro.audit.invariants.check_certificate`).
@@ -66,9 +70,9 @@ class AuditRecorder:
         finite-horizon DP of THT.
     order_slack:
         Allowed ``lower - upper`` inversion within one refresh; same
-        derivation, checked *before* the engine's cosmetic
-        ``min(lb, ub)`` clamp would hide it — which is why the engines
-        invoke :meth:`on_refresh` pre-clamp.
+        derivation, checked *before* the driver's cosmetic
+        ``min(lb, ub)`` clamp would hide it — which is why the driver
+        invokes :meth:`on_refresh` pre-clamp.
     context:
         Human-readable run label used in raised error messages.
     """
@@ -93,6 +97,7 @@ class AuditRecorder:
         self._last: BoundSnapshot | None = None
         self._certificate: CertificateRecord | None = None
         self._refreshes = 0
+        self._residuals: tuple[float, float, float] | None = None
 
     # ------------------------------------------------------------------
 
@@ -102,15 +107,22 @@ class AuditRecorder:
         upper: np.ndarray,
         dummy_value: float,
         view,
+        expanded: np.ndarray,
     ) -> None:
-        """Audit one bound refresh (called by the engines pre-clamp)."""
+        """Audit one bound refresh (called by the driver pre-clamp).
+
+        ``expanded`` holds the local ids this round expanded.
+        """
         self._refreshes += 1
+        gids = view.global_ids()
         snap = BoundSnapshot(
             iteration=self._refreshes,
             lower=lower.copy(),
             upper=upper.copy(),
             dummy_value=float(dummy_value),
             size=len(lower),
+            nodes=gids.copy(),
+            expanded=gids[expanded],
         )
         found: list[InvariantViolation] = []
 
@@ -136,16 +148,27 @@ class AuditRecorder:
         if self.mode == "record":
             self._snapshots.append(snap)
         self._handle(found)
+        if self._residuals is not None:
+            residuals, self._residuals = self._residuals, None
+            self._check_residuals(*residuals)
 
     def on_solver_residuals(
         self, lower_res: float, upper_res: float, tol: float
     ) -> None:
-        """Audit the solver's convergence claim after one refresh.
+        """Hold the solver's convergence claim for the refresh in flight.
 
-        The engine passes fixed-point residual inf-norms measured by an
-        independent operator application
-        (:meth:`~repro.core.kernels.DualBoundKernel.residual_norms`).
+        The bound model passes fixed-point residual inf-norms measured by
+        an independent operator application
+        (:meth:`~repro.core.kernels.DualBoundKernel.residual_norms`)
+        before its raw bounds reach the driver; the next
+        :meth:`on_refresh` checks them after that refresh's own
+        invariants.
         """
+        self._residuals = (lower_res, upper_res, tol)
+
+    def _check_residuals(
+        self, lower_res: float, upper_res: float, tol: float
+    ) -> None:
         self.checks += 1
         found = [
             InvariantViolation(

@@ -56,17 +56,9 @@ class ClusterIndex:
             ).astype(np.int64)
         self.preprocess_seconds = time.perf_counter() - started
 
-    @property
-    def num_clusters(self) -> int:
-        return len(self._members)
-
     def cluster_of(self, node: int) -> int:
         self.graph.validate_node(node)
         return int(self._membership[node])
-
-    def cluster_nodes(self, cluster: int) -> np.ndarray:
-        """Member nodes of one cluster (without fringe)."""
-        return self._members[cluster]
 
     # ------------------------------------------------------------------
 

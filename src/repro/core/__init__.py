@@ -6,12 +6,7 @@ from repro.core.degree_index import DegreeIndex, degree_descending_order
 from repro.core.flos import FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
 from repro.core.localgraph import LocalView
-from repro.core.result import (
-    BatchSummary,
-    IterationSnapshot,
-    SearchStats,
-    TopKResult,
-)
+from repro.core.result import BatchSummary, SearchStats, TopKResult
 from repro.core.session import QuerySession, SessionMetrics
 
 __all__ = [
@@ -30,5 +25,4 @@ __all__ = [
     "SessionMetrics",
     "TopKResult",
     "SearchStats",
-    "IterationSnapshot",
 ]

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.kernels import DualBoundKernel
 from repro.core.localgraph import LocalView
-from repro.core.result import IterationSnapshot, SearchStats
+from repro.core.result import SearchStats
 from repro.nputil import top_k_indices
 from repro.errors import (
     BudgetExceededError,
@@ -131,14 +131,13 @@ class FLoSOptions:
     #: truth.  Applies in ranking-score space (PHP-space, possibly
     #: degree-weighted; hitting-time space for THT).
     tie_epsilon: float = 0.0
-    #: Record per-iteration bound snapshots (Figure 4).
-    record_trace: bool = False
     #: Runtime certification audit (see :mod:`repro.audit` and
     #: ``docs/correctness.md``).  ``"off"`` (default) adds no work;
     #: ``"record"`` checks every invariant (bound ordering, monotone
     #: bound evolution, local-view state, termination-certificate
     #: replay) after each refresh and attaches the full audit trail to
-    #: the result (``result.audit``); ``"check"`` additionally raises
+    #: the result (``result.audit``), one bound snapshot per refresh
+    #: (the Figure 4 / Table 3 view); ``"check"`` additionally raises
     #: :class:`~repro.errors.AuditError` on the first violation, at the
     #: iteration that introduced it.
     audit: str = "off"
@@ -203,7 +202,6 @@ class EngineOutcome:
     exact: bool
     exhausted_component: bool
     stats: SearchStats
-    trace: list[IterationSnapshot] = field(default_factory=list)
     #: Audit trail when ``FLoSOptions.audit != "off"`` (see
     #: :mod:`repro.audit.invariants`).
     audit: "object | None" = None
@@ -215,15 +213,16 @@ class FLoSDriver:
     The driver owns every step that is the same for all measures: the
     soft-budget schedule, the excluded-locals mask, best-first
     expansion, growing the bound vectors, the termination certificate,
-    the anytime and exhausted-component finalizers, the audit seal and
-    the per-iteration trace.  A subclass is a *bound
-    model*: it refreshes ``self._lb`` / ``self._ub`` after each
-    expansion and exposes them to the driver in one orientation, where
-    larger means closer.
+    the anytime and exhausted-component finalizers, the refresh
+    epilogue (:meth:`_update_bounds`: work counters, the per-refresh
+    audit, the bound clamp) and the audit seal.  A subclass is a *bound
+    model*: it computes fresh bounds after each expansion and exposes
+    them to the driver in one orientation, where larger means closer.
 
-    * :meth:`_refresh` — Algorithms 4 and 5 (or their THT analogue).
-      ``boundary`` is ``δS`` *before* this round's expansion, which the
-      PHP-space dummy of Alg. 5 line 7 reads.
+    * :meth:`_refresh` — Algorithms 4 and 5 (or their THT analogue):
+      returns raw ``(lb, ub, sweeps)``, where a sweep touches every
+      visited row once.  ``boundary`` is ``δS`` *before* this round's
+      expansion, which the PHP-space dummy of Alg. 5 line 7 reads.
     * :meth:`_ranking_bounds` — ``(lo, hi)`` ranking scores bracketing
       each visited node.
     * :meth:`_expansion_scores` — the best-first key of Algorithm 3.
@@ -276,6 +275,7 @@ class FLoSDriver:
         # The value the recorded dummy column carries; the PHP-space
         # model lowers it as the search proceeds (Alg. 5 line 7).
         self._dummy_value = trivial[1]
+        self._query_value = query_value
 
         self.view = LocalView(graph, query, track_tightening=track_tightening)
         # The query is local id 0, with a constant value by definition
@@ -289,7 +289,6 @@ class FLoSDriver:
         # query itself is never eligible).
         self._settled = 0
         self.stats = SearchStats()
-        self.trace: list[IterationSnapshot] = []
         # Lazy import keeps audit="off" runs free of the audit package
         # (and avoids a core <-> audit import cycle at module load).
         self._auditor = None
@@ -331,28 +330,26 @@ class FLoSDriver:
                 if reason is not None:
                     if opts.on_budget == "raise":
                         self._raise_budget(reason, iteration)
-                    return self._finalize_degraded(reason, iteration)
+                    return self._finalize_degraded(reason)
 
             boundary = np.flatnonzero(self.view.boundary_mask())
             if len(boundary) == 0:
                 # The query's component is fully visited: bounds coincide
                 # with the exact (τ-converged) solution on the component.
-                return self._finalize_exhausted(iteration, boundary)
+                return self._finalize_exhausted(boundary)
             expanded = self._select_expansion(boundary)
-            newly = self._expand(expanded)
+            self._expand(expanded)
             if (
                 opts.max_visited is not None
                 and self.view.size > opts.max_visited
             ):
                 if opts.on_budget == "raise":
                     raise BudgetExceededError(self.view.size, opts.max_visited)
-                self._refresh(boundary)
-                return self._finalize_degraded("visited_budget", iteration)
+                self._update_bounds(boundary, expanded)
+                return self._finalize_degraded("visited_budget")
 
-            self._refresh(boundary)
+            self._update_bounds(boundary, expanded)
             done, top_locals = self._check_termination()
-            if opts.record_trace:
-                self._record(iteration, expanded, newly, done)
             if done:
                 return self._outcome(top_locals, exact=True)
 
@@ -417,7 +414,7 @@ class FLoSDriver:
             chosen = chosen[: max(base, keep)]
         return chosen
 
-    def _expand(self, locals_: np.ndarray) -> list[int]:
+    def _expand(self, locals_: np.ndarray) -> None:
         newly = self.view.expand_batch(locals_)
         self.stats.expansions += len(locals_)
         grow = self.view.size - len(self._lb)
@@ -439,7 +436,30 @@ class FLoSDriver:
                     else np.zeros(grow, dtype=bool),
                 ]
             )
-        return newly
+
+    def _update_bounds(self, boundary: np.ndarray, expanded: np.ndarray) -> None:
+        """Refresh the bounds after expanding ``expanded`` (local ids).
+
+        The model's :meth:`_refresh` computes them; this epilogue is the
+        same for every model: work counters, the per-refresh audit, the
+        consistency clamp and the query's constant value.
+        """
+        lb, ub, sweeps = self._refresh(boundary)
+        self.stats.solver_iterations += sweeps
+        self.stats.rows_swept += self.view.size * sweeps
+        # Audit before the clamp below — clamping would mask exactly the
+        # bound-order inversions the audit exists to catch.
+        if self._auditor is not None:
+            self._auditor.on_refresh(
+                lb, ub, self._dummy_value, self.view, expanded
+            )
+        # The bounds sandwich the same fixed point; keep them consistent
+        # against solver-tolerance noise.
+        np.minimum(lb, ub, out=lb)
+        # The query's value is a constant by definition.
+        lb[0] = ub[0] = self._query_value
+        self._lb = lb
+        self._ub = ub
 
     # ------------------------------------------------------------------
     # Algorithm 6 — CheckTerminationCriteria
@@ -495,7 +515,7 @@ class FLoSDriver:
     # Finalizers
     # ------------------------------------------------------------------
 
-    def _finalize_degraded(self, reason: str, iteration: int) -> EngineOutcome:
+    def _finalize_degraded(self, reason: str) -> EngineOutcome:
         """Assemble the anytime result after a soft budget fired.
 
         The current best-k by the ranking midpoint ``(lo + hi) / 2`` is
@@ -529,16 +549,13 @@ class FLoSDriver:
 
         self.stats.termination = reason
         self.stats.bound_gap = gap
-        if self.options.record_trace:
-            self._record(iteration, np.empty(0, np.int64), [], True)
         return self._outcome(top, exact=False)
 
-    def _finalize_exhausted(
-        self, iteration: int, boundary: np.ndarray
-    ) -> EngineOutcome:
+    def _finalize_exhausted(self, boundary: np.ndarray) -> EngineOutcome:
         # No boundary left: the dummy mass is zero everywhere, so lower
-        # and upper systems coincide; refresh once more and rank.
-        self._refresh(boundary)
+        # and upper systems coincide; refresh once more (nothing was
+        # expanded) and rank.
+        self._update_bounds(boundary, np.empty(0, dtype=np.int64))
         lo, _ = self._ranking_bounds()
         candidates = np.flatnonzero(
             self._eligible_mask(np.ones(self.view.size, dtype=bool))
@@ -547,8 +564,6 @@ class FLoSDriver:
         top = candidates[
             top_k_indices(lo[candidates], gids[candidates], self.k)
         ]
-        if self.options.record_trace:
-            self._record(iteration, np.empty(0, np.int64), [], True)
         return self._outcome(top, exact=True, exhausted=len(top) < self.k)
 
     def _outcome(
@@ -564,7 +579,6 @@ class FLoSDriver:
             exact=exact,
             exhausted_component=exhausted,
             stats=self.stats,
-            trace=self.trace,
         )
         self._seal_audit(outcome)
         return outcome
@@ -607,26 +621,6 @@ class FLoSDriver:
         self.stats.audit_checks = self._auditor.checks
         self.stats.audit_violations = len(self._auditor.violations)
         outcome.audit = self._auditor.report()
-
-    def _record(
-        self,
-        iteration: int,
-        expanded: np.ndarray,
-        newly: list[int],
-        terminated: bool,
-    ) -> None:
-        gids = self.view.global_ids()
-        self.trace.append(
-            IterationSnapshot(
-                iteration=iteration,
-                expanded=tuple(int(gids[i]) for i in expanded),
-                newly_visited=tuple(newly),
-                lower={int(g): float(v) for g, v in zip(gids, self._lb)},
-                upper={int(g): float(v) for g, v in zip(gids, self._ub)},
-                dummy_value=self._dummy_value,
-                terminated=terminated,
-            )
-        )
 
 
 class PHPSpaceEngine(FLoSDriver):
@@ -704,7 +698,9 @@ class PHPSpaceEngine(FLoSDriver):
     # Algorithms 4, 5 — bound refresh
     # ------------------------------------------------------------------
 
-    def _refresh(self, boundary: np.ndarray) -> None:
+    def _refresh(
+        self, boundary: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         opts = self.options
         # r_d^t = max upper bound on the boundary of the *previous*
         # iteration (Algorithm 5 line 7); monotone non-increasing.
@@ -730,7 +726,7 @@ class PHPSpaceEngine(FLoSDriver):
 
         e_upper = e_lower + self.decay * dummy_probs * self._dummy_value
 
-        self._lb, self._ub, sweeps = self._kernel.refresh(
+        lb, ub, sweeps = self._kernel.refresh(
             self._lb,
             self._ub,
             diag,
@@ -738,24 +734,13 @@ class PHPSpaceEngine(FLoSDriver):
             e_upper,
             tau=opts.tau,
         )
-        self.stats.solver_iterations += sweeps
-        self.stats.rows_swept += m * sweeps
-        # Audit before the consistency clamp below — clamping would mask
-        # exactly the bound-order inversions the audit exists to catch.
         if self._auditor is not None:
-            self._auditor.on_refresh(
-                self._lb, self._ub, self._dummy_value, self.view
-            )
             res_lb, res_ub = self._kernel.residual_norms(
-                self._lb, self._ub, diag, e_lower, e_upper
+                lb, ub, diag, e_lower, e_upper
             )
             self._auditor.on_solver_residuals(
                 res_lb,
                 res_ub,
                 opts.tau * (1.0 + self.decay) + 1e-12,
             )
-        # The bounds sandwich the same fixed point; keep them consistent
-        # against solver-tolerance noise.
-        np.minimum(self._lb, self._ub, out=self._lb)
-        # The query's proximity is the constant 1 by definition.
-        self._lb[0] = self._ub[0] = 1.0
+        return lb, ub, sweeps

@@ -103,7 +103,9 @@ class THTEngine(FLoSDriver):
         # Lemma 7: unvisited hitting times are at least min_{δS} lb.
         return -float(self._lb[boundary].min())
 
-    def _refresh(self, prior_boundary: np.ndarray) -> None:
+    def _refresh(
+        self, prior_boundary: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         # The step-indexed dummy reads the boundary *after* expansion,
         # not the prior one the driver passes.
         m = self.view.size
@@ -113,11 +115,8 @@ class THTEngine(FLoSDriver):
         e[0] = 0.0  # the query's hitting time is identically zero
 
         lb, ub = self._kernel.run(e, mass, boundary, self.horizon)
-        self.stats.rows_swept += 2 * self.horizon * m
         # Domain clamps first (the measure's range is [0, L] by
-        # definition), then the monotone envelope, then audit *before*
-        # the cross-clamp below — that clamp would mask exactly the
-        # lower>upper inversions the audit exists to catch.
+        # definition), then the monotone envelope.
         np.minimum(ub, float(self.horizon), out=ub)
         np.maximum(lb, 0.0, out=lb)
         # Monotone envelope: the previous refresh's bounds stay valid
@@ -130,11 +129,5 @@ class THTEngine(FLoSDriver):
         # size with trivial [0, L] entries by the driver's expansion.
         np.maximum(lb, self._lb, out=lb)
         np.minimum(ub, self._ub, out=ub)
-        self._lb = lb
-        self._ub = ub
-        if self._auditor is not None:
-            self._auditor.on_refresh(
-                self._lb, self._ub, self._dummy_value, self.view
-            )
-        np.minimum(self._lb, self._ub, out=self._lb)
-        self.stats.solver_iterations += 2 * self.horizon
+        # Two DPs of L steps each, every step a sweep over all m rows.
+        return lb, ub, 2 * self.horizon

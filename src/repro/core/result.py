@@ -89,19 +89,6 @@ class SearchStats:
 
 
 @dataclass
-class IterationSnapshot:
-    """One FLoS iteration recorded when tracing is enabled (Figure 4)."""
-
-    iteration: int
-    expanded: tuple[int, ...]
-    newly_visited: tuple[int, ...]
-    lower: dict[int, float]
-    upper: dict[int, float]
-    dummy_value: float
-    terminated: bool
-
-
-@dataclass
 class TopKResult:
     """Outcome of a top-k proximity query.
 
@@ -130,10 +117,8 @@ class TopKResult:
     #: True when the search exhausted the query's connected component and
     #: had to pad/truncate (fewer reachable nodes than ``k``).
     exhausted_component: bool = False
-    #: Per-iteration bound snapshots (only when tracing was requested).
-    trace: list[IterationSnapshot] = field(default_factory=list)
     #: Audit trail recorded by the invariant layer (``audit != "off"``):
-    #: per-iteration bound snapshots plus the final termination
+    #: per-refresh bound snapshots plus the final termination
     #: certificate, replayable offline via :mod:`repro.audit.invariants`.
     audit: "AuditReport | None" = None
 
@@ -149,9 +134,8 @@ class TopKResult:
         Every mutable field a caller could plausibly write to — the
         result arrays and ``stats`` — is freshly allocated, so mutating
         the copy can never corrupt another holder of the original (the
-        session result cache relies on this).  ``trace`` and ``audit``
-        are shared by reference: they are write-once diagnostics, and
-        trace-carrying results are never cached.
+        session result cache relies on this).  ``audit`` is shared by
+        reference: it is a write-once diagnostic.
         """
         return TopKResult(
             query=self.query,
@@ -164,13 +148,8 @@ class TopKResult:
             exact=self.exact,
             stats=replace(self.stats),
             exhausted_component=self.exhausted_component,
-            trace=list(self.trace),
             audit=self.audit,
         )
-
-    def as_dict(self) -> dict[int, float]:
-        """``{node: value}`` mapping."""
-        return {int(n): float(v) for n, v in zip(self.nodes, self.values)}
 
     def node_set(self) -> set[int]:
         return {int(n) for n in self.nodes}

@@ -276,7 +276,9 @@ class QuerySession:
         """
         started = time.monotonic()
         resolved = overrides if overrides is not None else NO_OVERRIDES
-        options = self._per_call_options(resolved)
+        # ``apply`` rebuilds the frozen options, re-validating them, so
+        # a bad override raises ConfigurationError here.
+        options = resolved.apply(self.options)
         options.validate(k)
         key = result_key(query, k, exclude, resolved.audit)
 
@@ -417,15 +419,6 @@ class QuerySession:
     # Engine dispatch (the logic formerly inlined in api.flos_top_k)
     # ------------------------------------------------------------------
 
-    def _per_call_options(self, overrides: QueryOverrides) -> FLoSOptions:
-        """Session options with per-call overrides applied.
-
-        :meth:`QueryOverrides.apply` rebuilds the frozen dataclass,
-        re-validating via ``__post_init__``, so a bad override raises
-        :class:`~repro.errors.ConfigurationError` here.
-        """
-        return overrides.apply(self.options)
-
     def _execute(
         self,
         query: int,
@@ -538,7 +531,6 @@ class QuerySession:
             exact=outcome.exact,
             stats=outcome.stats,
             exhausted_component=outcome.exhausted_component,
-            trace=outcome.trace,
             audit=outcome.audit,
         )
 
@@ -561,7 +553,6 @@ class QuerySession:
             exact=outcome.exact,
             stats=outcome.stats,
             exhausted_component=outcome.exhausted_component,
-            trace=outcome.trace,
             audit=outcome.audit,
         )
 

@@ -21,7 +21,6 @@ a valid and cheap such bound, and the paper assumes it is maintained.
 from __future__ import annotations
 
 import abc
-from typing import Iterator
 
 import numpy as np
 
@@ -113,10 +112,6 @@ class GraphAccess(abc.ABC):
                 counts,
             )
         return np.concatenate(parts_ids), np.concatenate(parts_probs), counts
-
-    def iter_nodes(self) -> Iterator[int]:
-        """Iterate over all node ids."""
-        return iter(range(self.num_nodes))
 
     def validate_node(self, u: int) -> None:
         """Raise :class:`~repro.errors.NodeNotFoundError` for bad ids."""

@@ -62,14 +62,6 @@ class DatasetSpec:
     seed: int
     build: Callable[[int, int, int], CSRGraph]
 
-    @property
-    def target_nodes(self) -> int:
-        return max(64, int(self.paper_nodes * self.scale))
-
-    @property
-    def target_edges(self) -> int:
-        return max(64, int(self.paper_edges * self.scale))
-
 
 def _build_community(nodes: int, edges: int, seed: int) -> CSRGraph:
     """Near-uniform-degree community graph (Amazon / DBLP shape)."""

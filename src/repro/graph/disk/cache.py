@@ -54,10 +54,6 @@ class LRUPageCache:
         return self._page_size
 
     @property
-    def capacity_pages(self) -> int:
-        return self._capacity
-
-    @property
     def resident_pages(self) -> int:
         return len(self._pages)
 

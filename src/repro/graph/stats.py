@@ -43,7 +43,7 @@ def graph_stats(graph: GraphAccess) -> GraphStats:
         out_degrees = np.diff(graph._indptr)
     else:
         out_degrees = np.array(
-            [graph.out_degree(u) for u in graph.iter_nodes()], dtype=np.int64
+            [graph.out_degree(u) for u in range(graph.num_nodes)], dtype=np.int64
         )
     if len(out_degrees) == 0:
         return GraphStats(0, 0, 0.0, 0, 0, 0.0, 0.0, 0)

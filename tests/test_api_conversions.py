@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import DHT, EI, PHP, RWR, FLoSOptions, flos_top_k
-from repro.graph.generators import erdos_renyi, paper_example_graph
+from repro.graph.generators import erdos_renyi
 from repro.measures import solve_direct
 
 TIGHT = FLoSOptions(tau=1e-10)
@@ -109,20 +109,3 @@ class TestMeasureMeta:
         assert EI(0.3).php_decay == pytest.approx(0.7)
         assert DHT(0.3).php_decay == pytest.approx(0.7)
         assert RWR(0.3).php_decay == pytest.approx(0.7)
-
-
-class TestTraceOnExample:
-    def test_trace_disabled_by_default(self):
-        g = paper_example_graph()
-        res = flos_top_k(g, PHP(0.5), 0, 2)
-        assert res.trace == []
-
-    def test_trace_records_every_iteration(self):
-        g = paper_example_graph()
-        res = flos_top_k(
-            g, PHP(0.5), 0, 2, options=FLoSOptions(record_trace=True)
-        )
-        assert len(res.trace) >= 1
-        assert res.trace[-1].terminated
-        for snap in res.trace:
-            assert set(snap.lower) == set(snap.upper)

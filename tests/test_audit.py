@@ -21,10 +21,10 @@ from repro.audit.invariants import (
     check_sandwich,
 )
 from repro.core.flos import FLoSOptions
-from repro.core.kernels import DualBoundKernel
+from repro.core.kernels import DualBoundKernel, THTDPKernel
 from repro.core.session import QuerySession
 from repro.errors import AuditError, ConfigurationError
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, grid_graph
 from repro.measures import resolve_measure
 
 from .conftest import schedule_options
@@ -53,9 +53,32 @@ SCHEDULES = {
 }
 
 
-def _session(measure, kwargs, **options):
+# One engine per bound model.
+ENGINES = {"php": ("php", {"c": 0.5}), "tht": ("tht", {"horizon": 5})}
+
+# Every path the driver refreshes on: ``(graph, k, options, termination)``.
+REFRESH_PATHS = {
+    "exact": (GRAPH, K, {}, "exact"),
+    "visited_budget": (
+        GRAPH,
+        K,
+        {"max_visited": 12, "on_budget": "degrade"},
+        "visited_budget",
+    ),
+    # The budget fires at the top of the loop, where nothing refreshes.
+    "iteration_budget": (
+        GRAPH,
+        K,
+        {"max_iterations": 2, "on_budget": "degrade"},
+        "iteration_budget",
+    ),
+    "exhausted": (grid_graph(5, 5), 30, {}, "exact"),
+}
+
+
+def _session(measure, kwargs, graph=GRAPH, **options):
     return QuerySession(
-        GRAPH, measure=measure, **kwargs, options=FLoSOptions(**options)
+        graph, measure=measure, **kwargs, options=FLoSOptions(**options)
     )
 
 
@@ -95,6 +118,8 @@ class TestMonotoneEvolution:
             upper=upper,
             dummy_value=dummy,
             size=len(lower),
+            nodes=np.arange(len(lower)),
+            expanded=np.empty(0, dtype=np.int64),
         )
 
     def test_tightening_is_clean(self):
@@ -317,16 +342,44 @@ class TestAuditModes:
         assert metrics.audit_checks == result.stats.audit_checks
         assert metrics.audit_violations == 0
 
-    def test_record_mode_accumulates_snapshots(self):
-        session = _session("php", {"c": 0.5}, audit="record")
-        result = session.top_k(QUERY, K)
+    @pytest.mark.parametrize("path", REFRESH_PATHS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_record_mode_accumulates_snapshots(
+        self, engine, path, monkeypatch
+    ):
+        """Exactly one snapshot per bound refresh, on every path."""
+        measure, kwargs = ENGINES[engine]
+        graph, k, options, termination = REFRESH_PATHS[path]
+        refreshes = {"n": 0}
+        kernel, entry = (
+            (DualBoundKernel, "refresh")
+            if engine == "php"
+            else (THTDPKernel, "run")
+        )
+        real = getattr(kernel, entry)
+
+        def counted(self, *args, **kw):
+            refreshes["n"] += 1
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(kernel, entry, counted)
+        session = _session(measure, kwargs, graph, audit="record", **options)
+        result = session.top_k(QUERY, k)
+        assert result.stats.termination == termination
+        assert result.exhausted_component == (path == "exhausted")
         report = result.audit
         assert report.mode == "record"
-        assert len(report.snapshots) >= 2
         assert report.certificate is not None
+        assert len(report.snapshots) == refreshes["n"] >= 1
+        if engine == "tht":
+            steps = 2 * kwargs["horizon"]
+            assert result.stats.solver_iterations // steps == refreshes["n"]
         # Snapshot sizes follow the growing visited set.
         sizes = [snap.size for snap in report.snapshots]
         assert sizes == sorted(sizes)
+        assert [snap.iteration for snap in report.snapshots] == list(
+            range(1, len(sizes) + 1)
+        )
 
     def test_off_mode_attaches_nothing(self):
         session = _session("php", {"c": 0.5})
@@ -408,6 +461,29 @@ class TestCorruptionDetection:
         with pytest.raises(AuditError) as err:
             session.top_k(QUERY, K)
         assert any(v.check == "solver" for v in err.value.violations)
+
+    @pytest.mark.parametrize("mode", ["check", "record"])
+    def test_corrupted_tht_upper_bound_caught(self, mode, monkeypatch):
+        """The driver's one refresh hook audits the THT model too:
+        deflating its upper DP below the lower one is a bound-order
+        inversion."""
+        real = THTDPKernel.run
+
+        def corrupted(self, *args, **kwargs):
+            lb, ub = real(self, *args, **kwargs)
+            return lb, np.minimum(ub, lb - 0.5)
+
+        monkeypatch.setattr(THTDPKernel, "run", corrupted)
+        session = _session("tht", {"horizon": 5}, audit=mode)
+        if mode == "check":
+            with pytest.raises(AuditError) as err:
+                session.top_k(QUERY, K)
+            violations = err.value.violations
+        else:
+            result = session.top_k(QUERY, K)
+            assert result.stats.audit_violations > 0
+            violations = result.audit.violations
+        assert any(v.check == "bound_order" for v in violations)
 
     def test_record_mode_collects_instead_of_raising(self, monkeypatch):
         real = DualBoundKernel.refresh

@@ -15,11 +15,8 @@ from repro.graph.generators import (
 )
 from repro.measures import PHP, THT, solve_direct
 
-PAPER_SCHEDULE = FLoSOptions(adaptive_batching=False, record_trace=True)
-
-
 def run_engine(graph, q, k, **opts):
-    options = FLoSOptions(record_trace=True, **opts)
+    options = FLoSOptions(audit="record", **opts)
     engine = PHPSpaceEngine(graph, q, k, decay=0.5, options=options)
     outcome = engine.run()
     return engine, outcome
@@ -36,16 +33,15 @@ class TestDummyValue:
         engine, outcome = run_engine(
             g, q, 4, adaptive_batching=False, tighten=False
         )
-        for snap in outcome.trace:
-            visited = set(snap.lower)
-            unvisited = [v for v in range(g.num_nodes) if v not in visited]
-            if unvisited:
-                assert snap.dummy_value >= max(exact[v] for v in unvisited) - 1e-9
+        for snap in outcome.audit.snapshots:
+            unvisited = np.setdiff1d(np.arange(g.num_nodes), snap.nodes)
+            if len(unvisited):
+                assert snap.dummy_value >= exact[unvisited].max() - 1e-9
 
     def test_dummy_monotone_non_increasing(self):
         g = rmat(7, 500, seed=3)
         engine, outcome = run_engine(g, 1, 5, adaptive_batching=False)
-        dummies = [s.dummy_value for s in outcome.trace]
+        dummies = [s.dummy_value for s in outcome.audit.snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(dummies, dummies[1:]))
 
 
@@ -63,11 +59,10 @@ class TestBoundMonotonicity:
         _, outcome = run_engine(
             g, 2, 4, adaptive_batching=False, tighten=tighten, tau=tau
         )
-        for a, b in zip(outcome.trace, outcome.trace[1:]):
-            for node, lo in a.lower.items():
-                assert b.lower[node] >= lo - 10 * tau
-            for node, hi in a.upper.items():
-                assert b.upper[node] <= hi + 10 * tau
+        snaps = outcome.audit.snapshots
+        for a, b in zip(snaps, snaps[1:]):
+            assert np.all(b.lower[: a.size] >= a.lower - 10 * tau)
+            assert np.all(b.upper[: a.size] <= a.upper + 10 * tau)
 
     def test_bounds_always_sandwich_exact(self):
         g = rmat(7, 600, seed=5)
@@ -76,11 +71,9 @@ class TestBoundMonotonicity:
             pytest.skip("isolated seed")
         exact = solve_direct(PHP(0.5), g, q)
         _, outcome = run_engine(g, q, 5, tighten=True)
-        for snap in outcome.trace:
-            for node, lo in snap.lower.items():
-                assert lo <= exact[node] + 1e-7
-            for node, hi in snap.upper.items():
-                assert hi >= exact[node] - 1e-7
+        for snap in outcome.audit.snapshots:
+            assert np.all(snap.lower <= exact[snap.nodes] + 1e-7)
+            assert np.all(snap.upper >= exact[snap.nodes] - 1e-7)
 
 
 class TestTightening:
@@ -95,16 +88,13 @@ class TestTightening:
             g, 0, 2, tighten=True, adaptive_batching=False
         )
         # Compare the first iteration (identical visited sets {1,2,3}).
-        p0, t0 = plain.trace[0], tight.trace[0]
-        assert set(p0.lower) == set(t0.lower)
-        for node in p0.lower:
-            assert t0.lower[node] >= p0.lower[node] - 1e-12
-            assert t0.upper[node] <= p0.upper[node] + 1e-12
+        p0, t0 = plain.audit.snapshots[0], tight.audit.snapshots[0]
+        np.testing.assert_array_equal(p0.nodes, t0.nodes)
+        assert np.all(t0.lower >= p0.lower - 1e-12)
+        assert np.all(t0.upper <= p0.upper + 1e-12)
         # And strictly better somewhere (boundary nodes gain self-loops).
-        assert any(
-            t0.lower[n] > p0.lower[n] + 1e-12
-            or t0.upper[n] < p0.upper[n] - 1e-12
-            for n in p0.lower
+        assert np.any(
+            (t0.lower > p0.lower + 1e-12) | (t0.upper < p0.upper - 1e-12)
         )
 
 
@@ -117,14 +107,12 @@ class TestTHTEngineInternals:
         q = 3
         exact = solve_direct(THT(8), g, q)
         engine = THTEngine(
-            g, q, 3, horizon=8, options=FLoSOptions(record_trace=True)
+            g, q, 3, horizon=8, options=FLoSOptions(audit="record")
         )
         outcome = engine.run()
-        for snap in outcome.trace:
-            for node, lo in snap.lower.items():
-                assert lo <= exact[node] + 1e-9
-            for node, hi in snap.upper.items():
-                assert hi >= exact[node] - 1e-9
+        for snap in outcome.audit.snapshots:
+            assert np.all(snap.lower <= exact[snap.nodes] + 1e-9)
+            assert np.all(snap.upper >= exact[snap.nodes] - 1e-9)
 
     def test_tht_upper_bound_capped_at_horizon(self):
         g = rmat(6, 150, seed=8)
@@ -132,11 +120,11 @@ class TestTHTEngineInternals:
         if g.degree(q) == 0:
             pytest.skip("isolated seed")
         engine = THTEngine(
-            g, q, 2, horizon=6, options=FLoSOptions(record_trace=True)
+            g, q, 2, horizon=6, options=FLoSOptions(audit="record")
         )
         outcome = engine.run()
-        for snap in outcome.trace:
-            assert all(v <= 6.0 + 1e-12 for v in snap.upper.values())
+        for snap in outcome.audit.snapshots:
+            assert np.all(snap.upper <= 6.0 + 1e-12)
 
     # THT refreshes restart the DP from zero, so its rounds grow
     # geometrically (``THTEngine.growth_divisor`` = 4, not 24).
@@ -179,13 +167,13 @@ class TestExpansionSchedule:
     def test_paper_schedule_expands_one_node(self):
         g = erdos_renyi(80, 240, seed=9)
         engine, outcome = run_engine(g, 1, 3, adaptive_batching=False)
-        for snap in outcome.trace:
+        for snap in outcome.audit.snapshots:
             assert len(snap.expanded) <= 1
 
     def test_adaptive_schedule_grows(self):
         g = erdos_renyi(3000, 12000, seed=10)
         engine, outcome = run_engine(g, 1, 20, adaptive_batching=True)
-        batches = [len(s.expanded) for s in outcome.trace]
+        batches = [len(s.expanded) for s in outcome.audit.snapshots]
         if max(batches) > 1:
             assert max(batches) > batches[0]
 
@@ -193,7 +181,7 @@ class TestExpansionSchedule:
         g = erdos_renyi(2000, 8000, seed=11)
         _, fixed = run_engine(g, 1, 10, adaptive_batching=False)
         _, adaptive = run_engine(g, 1, 10, adaptive_batching=True)
-        assert len(adaptive.trace) <= len(fixed.trace)
+        assert len(adaptive.audit.snapshots) <= len(fixed.audit.snapshots)
 
     @pytest.mark.parametrize("k", [8, 20])
     def test_shortfall_rounds_settle_k_quickly(self, k):
@@ -204,8 +192,8 @@ class TestExpansionSchedule:
         q = 20 * 40 + 20
         _, outcome = run_engine(g, q, k)
         rounds = None
-        for snap in outcome.trace:
-            visited = set(snap.lower)
+        for snap in outcome.audit.snapshots:
+            visited = set(snap.nodes.tolist())
             settled = sum(
                 all(int(u) in visited for u in g.neighbors(v)[0])
                 for v in visited
@@ -221,15 +209,13 @@ class TestExpansionSchedule:
     def test_shortfall_rounds_at_most_double_the_ball(self, k):
         g = rmat(11, 16000, seed=3)
         hub = int(np.argmax(g.degrees))
-        options = FLoSOptions(record_trace=True)
-        engine = PHPSpaceEngine(g, hub, k, decay=0.5, options=options)
-        outcome = engine.run()
+        engine, outcome = run_engine(g, hub, k)
         size, shortfall_rounds = 1, 0
-        for snap in outcome.trace:
+        for snap in outcome.audit.snapshots:
             if len(snap.expanded) > engine._round_batches(size)[0]:
                 shortfall_rounds += 1
-                assert len(snap.newly_visited) <= size
-            size += len(snap.newly_visited)
+                assert snap.size - size <= size  # newly visited nodes
+            size = snap.size
         assert shortfall_rounds > 0
 
 
@@ -237,7 +223,9 @@ class TestStatsAccounting:
     def test_solver_iterations_accumulate(self):
         g = erdos_renyi(150, 450, seed=12)
         engine, outcome = run_engine(g, 1, 5)
-        assert outcome.stats.solver_iterations >= 2 * len(outcome.trace)
+        assert outcome.stats.solver_iterations >= 2 * len(
+            outcome.audit.snapshots
+        )
 
     def test_neighbor_queries_match_visited(self):
         g = erdos_renyi(150, 450, seed=13)
@@ -256,8 +244,8 @@ class TestOneDriver:
         "_check_termination",
         "_finalize_degraded",
         "_finalize_exhausted",
+        "_update_bounds",
         "_seal_audit",
-        "_record",
     )
 
     @pytest.mark.parametrize("cls", [PHPSpaceEngine, THTEngine])

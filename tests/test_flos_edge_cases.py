@@ -147,7 +147,6 @@ class TestResultContainer:
         assert res.measure_name == "PHP"
         assert res.query == 0 and res.k == 3
         assert len(res) == 3
-        assert res.as_dict().keys() == res.node_set()
         assert np.all(res.lower <= res.upper + 1e-12)
         assert "PHP" in repr(res)
 

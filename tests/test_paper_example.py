@@ -59,62 +59,60 @@ class TestTable3AndFigure4:
     def trace(self):
         g = paper_example_graph()
         # The walkthrough uses the plain (untightened) bounds and
-        # single-node expansion, like the paper's Algorithms 2-7.
+        # single-node expansion, like the paper's Algorithms 2-7; the
+        # audit trail records one bound snapshot per refresh.
         result = flos_top_k(
             g,
             PHP(0.8),
             0,
             2,
             options=FLoSOptions(
-                record_trace=True, tighten=False, adaptive_batching=False
+                audit="record", tighten=False, adaptive_batching=False
             ),
         )
-        return g, result
+        return g, result, result.audit.snapshots
 
     def test_table3_expansion_order(self, trace):
-        _, result = trace
+        _, _, snaps = trace
+        sizes = [1] + [snap.size for snap in snaps]
         newly = [
-            tuple(sorted(v + 1 for v in snap.newly_visited))
-            for snap in result.trace
+            tuple(sorted(int(v) + 1 for v in snap.nodes[prev:snap.size]))
+            for prev, snap in zip(sizes, snaps)
         ]
         # Table 3 (1-based): {2,3}, {4}, {5}, {6,7}; iteration 5 ({8})
         # never happens because termination fires at iteration 4.
         assert newly == [(2, 3), (4,), (5,), (6, 7)]
 
     def test_terminates_with_node8_unvisited(self, trace):
-        _, result = trace
-        assert result.trace[-1].terminated
-        visited = set(result.trace[-1].lower)
-        assert 7 not in visited  # paper node 8
+        _, result, snaps = trace
+        assert result.exact
+        assert 7 not in set(snaps[-1].nodes.tolist())  # paper node 8
         assert result.stats.visited_nodes == 7
 
     def test_top2_is_nodes_2_and_3(self, trace):
-        _, result = trace
+        _, result, _ = trace
         assert result.node_set() == {1, 2}  # paper nodes 2 and 3
         assert result.exact
 
     def test_bounds_sandwich_exact_at_every_iteration(self, trace):
-        g, result = trace
+        g, _, snaps = trace
         exact = solve_direct(PHP(0.8), g, 0)
-        for snap in result.trace:
-            for node, lo in snap.lower.items():
-                assert lo <= exact[node] + 1e-9
-            for node, hi in snap.upper.items():
-                assert hi >= exact[node] - 1e-9
+        for snap in snaps:
+            assert np.all(snap.lower <= exact[snap.nodes] + 1e-9)
+            assert np.all(snap.upper >= exact[snap.nodes] - 1e-9)
 
     def test_figure4_monotone_bounds(self, trace):
         """Fig. 4 (left): lower bounds never decrease, uppers never
         increase, across local expansions."""
-        _, result = trace
-        for earlier, later in zip(result.trace, result.trace[1:]):
-            for node, lo in earlier.lower.items():
-                assert later.lower[node] >= lo - 1e-9
-            for node, hi in earlier.upper.items():
-                assert later.upper[node] <= hi + 1e-9
+        _, _, snaps = trace
+        for earlier, later in zip(snaps, snaps[1:]):
+            n = earlier.size  # local ids are append-only
+            assert np.all(later.lower[:n] >= earlier.lower - 1e-9)
+            assert np.all(later.upper[:n] <= earlier.upper + 1e-9)
 
     def test_dummy_value_monotone_non_increasing(self, trace):
-        _, result = trace
-        dummies = [snap.dummy_value for snap in result.trace]
+        _, _, snaps = trace
+        dummies = [snap.dummy_value for snap in snaps]
         assert all(b <= a + 1e-12 for a, b in zip(dummies, dummies[1:]))
 
     def test_tightened_bounds_terminate_no_later(self):
