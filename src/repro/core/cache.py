@@ -10,10 +10,10 @@ dispatcher, in front of the worker pipes (its workers cache nothing).
 Both use this class, so there is one validation rule:
 
 * an entry is stamped (:meth:`ResultCache.stamp`) with the graph state
-  the result was computed at — the update-log version, a fingerprint
-  for mutable graphs without a log, and ``max_degree`` where the
-  Sec. 5.6 RWR guard reads it — taken *before* the computation, so a
-  mutation racing it leaves the stamp conservatively old;
+  the result was computed at — the update-log version, and
+  ``max_degree`` where the Sec. 5.6 RWR guard reads it — taken *before*
+  the computation, so a mutation racing it leaves the stamp
+  conservatively old;
 * a lookup replays the update log since the stamp against the entry's
   closed visited ball (:meth:`ResultCache._is_current`) and evicts the
   entry on any doubt.
@@ -62,7 +62,6 @@ class _Entry:
 
     result: TopKResult
     version: int
-    fingerprint: tuple
     max_degree: float
     ball: np.ndarray | None
 
@@ -78,12 +77,12 @@ class ResultCache:
     graph:
         The graph the cached results are computed on.  A graph with an
         ``update_log`` (:class:`~repro.graph.dynamic.DynamicGraph`) gets
-        ball-localized invalidation; any other graph falls back to a
-        coarse ``(num_edges, num_nodes)`` fingerprint.  ``None`` means
-        an immutable snapshot: entries never go stale.
+        ball-localized invalidation.  A graph without one — or
+        ``None`` — is immutable: its entries never go stale.
     measure:
         The resolved measure; degree-weighted PHP-family measures (RWR)
-        on a non-CSR graph add the ``max_degree`` guard.
+        on a non-CSR graph with an update log add the ``max_degree``
+        guard.
     """
 
     def __init__(
@@ -97,7 +96,7 @@ class ResultCache:
         # Without a CSR DegreeIndex the Sec. 5.6 guard reads
         # ``graph.max_degree``; a kept hit must see that value unchanged.
         self.degree_guard = (
-            graph is not None
+            self.update_log is not None
             and isinstance(measure, PHPFamilyMeasure)
             and measure.uses_degree_weighting()
             and not isinstance(graph, CSRGraph)
@@ -108,15 +107,12 @@ class ResultCache:
 
     def stamp(self) -> tuple:
         """The graph state to store with a result computed from now on."""
-        graph, log = self.graph, self.update_log
-        if graph is None or self.maxsize <= 0:
-            return (0, (), 0.0)
+        log = self.update_log
+        if log is None or self.maxsize <= 0:
+            return (0, 0.0)
         return (
-            log.version if log is not None else 0,
-            () if log is not None else (
-                int(graph.num_edges), int(graph.num_nodes)
-            ),
-            float(graph.max_degree) if self.degree_guard else 0.0,
+            log.version,
+            float(self.graph.max_degree) if self.degree_guard else 0.0,
         )
 
     def lookup(self, key: tuple) -> TopKResult | None:
@@ -144,10 +140,8 @@ class ResultCache:
         if ball is not None:
             # Copies share the ball by reference (TopKResult.copy).
             ball.flags.writeable = False
-        version, fingerprint, max_degree = stamp
-        self._store[key] = _Entry(
-            result.copy(), version, fingerprint, max_degree, ball
-        )
+        version, max_degree = stamp
+        self._store[key] = _Entry(result.copy(), version, max_degree, ball)
         self._store.move_to_end(key)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
@@ -163,8 +157,7 @@ class ResultCache:
 
         The decision tree, justified in ``docs/serving.md``:
 
-        * immutable snapshot (``graph=None``) → current;
-        * no update log → the fingerprint must be unchanged;
+        * no update log (an immutable graph) → current;
         * version current → current;
         * events fell off the replay window (or ``compact()`` ran) →
           stale, nothing is known about what changed;
@@ -176,13 +169,9 @@ class ResultCache:
           hold;
         * anything else → stale.
         """
-        graph, log = self.graph, self.update_log
-        if graph is None:
-            return True
+        log = self.update_log
         if log is None:
-            return entry.fingerprint == (
-                int(graph.num_edges), int(graph.num_nodes)
-            )
+            return True
         events = log.events_since(entry.version)
         if events is None:
             return False
@@ -198,7 +187,7 @@ class ResultCache:
         if np.isin(np.unique(touched), entry.ball).any():
             return False
         if self.degree_guard and (
-            float(graph.max_degree) != entry.max_degree
+            float(self.graph.max_degree) != entry.max_degree
         ):
             return False
         entry.version = log.version

@@ -47,10 +47,6 @@ def degree_descending_order(graph: CSRGraph) -> np.ndarray:
     return order
 
 
-# Backwards-compatible alias (pre-QuerySession internal name).
-_degree_descending_order = degree_descending_order
-
-
 class DegreeIndex:
     """Exact ``w(S̄)`` for one query: callable on the current LocalView.
 

@@ -117,8 +117,7 @@ class SessionMetrics:
     audit_checks: int = 0
     audit_violations: int = 0
     #: Cached results dropped because an edge update touched their
-    #: visited ball (or, for graphs without an update log, because the
-    #: graph's edge count changed under the session).
+    #: visited ball.
     cache_invalidations: int = 0
     #: Always 0: an invalidated query re-runs from scratch.  Kept because
     #: the ``perfbench`` harness reads it.
@@ -158,6 +157,107 @@ class SessionMetrics:
         }
 
 
+class MetricsRecorder:
+    """The cumulative counters behind :class:`SessionMetrics`.
+
+    Fed one answer at a time: :meth:`record_hit` for a cache hit,
+    :meth:`record_miss` for an engine run, whose work counters come from
+    the result's own ``stats``.  Not thread safe: a
+    :class:`QuerySession` calls it under its lock, and the
+    single-threaded dispatcher of :class:`repro.serve.ShardedServer`
+    keeps one per worker slot, fed with every answer that worker sends.
+    """
+
+    def __init__(self):
+        self.queries_served = 0
+        self._cache_hits = 0
+        self._cache_misses = 0
+        self._visited_total = 0
+        self._expansions_total = 0
+        self._solver_iterations_total = 0
+        self._visited_histogram: dict[int, int] = {}
+        self._total_wall_seconds = 0.0
+        self._wall_samples: deque[float] = deque(maxlen=_WALL_TIME_WINDOW)
+        self._degraded_results = 0
+        self._terminations: dict[str, int] = {}
+        self._audit_checks = 0
+        self._audit_violations = 0
+        # Slow-query log: min-heap of (wall_seconds, seq, entry) keeping
+        # the worst ``SLOW_LOG_SIZE`` engine runs; ``seq`` breaks ties so
+        # dict entries are never compared.
+        self._slow_log: list[tuple[float, int, dict]] = []
+        self._slow_seq = 0
+
+    def record_hit(self, elapsed: float) -> None:
+        self.queries_served += 1
+        self._cache_hits += 1
+        self._total_wall_seconds += elapsed
+        self._wall_samples.append(elapsed)
+
+    def record_miss(self, result: TopKResult) -> None:
+        stats: SearchStats = result.stats
+        bucket = int(stats.visited_nodes).bit_length()
+        self.queries_served += 1
+        self._cache_misses += 1
+        self._visited_total += stats.visited_nodes
+        self._expansions_total += stats.expansions
+        self._solver_iterations_total += stats.solver_iterations
+        self._visited_histogram[bucket] = (
+            self._visited_histogram.get(bucket, 0) + 1
+        )
+        self._total_wall_seconds += stats.wall_time_seconds
+        self._wall_samples.append(stats.wall_time_seconds)
+        if not result.exact:
+            self._degraded_results += 1
+        self._terminations[stats.termination] = (
+            self._terminations.get(stats.termination, 0) + 1
+        )
+        self._audit_checks += stats.audit_checks
+        self._audit_violations += stats.audit_violations
+        entry = {
+            "query": int(result.query),
+            "k": int(result.k),
+            "wall_seconds": float(stats.wall_time_seconds),
+            "visited_nodes": int(stats.visited_nodes),
+            "termination": str(stats.termination),
+            "exact": bool(result.exact),
+        }
+        item = (float(stats.wall_time_seconds), self._slow_seq, entry)
+        self._slow_seq += 1
+        if len(self._slow_log) < SLOW_LOG_SIZE:
+            heapq.heappush(self._slow_log, item)
+        elif item[0] > self._slow_log[0][0]:
+            heapq.heapreplace(self._slow_log, item)
+
+    def snapshot(self, cache_invalidations: int = 0) -> SessionMetrics:
+        samples = np.fromiter(self._wall_samples, dtype=np.float64)
+        return SessionMetrics(
+            queries_served=self.queries_served,
+            cache_hits=self._cache_hits,
+            cache_misses=self._cache_misses,
+            visited_nodes_total=self._visited_total,
+            expansions_total=self._expansions_total,
+            solver_iterations_total=self._solver_iterations_total,
+            visited_histogram=dict(self._visited_histogram),
+            total_wall_seconds=self._total_wall_seconds,
+            p50_wall_seconds=(
+                float(np.percentile(samples, 50)) if len(samples) else 0.0
+            ),
+            p95_wall_seconds=(
+                float(np.percentile(samples, 95)) if len(samples) else 0.0
+            ),
+            degraded_results=self._degraded_results,
+            terminations=dict(self._terminations),
+            audit_checks=self._audit_checks,
+            audit_violations=self._audit_violations,
+            cache_invalidations=cache_invalidations,
+        )
+
+    def slow_queries(self) -> list[dict]:
+        worst = sorted(self._slow_log, key=lambda t: (-t[0], t[1]))
+        return [dict(entry) for _, _, entry in worst]
+
+
 class QuerySession:
     """Reusable top-k query engine bound to one ``(graph, measure)`` pair.
 
@@ -195,8 +295,8 @@ class QuerySession:
         self.options = (options or FLoSOptions()).validate()
         # Incremental serving: graphs that expose an ``update_log``
         # (e.g. :class:`~repro.graph.dynamic.DynamicGraph`) get
-        # version-aware, ball-localized cache invalidation; any other
-        # mutable graph falls back to a coarse fingerprint check.
+        # version-aware, ball-localized cache invalidation; a graph
+        # without one is immutable, and its entries never go stale.
         self._cache = ResultCache(cache_size, graph, self.measure)
 
         if isinstance(self.measure, THT):
@@ -222,24 +322,7 @@ class QuerySession:
             self._degree_order = degree_descending_order(graph)
 
         self._lock = threading.Lock()
-        self._queries_served = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._visited_total = 0
-        self._expansions_total = 0
-        self._solver_iterations_total = 0
-        self._visited_histogram: dict[int, int] = {}
-        self._total_wall_seconds = 0.0
-        self._wall_samples: deque[float] = deque(maxlen=_WALL_TIME_WINDOW)
-        self._degraded_results = 0
-        self._terminations: dict[str, int] = {}
-        self._audit_checks = 0
-        self._audit_violations = 0
-        # Slow-query log: min-heap of (wall_seconds, seq, entry) keeping
-        # the worst ``SLOW_LOG_SIZE`` engine runs; ``seq`` breaks ties so
-        # dict entries are never compared.
-        self._slow_log: list[tuple[float, int, dict]] = []
-        self._slow_seq = 0
+        self._recorder = MetricsRecorder()
 
     # ------------------------------------------------------------------
     # Serving
@@ -292,11 +375,7 @@ class QuerySession:
         with self._lock:
             cached = self._cache.lookup(key)
             if cached is not None:
-                elapsed = time.monotonic() - started
-                self._queries_served += 1
-                self._cache_hits += 1
-                self._total_wall_seconds += elapsed
-                self._wall_samples.append(elapsed)
+                self._recorder.record_hit(time.monotonic() - started)
                 return cached
             # Stamp *before* executing: a mutation racing the engine
             # run leaves the entry conservatively old, and the next
@@ -310,7 +389,7 @@ class QuerySession:
             # The cache keeps a private copy: the caller owns ``result``
             # and may mutate it after we return.
             self._cache.store(key, result, stamp)
-        self._record_miss(result)
+            self._recorder.record_miss(result)
         return result
 
     def serve(self, request: QueryRequest) -> TopKResult:
@@ -361,28 +440,7 @@ class QuerySession:
     def metrics(self) -> SessionMetrics:
         """Snapshot of the cumulative serving counters."""
         with self._lock:
-            samples = np.fromiter(self._wall_samples, dtype=np.float64)
-            return SessionMetrics(
-                queries_served=self._queries_served,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                visited_nodes_total=self._visited_total,
-                expansions_total=self._expansions_total,
-                solver_iterations_total=self._solver_iterations_total,
-                visited_histogram=dict(self._visited_histogram),
-                total_wall_seconds=self._total_wall_seconds,
-                p50_wall_seconds=(
-                    float(np.percentile(samples, 50)) if len(samples) else 0.0
-                ),
-                p95_wall_seconds=(
-                    float(np.percentile(samples, 95)) if len(samples) else 0.0
-                ),
-                degraded_results=self._degraded_results,
-                terminations=dict(self._terminations),
-                audit_checks=self._audit_checks,
-                audit_violations=self._audit_violations,
-                cache_invalidations=self._cache.invalidations,
-            )
+            return self._recorder.snapshot(self._cache.invalidations)
 
     def slow_queries(self) -> list[dict]:
         """The worst-latency engine runs, slowest first.
@@ -394,8 +452,7 @@ class QuerySession:
         find the pathological queries that deserve a per-call deadline.
         """
         with self._lock:
-            worst = sorted(self._slow_log, key=lambda t: (-t[0], t[1]))
-        return [dict(entry) for _, _, entry in worst]
+            return self._recorder.slow_queries()
 
     @property
     def cache_size(self) -> int:
@@ -412,7 +469,7 @@ class QuerySession:
         return (
             f"QuerySession({type(self.graph).__name__}"
             f"[{self.graph.num_nodes} nodes], {self.measure!r}, "
-            f"served={self._queries_served})"
+            f"served={self._recorder.queries_served})"
         )
 
     # ------------------------------------------------------------------
@@ -505,19 +562,11 @@ class QuerySession:
         php_lb, php_ub = outcome.lower[top], outcome.upper[top]
         deg = degrees[top]
         if increasing:
-            lower = np.array(
-                [measure.from_php(p, d, scale_lb) for p, d in zip(php_lb, deg)]
-            )
-            upper = np.array(
-                [measure.from_php(p, d, scale_ub) for p, d in zip(php_ub, deg)]
-            )
+            lower = measure.from_php(php_lb, deg, scale_lb)
+            upper = measure.from_php(php_ub, deg, scale_ub)
         else:  # DHT: native value decreases in PHP
-            lower = np.array(
-                [measure.from_php(p, d, scale_ub) for p, d in zip(php_ub, deg)]
-            )
-            upper = np.array(
-                [measure.from_php(p, d, scale_lb) for p, d in zip(php_lb, deg)]
-            )
+            lower = measure.from_php(php_ub, deg, scale_ub)
+            upper = measure.from_php(php_lb, deg, scale_lb)
         values = 0.5 * (lower + upper)
 
         return TopKResult(
@@ -570,43 +619,3 @@ class QuerySession:
         )
         result.stats.visited_nodes = 1
         return result
-
-    # ------------------------------------------------------------------
-    # Metrics bookkeeping
-    # ------------------------------------------------------------------
-
-    def _record_miss(self, result: TopKResult) -> None:
-        stats: SearchStats = result.stats
-        bucket = int(stats.visited_nodes).bit_length()
-        with self._lock:
-            self._queries_served += 1
-            self._cache_misses += 1
-            self._visited_total += stats.visited_nodes
-            self._expansions_total += stats.expansions
-            self._solver_iterations_total += stats.solver_iterations
-            self._visited_histogram[bucket] = (
-                self._visited_histogram.get(bucket, 0) + 1
-            )
-            self._total_wall_seconds += stats.wall_time_seconds
-            self._wall_samples.append(stats.wall_time_seconds)
-            if not result.exact:
-                self._degraded_results += 1
-            self._terminations[stats.termination] = (
-                self._terminations.get(stats.termination, 0) + 1
-            )
-            self._audit_checks += stats.audit_checks
-            self._audit_violations += stats.audit_violations
-            entry = {
-                "query": int(result.query),
-                "k": int(result.k),
-                "wall_seconds": float(stats.wall_time_seconds),
-                "visited_nodes": int(stats.visited_nodes),
-                "termination": str(stats.termination),
-                "exact": bool(result.exact),
-            }
-            item = (float(stats.wall_time_seconds), self._slow_seq, entry)
-            self._slow_seq += 1
-            if len(self._slow_log) < SLOW_LOG_SIZE:
-                heapq.heappush(self._slow_log, item)
-            elif item[0] > self._slow_log[0][0]:
-                heapq.heapreplace(self._slow_log, item)

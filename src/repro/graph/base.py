@@ -33,6 +33,10 @@ class GraphAccess(abc.ABC):
     Nodes are integers ``0..num_nodes-1``.  Graphs are simple (no self loops,
     no parallel edges) and undirected: if ``v`` appears in ``neighbors(u)``
     then ``u`` appears in ``neighbors(v)`` with the same weight.
+
+    A graph that can change after a query has read it must expose an
+    ``update_log`` (as :class:`~repro.graph.dynamic.DynamicGraph` does):
+    result caches treat a graph without one as immutable.
     """
 
     @property

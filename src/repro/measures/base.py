@@ -146,4 +146,8 @@ class PHPFamilyMeasure(Measure):
 
     @abc.abstractmethod
     def from_php(self, php_value: float, degree: float, scale: float) -> float:
-        """Convert one PHP value to this measure's native value."""
+        """Convert PHP values to this measure's native values.
+
+        Elementwise arithmetic: ``php_value`` and ``degree`` may be
+        scalars or equal-length arrays.
+        """

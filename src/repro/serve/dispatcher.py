@@ -31,9 +31,12 @@ On top of routing, the dispatcher adds what a serving boundary needs:
   segment, and its in-flight requests are re-dispatched exactly once;
   a request whose retry also dies fails with
   :class:`~repro.errors.WorkerCrashError` instead of retrying forever.
-* **Metrics** — :meth:`ShardedServer.metrics` aggregates dispatcher
-  counters with every worker's ``SessionMetrics`` into one
-  :class:`~repro.serve.metrics.ServeMetrics`.
+* **Metrics** — :meth:`ShardedServer.metrics` snapshots the dispatcher
+  counters and one ``SessionMetrics`` per worker slot into one
+  :class:`~repro.serve.metrics.ServeMetrics`.  Every answer carries its
+  own work counters (``TopKResult.stats``), so the dispatcher records
+  each answer as it arrives; no worker is asked, and a slot's counters
+  survive a respawn of its process.
 
 Requests use the same :class:`~repro.core.api.QueryRequest` /
 :class:`~repro.core.api.QueryOverrides` contract as
@@ -63,6 +66,7 @@ from repro.core.api import NO_OVERRIDES, QueryOverrides, QueryRequest
 from repro.core.cache import ResultCache, result_key
 from repro.core.flos import FLoSOptions
 from repro.core.result import BatchSummary, TopKResult
+from repro.core.session import MetricsRecorder
 from repro.errors import (
     AdmissionRejectedError,
     ConfigurationError,
@@ -126,9 +130,33 @@ def _rebuild_error(name: str, message: str) -> Exception:
     return SearchError(f"{name}: {message}")
 
 
+class _Request:
+    """One dispatched request, from submit to its one finish.
+
+    ``stamp`` is the cache stamp of the graph state the answer is
+    computed at; ``retried`` marks the one re-dispatch after a crash,
+    and ``abandoned`` a request whose batch aborted (its outcome is
+    dropped on arrival).
+    """
+
+    __slots__ = (
+        "request", "worker_id", "submitted", "stamp", "retried", "abandoned",
+    )
+
+    def __init__(self, request, worker_id, submitted, stamp):
+        self.request: QueryRequest = request
+        self.worker_id: int = worker_id
+        self.submitted: float = submitted
+        self.stamp: tuple = stamp
+        self.retried = False
+        self.abandoned = False
+
+
 class _WorkerState:
     """Dispatcher-side bookkeeping for one worker slot.
 
+    ``recorder`` holds the slot's session metrics, fed with every answer
+    its processes send, so they outlive a respawn.
     ``conn`` is the receive end of the worker's private response pipe.
     One pipe per worker is deliberate: a shared response queue would
     serialize all workers through one cross-process write lock, and a
@@ -140,7 +168,7 @@ class _WorkerState:
 
     __slots__ = (
         "worker_id", "process", "queue", "conn", "inflight",
-        "ewma_seconds", "pid", "respawns",
+        "ewma_seconds", "pid", "respawns", "recorder",
     )
 
     def __init__(self, worker_id: int):
@@ -152,6 +180,7 @@ class _WorkerState:
         self.ewma_seconds: float | None = None
         self.pid: int | None = None
         self.respawns = 0
+        self.recorder = MetricsRecorder()
 
 
 class ShardedServer:
@@ -226,11 +255,9 @@ class ShardedServer:
 
         # Dispatcher counters (single-threaded dispatcher: no lock).
         self._seq = 0
-        # seq -> (request, worker id, submit time, cache stamp).
-        self._inflight: dict[int, tuple[QueryRequest, int, float, tuple]] = {}
+        self._inflight: dict[int, _Request] = {}
+        # Outcomes parked for _wait: seq -> ("ok", result) / ("error", exc).
         self._completed: dict[int, tuple[str, object]] = {}
-        self._abandoned: set[int] = set()
-        self._retried_seqs: set[int] = set()
         self._dispatched = 0
         self._cache_hits = 0
         self._completed_count = 0
@@ -241,10 +268,6 @@ class ShardedServer:
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._first_submit: float | None = None
         self._last_completion: float | None = None
-        # Metric requests still awaited, and the replies parked for
-        # them; a reply nobody awaits any more is dropped on arrival.
-        self._metric_wanted: set[int] = set()
-        self._metric_replies: dict[int, tuple[int, dict]] = {}
 
         self._shared = None
         self._workers: list[_WorkerState] = []
@@ -439,15 +462,22 @@ class ShardedServer:
     # Introspection
     # ------------------------------------------------------------------
 
-    def metrics(self, *, timeout: float = 5.0) -> ServeMetrics:
-        """Aggregate dispatcher counters with every worker's session
-        metrics (fetched over the control channel; a worker that cannot
-        answer within ``timeout`` contributes an empty dict)."""
+    def metrics(self) -> ServeMetrics:
+        """Snapshot of the dispatcher counters and each worker slot's
+        session metrics, recorded from the answers already received:
+        no worker is asked, so it never blocks."""
         self._check_open()
-        per_worker = self._collect_worker_metrics(timeout)
-        degraded_results = sum(
-            w.get("degraded_results", 0) for w in per_worker
-        )
+        per_worker = [
+            {
+                "worker": state.worker_id,
+                "pid": state.pid,
+                "respawns": state.respawns,
+                "ewma_seconds": state.ewma_seconds,
+                **state.recorder.snapshot().to_dict(),
+            }
+            for state in self._workers
+        ]
+        degraded_results = sum(w["degraded_results"] for w in per_worker)
         samples = np.fromiter(self._latencies, dtype=np.float64)
         if (
             self._first_submit is not None
@@ -606,6 +636,8 @@ class ShardedServer:
         self._admit(request)
         request = self._maybe_floor_deadline(request)
         started = time.monotonic()
+        if self._first_submit is None:
+            self._first_submit = started
         cached = self._cache.lookup(self._key(request))
         if cached is not None:
             return self._answer_hit(request, cached, started)
@@ -624,13 +656,10 @@ class ShardedServer:
                 self._reap_dead_workers()
         seq = self._seq
         self._seq += 1
-        now = time.monotonic()
-        if self._first_submit is None:
-            self._first_submit = now
         # A request enqueued now is answered at exactly the shadow's
         # current version: updates broadcast later queue behind it.
-        self._inflight[seq] = (
-            request, state.worker_id, now, self._cache.stamp()
+        self._inflight[seq] = _Request(
+            request, state.worker_id, time.monotonic(), self._cache.stamp()
         )
         state.inflight.add(seq)
         self._dispatched += 1
@@ -658,17 +687,35 @@ class ShardedServer:
         try:
             request.overrides.apply(self._options).validate(request.k)
         except Exception as err:
-            self._completed[seq] = ("error", err)
+            self._finish(seq, started, ("error", err))
         else:
             self._cache_hits += 1
-            self._completed[seq] = ("ok", result)
-        now = time.monotonic()
-        if self._first_submit is None:
-            self._first_submit = started
-        self._last_completion = now
-        self._latencies.append(now - started)
-        self._completed_count += 1
+            self._finish(seq, started, ("ok", result))
         return seq
+
+    def _finish(
+        self,
+        seq: int,
+        submitted: float,
+        outcome: tuple[str, object],
+        abandoned: bool = False,
+    ) -> float:
+        """Resolve one request; returns its latency.
+
+        The one place a request is counted done — a cache hit, a
+        worker's ``"ok"`` or ``"error"``, and the two-crash give-up of
+        :meth:`_respawn` all end here, so each request counts exactly
+        once.  An abandoned request's outcome is dropped; any other is
+        parked for :meth:`_wait`.
+        """
+        now = time.monotonic()
+        latency = now - submitted
+        self._latencies.append(latency)
+        self._completed_count += 1
+        self._last_completion = now
+        if not abandoned:
+            self._completed[seq] = outcome
+        return latency
 
     def _poll(self, timeout: float) -> bool:
         """Receive every deliverable response; True if any arrived.
@@ -702,15 +749,14 @@ class ShardedServer:
         """Forget a batch whose submission aborted mid-way.
 
         Results that already landed are dropped now; still-in-flight
-        requests are marked so :meth:`_handle_response` (or the
-        give-up branch of :meth:`_respawn`) discards their payloads on
-        arrival instead of parking them in ``_completed`` forever.
+        requests are marked so :meth:`_finish` drops their outcomes
+        instead of parking them in ``_completed`` forever.
         """
         for seq in seqs:
-            if seq in self._completed:
-                self._completed.pop(seq)
-            elif seq in self._inflight:
-                self._abandoned.add(seq)
+            self._completed.pop(seq, None)
+            entry = self._inflight.get(seq)
+            if entry is not None:
+                entry.abandoned = True
 
     def _wait(self, seqs: list[int]) -> list[TopKResult]:
         pending = set(seqs) - self._completed.keys()
@@ -732,51 +778,37 @@ class ShardedServer:
 
     def _handle_response(self, message) -> None:
         worker_id, seq, kind, payload = message
-        if kind in ("ready", "fatal"):
-            # Stray lifecycle message (a respawn raced a drain); the
-            # spawn path consumes these — nothing to do here.
-            return
-        if kind == "metrics":
-            if seq in self._metric_wanted:
-                self._metric_replies[seq] = (worker_id, payload)
-            return
-        if kind == "updated":
-            # Fire-and-forget update acknowledgement; nothing to track.
-            return
         if kind == "update_error":
             # Shadow validation makes this unreachable short of a
             # worker-side bug; surface it at the next apply_updates.
             self._update_errors.append(payload)
             return
+        if kind not in ("ok", "error"):
+            # "updated" acknowledgements, and stray lifecycle messages
+            # (a respawn raced a drain): nothing to track.
+            return
+        if kind == "ok":
+            # The worker did this work even if nobody collects it.
+            self._workers[worker_id].recorder.record_miss(payload)
         entry = self._inflight.pop(seq, None)
         if entry is None:
             return  # duplicate answer after a retry — already served
-        request, owner_id, submitted, stamp = entry
-        state = self._workers[owner_id]
+        state = self._workers[entry.worker_id]
         state.inflight.discard(seq)
-        now = time.monotonic()
-        latency = now - submitted
-        self._last_completion = now
-        self._latencies.append(latency)
-        self._completed_count += 1
-        if kind == "ok":
-            self._cache.store(self._key(request), payload, stamp)
-            state.ewma_seconds = (
-                latency
-                if state.ewma_seconds is None
-                else _EWMA_ALPHA * state.ewma_seconds
-                + (1.0 - _EWMA_ALPHA) * latency
-            )
-        self._retried_seqs.discard(seq)
-        if seq in self._abandoned:
-            # Stragglers of an aborted batch: nobody will collect them.
-            self._abandoned.discard(seq)
+        if kind == "error":
+            outcome = ("error", _rebuild_error(*payload))
+            self._finish(seq, entry.submitted, outcome, entry.abandoned)
             return
-        if kind == "ok":
-            self._completed[seq] = ("ok", payload)
-        else:
-            name, text = payload
-            self._completed[seq] = ("error", _rebuild_error(name, text))
+        self._cache.store(self._key(entry.request), payload, entry.stamp)
+        latency = self._finish(
+            seq, entry.submitted, ("ok", payload), entry.abandoned
+        )
+        state.ewma_seconds = (
+            latency
+            if state.ewma_seconds is None
+            else _EWMA_ALPHA * state.ewma_seconds
+            + (1.0 - _EWMA_ALPHA) * latency
+        )
 
     # ------------------------------------------------------------------
     # Worker lifecycle / crash recovery
@@ -876,64 +908,27 @@ class ShardedServer:
         self._respawns += 1
         self._spawn(state)
         for seq in stranded:
-            request, _owner, submitted, _stamp = self._inflight[seq]
-            if seq in self._retried_seqs:
+            entry = self._inflight[seq]
+            if entry.retried:
                 # Second crash holding the same request: give up
                 # rather than retrying forever.
-                self._inflight.pop(seq)
-                self._retried_seqs.discard(seq)
-                if seq in self._abandoned:
-                    self._abandoned.discard(seq)
-                    continue
-                self._completed[seq] = (
-                    "error",
-                    WorkerCrashError(
-                        f"request for query {request.query} was in flight "
-                        f"on worker {state.worker_id} through two crashes; "
-                        "giving up after one retry"
-                    ),
+                del self._inflight[seq]
+                error = WorkerCrashError(
+                    f"request for query {entry.request.query} was in "
+                    f"flight on worker {state.worker_id} through two "
+                    "crashes; giving up after one retry"
+                )
+                self._finish(
+                    seq, entry.submitted, ("error", error), entry.abandoned
                 )
                 continue
-            self._retried_seqs.add(seq)
+            entry.retried = True
             self._retried += 1
             # The retry queues behind the full update history _spawn
             # replayed, so it is answered at the shadow's version now.
-            self._inflight[seq] = (
-                request, state.worker_id, submitted, self._cache.stamp()
-            )
+            entry.stamp = self._cache.stamp()
             state.inflight.add(seq)
-            state.queue.put(("query", seq, request))
-
-    def _collect_worker_metrics(self, timeout: float) -> list[dict]:
-        replies: dict[int, dict] = {}
-        wanted = self._metric_wanted
-        for state in self._workers:
-            if not state.process.is_alive():
-                self._respawn(state)
-            seq = self._seq
-            self._seq += 1
-            wanted.add(seq)
-            state.queue.put(("metrics", seq, None))
-        deadline = time.monotonic() + timeout
-        while wanted and time.monotonic() < deadline:
-            self._poll(0.2)
-            for seq in list(wanted):
-                if seq in self._metric_replies:
-                    worker_id, payload = self._metric_replies.pop(seq)
-                    replies[worker_id] = payload
-                    wanted.discard(seq)
-        # Workers that missed the timeout answer later, to nobody.
-        wanted.clear()
-        return [
-            {
-                "worker": state.worker_id,
-                "pid": state.pid,
-                "respawns": state.respawns,
-                "ewma_seconds": state.ewma_seconds,
-                **replies.get(state.worker_id, {}),
-            }
-            for state in self._workers
-        ]
+            state.queue.put(("query", seq, entry.request))
 
     # ------------------------------------------------------------------
 

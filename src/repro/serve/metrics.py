@@ -5,7 +5,8 @@
 combining the dispatcher's own counters (dispatch/rejection/crash/cache
 accounting, end-to-end latency percentiles measured submit→completion,
 so queueing time counts) with one ``SessionMetrics.to_dict()`` per
-worker fetched over the control channel.
+worker slot, recorded in the dispatcher from the answers that slot
+sent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ class ServeMetrics:
     Dispatcher counters:
 
     * ``requests_dispatched`` / ``requests_completed`` — requests that
-      entered a worker queue / were answered.  A cache hit is answered
+      entered a worker queue / were resolved (answered, failed, or given
+      up after two crashes), each counted once.  A cache hit is answered
       in the dispatcher: it counts as completed, never as dispatched.
     * ``cache_hits`` / ``cache_invalidations`` — requests answered from
       the dispatcher's result cache, and cached entries dropped as stale
@@ -45,10 +47,11 @@ class ServeMetrics:
 
     ``per_worker`` holds one dict per worker slot:
     ``{"worker", "pid", "respawns", "ewma_seconds", **session}`` where
-    ``session`` is the worker's own ``SessionMetrics.to_dict()``
-    (``queries_served``, ``degraded_results``, …) or ``{}`` when the
-    worker could not be reached.  ``degraded_results`` at the top level
-    is the sum over workers.
+    ``session`` is the slot's ``SessionMetrics.to_dict()``
+    (``queries_served``, ``degraded_results``, …) over every answer its
+    processes sent — the counters survive a respawn, and include
+    answers nobody collected (an aborted batch's stragglers).
+    ``degraded_results`` at the top level is the sum over workers.
     """
 
     workers: int

@@ -2,9 +2,11 @@
 
 Each worker attaches to the published graph (zero-copy, see
 :mod:`repro.serve.shared`), builds its own
-:class:`~repro.core.session.QuerySession` — private metrics, no result
-cache (``cache_size=0``): the dispatcher's one cache answers repeats
-before they reach a worker — and then loops on its request queue.
+:class:`~repro.core.session.QuerySession` with no result cache
+(``cache_size=0``: the dispatcher's one cache answers repeats before
+they reach a worker), and then loops on its request queue.  Nothing
+asks a worker for metrics: each answer carries its own work counters,
+and the dispatcher records them per worker slot.
 Because the worker answers through :meth:`QuerySession.serve`, the
 multi-process path executes the exact same code as in-process serving;
 bitwise-identical results are by construction, not by luck.
@@ -16,16 +18,14 @@ dispatcher → worker     ``("query", seq, QueryRequest)`` — answer it;
                         ``("update", seq, [EdgeUpdate, ...])`` — apply
                         an edge-update batch to the worker's mutable
                         overlay (``mutable=True`` servers only);
-                        ``("metrics", seq, None)`` — snapshot session
-                        metrics; ``("crash", 0, None)`` — test hook,
-                        die instantly via ``os._exit`` (no cleanup, as
-                        a real crash would); ``None`` — drain and exit.
+                        ``("crash", 0, None)`` — test hook, die
+                        instantly via ``os._exit`` (no cleanup, as a
+                        real crash would); ``None`` — drain and exit.
 worker → dispatcher     ``(worker_id, seq, kind, payload)`` with kind
                         ``"ready"`` (payload: pid), ``"ok"`` (payload:
                         TopKResult), ``"error"`` (payload: exception
-                        class name + message), ``"metrics"`` (payload:
-                        metrics dict), ``"updated"`` (payload: the
-                        overlay's new version), ``"update_error"``
+                        class name + message), ``"updated"`` (payload:
+                        the overlay's new version), ``"update_error"``
                         (payload: class name + message — the dispatcher
                         raises it at the next ``apply_updates``), or
                         ``"fatal"`` (startup failed).
@@ -111,11 +111,6 @@ def worker_main(
                 # skipping atexit/finally, leaving the request
                 # unanswered so crash recovery has something to do.
                 os._exit(1)
-            if kind == "metrics":
-                responses.send(
-                    (worker_id, seq, "metrics", session.metrics().to_dict())
-                )
-                continue
             if kind == "update":
                 try:
                     apply_edge_updates(graph, payload)

@@ -180,17 +180,6 @@ class TestLocalizedInvalidation:
         assert list(after.nodes) == [5]
         assert session.metrics().cache_invalidations == 1
 
-    def test_fingerprint_fallback_without_update_log(self):
-        """The no-log path still detects mutations (coarsely)."""
-        dyn = DynamicGraph(path_graph(6))
-        session = QuerySession(dyn, "php", c=0.5)
-        session._cache.update_log = None  # simulate a log-less mutable graph
-        session.top_k(0, 1)
-        dyn.add_edge(0, 5, 50.0)  # num_edges changes the fingerprint
-        after = session.top_k(0, 1)
-        assert list(after.nodes) == [5]
-        assert session.metrics().cache_invalidations == 1
-
     def test_untouched_ball_is_a_kept_hit(self):
         dyn = DynamicGraph(path_graph(60))
         session = QuerySession(dyn, "php", c=0.5)

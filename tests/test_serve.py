@@ -37,6 +37,7 @@ from repro.errors import (
     GraphError,
     NodeNotFoundError,
     SearchError,
+    WorkerCrashError,
 )
 from repro.graph.base import GraphAccess
 from repro.graph.disk import DiskGraph, write_disk_graph
@@ -340,20 +341,24 @@ class TestShardedServing:
             ShardedServer(graph, "rwr", c=0.5, workers=1, cache_size=-1)
         assert set(_segments()) == before
 
-    def test_late_metrics_reply_is_dropped(self, graph):
-        # A worker that answers a metrics request after its timeout
-        # answers nobody: the reply must not stay parked.
+    def test_metrics_never_waits_for_a_stopped_worker(self, graph):
+        # Per-worker counters are recorded from the answers, so a
+        # frozen worker neither delays metrics() nor blanks its row.
         with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
+            server.top_k_many(range(10), k=5)
+            served = server.metrics().per_worker[0]["queries_served"]
+            assert served >= 1
             victim = server.worker_pids()[0]
             os.kill(victim, signal.SIGSTOP)
             try:
-                metrics = server.metrics(timeout=0.3)
+                started = time.monotonic()
+                metrics = server.metrics()
+                elapsed = time.monotonic() - started
             finally:
                 os.kill(victim, signal.SIGCONT)
-            assert "queries_served" not in metrics.per_worker[0]
-            server.top_k_many(range(10), k=5)
-            assert server._metric_replies == {}
-            assert server.metrics().per_worker[0]["queries_served"] >= 1
+        assert elapsed < 0.1
+        assert metrics.per_worker[0]["queries_served"] == served
+        assert metrics.per_worker[0]["pid"] == victim
 
     def test_large_batch_does_not_deadlock_the_pipes(self, graph, baseline):
         # Regression: submit-then-collect with no backpressure fills the
@@ -443,9 +448,8 @@ class TestCrashRecovery:
             assert metrics.respawns >= 1
             assert metrics.retried >= 1
             assert metrics.requests_completed == 30
-            # Retry bookkeeping is dropped once a request resolves —
-            # it must not grow for the lifetime of the server.
-            assert server._retried_seqs == set()
+            # A resolved request leaves no record behind.
+            assert server._inflight == {}
         # The crash and the respawn leak no shared-memory segment.
         assert set(_segments()) == segments_before
 
@@ -459,6 +463,70 @@ class TestCrashRecovery:
             batch = server.top_k_many(range(30), k=8)
             assert len(batch) == 30
             assert server.metrics().respawns >= 1
+
+    def test_worker_counters_survive_respawn(self, graph):
+        # A slot's counters come from the answers its processes sent,
+        # so a respawned process does not reset them.
+        degrade = QueryOverrides(deadline_seconds=1e-6, on_budget="degrade")
+        with ShardedServer(
+            graph, "rwr", c=0.5, workers=2, cache_size=0
+        ) as server:
+            server.top_k_many(range(20), k=8)
+            server.top_k_many(range(20, 30), k=8, overrides=degrade)
+            before = server.metrics()
+            victim = server._workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.process.join(timeout=5.0)
+            server.top_k_many(range(30, 50), k=8)
+            after = server.metrics()
+        assert after.respawns == 1
+        assert before.degraded_results > 0
+        assert after.degraded_results >= before.degraded_results
+        for old, new in zip(before.per_worker, after.per_worker):
+            assert new["queries_served"] >= old["queries_served"]
+        assert after.per_worker[0]["queries_served"] > (
+            before.per_worker[0]["queries_served"]
+        )
+        # Every dispatched request was answered by exactly one worker.
+        served = sum(w["queries_served"] for w in after.per_worker)
+        assert served == after.requests_dispatched == 50
+
+    def test_second_crash_gives_up_and_counts_once(self, graph):
+        # Deterministic two-crash give-up: freeze the only worker so the
+        # batch queues behind it, kill it, and make the first respawn
+        # enqueue the crash hook ahead of the retries.
+        with ShardedServer(
+            graph, "rwr", c=0.5, workers=1, cache_size=0
+        ) as server:
+            spawn = server._spawn
+
+            def spawn_then_crash(state):
+                server._spawn = spawn
+                spawn(state)
+                state.queue.put(("crash", 0, None))
+
+            server._spawn = spawn_then_crash
+            victim = server.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            killer = threading.Timer(
+                0.3, lambda: os.kill(victim, signal.SIGKILL)
+            )
+            killer.start()
+            try:
+                with pytest.raises(WorkerCrashError, match="two crashes"):
+                    server.top_k_many(range(5), k=5)
+            finally:
+                killer.cancel()
+            metrics = server.metrics()
+            assert metrics.respawns == 2
+            assert metrics.retried == 5
+            assert metrics.requests_dispatched == 5
+            assert metrics.requests_completed == 5
+            assert server._inflight == {}
+            assert server._completed == {}
+            # The slot serves again after both respawns.
+            assert server.top_k(0, 5).exact
+            assert server.metrics().requests_completed == 6
 
     def test_hits_survive_worker_kill(self, graph, baseline):
         with ShardedServer(graph, "rwr", c=0.5, workers=2) as server:
@@ -572,7 +640,6 @@ class TestAdmissionControl:
                 server._poll(0.1)
             assert server._inflight == {}
             assert server._completed == {}
-            assert server._abandoned == set()
             # The server still serves normally afterwards.
             assert server.top_k(0, 5).exact
             assert server._completed == {}
