@@ -357,9 +357,12 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
     node is no rival and still leads to unvisited ones.  The scores are
     oriented (larger is closer), so one rule serves every measure.
     Exhausted results instead claim an empty boundary — the bounds
-    collapsed onto the exact component solution.  The comparisons reuse
-    the engine's own recorded floats, so no numerical slack is involved:
-    this checks the *logic*, not the arithmetic.
+    collapsed onto the exact component solution.  An anytime result
+    claims its ``bound_gap``: ``max(0, best rival upper score - k-th
+    lower score, unvisited cap - k-th lower score)``, recomputed here.
+    The comparisons reuse the engine's own recorded floats, so no
+    numerical slack is involved: this checks the *logic*, not the
+    arithmetic.
     """
     out = check_flags(cert)
     top = cert.top
@@ -408,8 +411,28 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
             )
         return out
 
+    rivals = cert.eligible.copy()
+    rivals[top] = False
+    rest = np.flatnonzero(rivals)
+
     if not cert.exact:
-        # Anytime: no termination claim to replay; flags were checked.
+        # Anytime: no termination claim, but the recorded gap must be the
+        # one the engine's certificate gives for these floats.
+        gap = 0.0
+        if len(top):
+            kth = float(cert.lb_score[top].min())
+            over = [float(cert.ub_score[rest].max())] if len(rest) else []
+            if cert.unvisited_cap is not None:
+                over.append(cert.unvisited_cap)
+            gap = max([0.0] + [v - kth for v in over])
+        if cert.bound_gap != gap:
+            out.append(
+                InvariantViolation(
+                    "certificate",
+                    f"recorded bound_gap {cert.bound_gap:.9g} differs from "
+                    f"the replayed gap {gap:.9g}",
+                )
+            )
         return out
 
     if len(top) != cert.k:
@@ -431,10 +454,6 @@ def check_certificate(cert: CertificateRecord) -> list[InvariantViolation]:
                 node=int(bad[0]),
             )
         )
-
-    rivals = cert.eligible.copy()
-    rivals[top] = False
-    rest = np.flatnonzero(rivals)
 
     if not cert.boundary.any():
         # Terminated by component exhaustion (with >= k eligible nodes,

@@ -22,13 +22,12 @@ import time
 from collections import deque
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.result import SearchStats, TopKResult
 from repro.errors import SearchError
 from repro.graph.memory import CSRGraph
 from repro.measures.base import Measure
-from repro.measures.exact import DEFAULT_TAU
+from repro.measures.exact import DEFAULT_TAU, power_iteration
 
 
 class ClusterIndex:
@@ -81,19 +80,9 @@ class ClusterIndex:
         sub, mapping = self._induced_subgraph(nodes)
         q_local = int(np.searchsorted(mapping, query))
 
-        m, e = measure.matrix_recursion(sub, q_local)
-        if measure.fixed_iterations is not None:
-            r = np.zeros_like(e)
-            for _ in range(measure.fixed_iterations):
-                r = m @ r + e
-        else:
-            r = np.zeros_like(e)
-            for _ in range(max_iterations):
-                nxt = m @ r + e
-                if float(np.abs(nxt - r).max()) < tau:
-                    r = nxt
-                    break
-                r = nxt
+        r, _ = power_iteration(
+            measure, sub, q_local, tau=tau, max_iterations=max_iterations
+        )
         top_local = measure.top_k_from_vector(r, q_local, k)
         stats = SearchStats(
             visited_nodes=len(nodes),

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.iterative import jacobi_solve
 from repro.core.result import SearchStats, TopKResult
 from repro.errors import SearchError
 from repro.graph.base import GraphAccess
@@ -139,10 +140,7 @@ def _php_on_subgraph(
     a = (measure.c * t_s).tocsr()
     e = np.zeros(m)
     e[0] = 1.0
-    r = np.zeros(m)
-    for _ in range(max_iterations):
-        nxt = a @ r + e
-        if float(np.abs(nxt - r).max()) < tau:
-            return nxt
-        r = nxt
+    r, _ = jacobi_solve(
+        a, e, np.zeros(m), tau=tau, max_iterations=max_iterations
+    )
     return r

@@ -56,7 +56,6 @@ from repro.errors import (
     BudgetExceededError,
     ConfigurationError,
     DeadlineExceededError,
-    IterationBudgetError,
     SearchError,
 )
 from repro.graph.base import GraphAccess
@@ -105,16 +104,13 @@ class FLoSOptions:
     adaptive_batching: bool = True
     #: Visited-node budget (soft under ``on_budget="degrade"``).
     max_visited: int | None = None
-    #: Outer expansion-iteration budget (soft under ``on_budget="degrade"``).
-    max_iterations: int | None = None
     #: Wall-clock deadline per query, in seconds.  Checked between
     #: expansions, so the overshoot is bounded by one expansion batch
     #: plus one bound refresh — not by the whole search.
     deadline_seconds: float | None = None
-    #: What to do when a budget (visited / iteration / deadline) is
-    #: exhausted before the certificate closes.  ``"raise"`` aborts with
+    #: What to do when a budget (visited / deadline) is exhausted before
+    #: the certificate closes.  ``"raise"`` aborts with
     #: :class:`~repro.errors.BudgetExceededError` /
-    #: :class:`~repro.errors.IterationBudgetError` /
     #: :class:`~repro.errors.DeadlineExceededError`; ``"degrade"``
     #: returns an *anytime* result — the current best-k by the ranking
     #: midpoint ``ω·(lb+ub)/2`` with ``exact=False``, certified
@@ -172,8 +168,6 @@ class FLoSOptions:
                     f"max_visited ({self.max_visited}) must be >= k ({k}): "
                     "the search can never certify more nodes than it may visit"
                 )
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
         if self.deadline_seconds is not None and not self.deadline_seconds > 0:
             # ``+inf`` passes: it is the "no deadline" value.
             raise ConfigurationError("deadline_seconds must be positive")
@@ -309,29 +303,19 @@ class FLoSDriver:
     def run(self) -> EngineOutcome:
         """Execute Algorithm 2 until the top-k set is certified.
 
-        Budgets (``max_visited``, ``max_iterations``,
-        ``deadline_seconds``) are checked once per expansion round.  The
-        deadline and iteration budgets are checked at the *top* of the
-        loop — right after the previous round's bound refresh, so the
-        anytime bounds returned under ``on_budget="degrade"`` are
-        current without extra work; the visited budget is checked right
-        after expansion, followed by one bound refresh so the freshly
+        Budgets (``max_visited``, ``deadline_seconds``) are checked once
+        per expansion round.  The deadline is checked between rounds —
+        right after a round's bound refresh and open certificate, so the
+        anytime bounds returned under ``on_budget="degrade"`` are current
+        without extra work; the visited budget is checked right after
+        expansion, followed by one bound refresh so the freshly
         discovered nodes carry solved rather than trivial bounds.  The
         first round always runs, guaranteeing the query's neighborhood
         is in the view before any degraded result is assembled.
         """
         opts = self.options
-        self._started = time.monotonic()
-        iteration = 0
+        started = time.monotonic()
         while True:
-            iteration += 1
-            if iteration > 1:
-                reason = self._budget_reason(iteration)
-                if reason is not None:
-                    if opts.on_budget == "raise":
-                        self._raise_budget(reason, iteration)
-                    return self._finalize_degraded(reason)
-
             boundary = np.flatnonzero(self.view.boundary_mask())
             if len(boundary) == 0:
                 # The query's component is fully visited: bounds coincide
@@ -353,28 +337,14 @@ class FLoSDriver:
             if done:
                 return self._outcome(top_locals, exact=True)
 
-    def _budget_reason(self, iteration: int) -> str | None:
-        """Budget exhausted before this iteration may start, or ``None``."""
-        opts = self.options
-        if (
-            opts.max_iterations is not None
-            and iteration > opts.max_iterations
-        ):
-            return "iteration_budget"
-        if (
-            opts.deadline_seconds is not None
-            and time.monotonic() - self._started >= opts.deadline_seconds
-        ):
-            return "deadline"
-        return None
-
-    def _raise_budget(self, reason: str, iteration: int) -> None:
-        opts = self.options
-        if reason == "iteration_budget":
-            raise IterationBudgetError(iteration - 1, opts.max_iterations)
-        raise DeadlineExceededError(
-            time.monotonic() - self._started, opts.deadline_seconds
-        )
+            if opts.deadline_seconds is not None:
+                elapsed = time.monotonic() - started
+                if elapsed >= opts.deadline_seconds:
+                    if opts.on_budget == "raise":
+                        raise DeadlineExceededError(
+                            elapsed, opts.deadline_seconds
+                        )
+                    return self._finalize_degraded("deadline")
 
     # ------------------------------------------------------------------
     # Algorithm 3 — LocalExpansion
@@ -465,8 +435,13 @@ class FLoSDriver:
     # Algorithm 6 — CheckTerminationCriteria
     # ------------------------------------------------------------------
 
-    def _eligible_mask(self, base: np.ndarray) -> np.ndarray:
-        mask = base.copy()
+    def _eligible_mask(self, base: np.ndarray | None = None) -> np.ndarray:
+        """``base`` (default: every visited node) minus the query and the
+        excluded nodes."""
+        if base is None:
+            mask = np.ones(self.view.size, dtype=bool)
+        else:
+            mask = base.copy()
         mask[0] = False  # the query itself
         if self.exclude:
             mask &= ~self._excluded
@@ -475,41 +450,62 @@ class FLoSDriver:
     def _rivals(self, top: np.ndarray) -> np.ndarray:
         """Visited nodes that could still displace a member of ``top`` —
         excluded nodes cannot, by definition of the query."""
-        others = self._eligible_mask(np.ones(self.view.size, dtype=bool))
+        others = self._eligible_mask()
         others[top] = False
         return np.flatnonzero(others)
 
+    def _top(self, candidates: np.ndarray, score: np.ndarray) -> np.ndarray:
+        """The ``k`` of ``candidates`` (local ids) with the largest
+        ``score``, best first.
+
+        Ties break by *global* node id: local ids reflect visitation
+        order, which depends on the expansion schedule, so breaking score
+        ties on them would let the returned set at an exact rank-k tie
+        depend on the schedule.
+        """
+        gids = self.view.global_ids()
+        return candidates[
+            top_k_indices(score[candidates], gids[candidates], self.k)
+        ]
+
+    def _certificate(
+        self, top: np.ndarray
+    ) -> tuple[float | None, float | None, float | None]:
+        """The three numbers Alg. 6 compares, for the answer ``top``.
+
+        In ranking-score space: the k-th (smallest) lower score of
+        ``top``, the best upper score of any other eligible visited node,
+        and the model's cap on every unvisited node (Corollary 1, Sec.
+        5.6, Lemma 7).  Each is ``None`` when its set is empty.
+        Unvisited rivals are reached only through the boundary.  A
+        settled top-k puts every eligible boundary node among the visited
+        rivals, but an *excluded* boundary node is no rival and still
+        leads to unvisited ones, so the cap is read whenever the boundary
+        is non-empty.  The termination check, the anytime gap and the
+        audit record all read this one evaluation.
+        """
+        lo, hi = self._ranking_bounds()
+        kth = float(lo[top].min()) if len(top) else None
+        rest = self._rivals(top)
+        rival = float(hi[rest].max()) if len(rest) else None
+        boundary = np.flatnonzero(self.view.boundary_mask())
+        cap = self._unvisited_cap(boundary) if len(boundary) else None
+        return kth, rival, cap
+
     def _check_termination(self) -> tuple[bool, np.ndarray]:
-        settled = self._eligible_mask(self.view.settled_mask())
-        candidates = np.flatnonzero(settled)
+        candidates = np.flatnonzero(
+            self._eligible_mask(self.view.settled_mask())
+        )
         # The next round's shortfall (:meth:`_select_expansion`).
         self._settled = len(candidates)
         if len(candidates) < self.k:
             return False, candidates
 
-        lo, hi = self._ranking_bounds()
-        # Deterministic tie-breaking by *global* node id: local ids
-        # reflect visitation order, which depends on the expansion
-        # schedule, so breaking score ties on them would let the
-        # returned set at an exact rank-k tie depend on the schedule.
-        gids = self.view.global_ids()
-        top = candidates[
-            top_k_indices(lo[candidates], gids[candidates], self.k)
-        ]
-        min_top = float(lo[top].min()) + self.options.tie_epsilon
-
-        rest = self._rivals(top)
-        if len(rest) and float(hi[rest].max()) > min_top:
-            return False, top
-        # Unvisited rivals are reached only through the boundary.  The
-        # settled top-k puts every eligible boundary node among the
-        # rivals above, but an *excluded* boundary node is no rival and
-        # still leads to unvisited ones — so the model's cap (Corollary
-        # 1, Sec. 5.6, Lemma 7) is always checked.
-        boundary = np.flatnonzero(self.view.boundary_mask())
-        if len(boundary) and self._unvisited_cap(boundary) > min_top:
-            return False, top
-        return True, top
+        top = self._top(candidates, self._ranking_bounds()[0])
+        kth, rival, cap = self._certificate(top)
+        bar = kth + self.options.tie_epsilon
+        blocked = any(v is not None and v > bar for v in (rival, cap))
+        return not blocked, top
 
     # ------------------------------------------------------------------
     # Finalizers
@@ -527,26 +523,11 @@ class FLoSDriver:
         closed and the result is exact in all but name).
         """
         lo, hi = self._ranking_bounds()
-        eligible = np.flatnonzero(
-            self._eligible_mask(np.ones(self.view.size, dtype=bool))
-        )
-        mid = 0.5 * (lo + hi)
-        gids = self.view.global_ids()
-        top = eligible[
-            top_k_indices(mid[eligible], gids[eligible], self.k)
-        ]
-
+        top = self._top(np.flatnonzero(self._eligible_mask()), 0.5 * (lo + hi))
+        kth, rival, cap = self._certificate(top)
         gap = 0.0
-        if len(top):
-            min_top = float(lo[top].min())
-            rest = self._rivals(top)
-            if len(rest):
-                gap = float(hi[rest].max()) - min_top
-            boundary = np.flatnonzero(self.view.boundary_mask())
-            if len(boundary):
-                gap = max(gap, self._unvisited_cap(boundary) - min_top)
-            gap = max(0.0, gap)
-
+        if kth is not None:
+            gap = max([0.0] + [v - kth for v in (rival, cap) if v is not None])
         self.stats.termination = reason
         self.stats.bound_gap = gap
         return self._outcome(top, exact=False)
@@ -556,14 +537,9 @@ class FLoSDriver:
         # and upper systems coincide; refresh once more (nothing was
         # expanded) and rank.
         self._update_bounds(boundary, np.empty(0, dtype=np.int64))
-        lo, _ = self._ranking_bounds()
-        candidates = np.flatnonzero(
-            self._eligible_mask(np.ones(self.view.size, dtype=bool))
+        top = self._top(
+            np.flatnonzero(self._eligible_mask()), self._ranking_bounds()[0]
         )
-        gids = self.view.global_ids()
-        top = candidates[
-            top_k_indices(lo[candidates], gids[candidates], self.k)
-        ]
         return self._outcome(top, exact=True, exhausted=len(top) < self.k)
 
     def _outcome(
@@ -593,8 +569,9 @@ class FLoSDriver:
             return
         from repro.audit.invariants import CertificateRecord
 
+        top = np.asarray(outcome.top_locals, dtype=np.int64).copy()
         lo, hi = self._ranking_bounds()
-        boundary = self.view.boundary_mask()
+        _, _, cap = self._certificate(top)
         self._auditor.on_certificate(
             CertificateRecord(
                 k=self.k,
@@ -603,19 +580,13 @@ class FLoSDriver:
                 exhausted=outcome.exhausted_component,
                 termination=self.stats.termination,
                 bound_gap=self.stats.bound_gap,
-                top=np.asarray(outcome.top_locals, dtype=np.int64).copy(),
+                top=top,
                 lb_score=np.array(lo, dtype=np.float64),
                 ub_score=np.array(hi, dtype=np.float64),
-                eligible=self._eligible_mask(
-                    np.ones(self.view.size, dtype=bool)
-                ),
+                eligible=self._eligible_mask(),
                 settled=self.view.settled_mask().copy(),
-                boundary=boundary.copy(),
-                unvisited_cap=(
-                    self._unvisited_cap(np.flatnonzero(boundary))
-                    if boundary.any()
-                    else None
-                ),
+                boundary=self.view.boundary_mask().copy(),
+                unvisited_cap=cap,
             )
         )
         self.stats.audit_checks = self._auditor.checks

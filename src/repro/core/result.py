@@ -16,7 +16,6 @@ TERMINATION_REASONS = (
     "exact",
     "deadline",
     "visited_budget",
-    "iteration_budget",
 )
 
 
@@ -30,8 +29,8 @@ class SearchStats:
     ``visited_nodes / graph.num_nodes``.
 
     ``termination`` records why the search stopped: ``"exact"`` when the
-    certificate of Algorithm 6 closed, or one of ``"deadline"``,
-    ``"visited_budget"``, ``"iteration_budget"`` when a soft budget
+    certificate of Algorithm 6 closed, or ``"deadline"`` /
+    ``"visited_budget"`` when a soft budget
     (``FLoSOptions(on_budget="degrade")``) cut the search short.
     ``bound_gap`` is the residual certificate gap in ranking-score space
     (PHP-space, degree-weighted for RWR; hitting-time space for THT):

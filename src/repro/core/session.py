@@ -21,13 +21,13 @@ object that owns everything reusable across queries on one
   per-termination-reason counters for anytime/degraded results, and a
   slow-query log (:meth:`QuerySession.slow_queries`).
 
-Deadline-aware serving: every budget in
+Deadline-aware serving: both budgets in
 :class:`~repro.core.flos.FLoSOptions` (``max_visited``,
-``max_iterations``, ``deadline_seconds``) is *soft* under
-``on_budget="degrade"`` — a query that exhausts its budget returns an
-anytime result with certified bounds instead of raising, which is what
-bounds tail latency on pathological queries (e.g. near-ties that would
-otherwise force visiting the whole component).  ``top_k`` and
+``deadline_seconds``) are *soft* under ``on_budget="degrade"`` — a
+query that exhausts its budget returns an anytime result with certified
+bounds instead of raising, which is what bounds tail latency on
+pathological queries (e.g. near-ties that would otherwise force
+visiting the whole component).  ``top_k`` and
 ``top_k_many`` take a per-call
 :class:`~repro.core.api.QueryOverrides` (``deadline_seconds``,
 ``on_budget``, ``audit``) — the same contract the one-shot
@@ -92,8 +92,8 @@ class SessionMetrics:
     result (``exact=False``) because a soft budget fired
     (``on_budget="degrade"``); ``terminations`` counts engine runs by
     ``stats.termination`` reason (``"exact"``, ``"deadline"``,
-    ``"visited_budget"``, ``"iteration_budget"``).  Both count engine
-    runs only — cache hits replay a stored result and touch neither.
+    ``"visited_budget"``).  Both count engine runs only — cache hits
+    replay a stored result and touch neither.
 
     ``audit_checks`` / ``audit_violations`` accumulate the runtime
     invariant audit counters (``FLoSOptions.audit != "off"``) over
@@ -493,7 +493,6 @@ class QuerySession:
                 options=options,
                 exclude=excluded,
             )
-            finalize = self._tht_result
         else:
             degree_bound = None
             if measure.uses_degree_weighting() and isinstance(graph, CSRGraph):
@@ -508,43 +507,58 @@ class QuerySession:
                 options=options,
                 exclude=excluded,
             )
-            finalize = self._php_family_result
 
+        view = engine.view
         # The engine's view read the query's row and degree (local 0).
-        if engine.view.local_degree(0) <= 0.0:
+        if view.local_degree(0) <= 0.0:
             # Isolated query: every proximity is degenerate (0 for
             # hitting probabilities, L for THT); no meaningful ranking.
-            result = self._empty_result(query, k)
-            if self._cache.update_log is not None:
-                # Its ball is the query alone — an edge landing on the
-                # query must invalidate this entry.
-                ball = np.array([query], dtype=np.int32)
-                ball.flags.writeable = False
-                result.stats.visited_ball = ball
-            return result
+            top = np.empty(0, dtype=np.int64)
+            lower = upper = np.empty(0)
+            exact = exhausted = True
+            stats, audit = SearchStats(visited_nodes=1), None
+        else:
+            outcome = engine.run()
+            top = outcome.top_locals
+            if self._engine_kind == "php":
+                lower, upper = self._native_bounds(outcome)
+            else:  # THT bounds are native
+                lower, upper = outcome.lower[top], outcome.upper[top]
+            exact, exhausted = outcome.exact, outcome.exhausted_component
+            stats, audit = outcome.stats, outcome.audit
 
-        outcome = engine.run()
-        result = finalize(outcome, query, k)
-
+        result = TopKResult(
+            query=query,
+            k=k,
+            measure_name=measure.name,
+            nodes=view.global_ids()[top],
+            values=0.5 * (lower + upper),
+            lower=lower,
+            upper=upper,
+            exact=exact,
+            stats=stats,
+            exhausted_component=exhausted,
+            audit=audit,
+        )
         if self._cache.update_log is not None:
             # Persist the closed visited ball on the result so the cache
-            # can localize later invalidation (ISSUE: compact sorted
-            # int32 in ``TopKResult.stats``).  Read-only — ``copy()``
-            # shares it by reference.
-            ball = outcome.view.closed_ball()
+            # can localize later invalidation (a compact sorted int32 in
+            # ``TopKResult.stats``; the query alone when it is
+            # isolated).  Read-only — ``copy()`` shares it by reference.
+            ball = view.closed_ball()
             ball.flags.writeable = False
-            result.stats.visited_ball = ball
+            stats.visited_ball = ball
         return result
 
-    def _php_family_result(
-        self, outcome: EngineOutcome, query: int, k: int
-    ) -> TopKResult:
+    def _native_bounds(
+        self, outcome: EngineOutcome
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Native ``(lower, upper)`` of the returned nodes, converted from
+        the PHP-space bounds of a PHP-family measure."""
         measure: PHPFamilyMeasure = self.measure
         view = outcome.view
         top = outcome.top_locals
-        gids = view.global_ids()
-        degrees = view.degrees_array()
-
+        php_lb, php_ub = outcome.lower[top], outcome.upper[top]
         # Local scale factor (Theorems 2/6): monotone increasing in each
         # neighbor PHP value, so evaluating it at the neighbor lower
         # (upper) bounds yields a scale lower (upper) bound.
@@ -557,65 +571,12 @@ class QuerySession:
         scale_ub = measure.query_scale(
             w_q, nbr_probs, outcome.upper[nbr_locals]
         )
-
-        increasing = measure.direction is Direction.HIGHER_IS_CLOSER
-        php_lb, php_ub = outcome.lower[top], outcome.upper[top]
-        deg = degrees[top]
-        if increasing:
-            lower = measure.from_php(php_lb, deg, scale_lb)
-            upper = measure.from_php(php_ub, deg, scale_ub)
-        else:  # DHT: native value decreases in PHP
-            lower = measure.from_php(php_ub, deg, scale_ub)
-            upper = measure.from_php(php_lb, deg, scale_lb)
-        values = 0.5 * (lower + upper)
-
-        return TopKResult(
-            query=query,
-            k=k,
-            measure_name=measure.name,
-            nodes=gids[top],
-            values=values,
-            lower=lower,
-            upper=upper,
-            exact=outcome.exact,
-            stats=outcome.stats,
-            exhausted_component=outcome.exhausted_component,
-            audit=outcome.audit,
+        if measure.direction is not Direction.HIGHER_IS_CLOSER:
+            # DHT: the native value decreases in PHP.
+            php_lb, php_ub = php_ub, php_lb
+            scale_lb, scale_ub = scale_ub, scale_lb
+        deg = view.degrees_array()[top]
+        return (
+            measure.from_php(php_lb, deg, scale_lb),
+            measure.from_php(php_ub, deg, scale_ub),
         )
-
-    def _tht_result(
-        self, outcome: EngineOutcome, query: int, k: int
-    ) -> TopKResult:
-        view = outcome.view
-        top = outcome.top_locals
-        gids = view.global_ids()
-        lower = outcome.lower[top]
-        upper = outcome.upper[top]
-        return TopKResult(
-            query=query,
-            k=k,
-            measure_name=self.measure.name,
-            nodes=gids[top],
-            values=0.5 * (lower + upper),
-            lower=lower,
-            upper=upper,
-            exact=outcome.exact,
-            stats=outcome.stats,
-            exhausted_component=outcome.exhausted_component,
-            audit=outcome.audit,
-        )
-
-    def _empty_result(self, query: int, k: int) -> TopKResult:
-        result = TopKResult(
-            query=query,
-            k=k,
-            measure_name=self.measure.name,
-            nodes=np.empty(0, dtype=np.int64),
-            values=np.empty(0),
-            lower=np.empty(0),
-            upper=np.empty(0),
-            exact=True,
-            exhausted_component=True,
-        )
-        result.stats.visited_nodes = 1
-        return result

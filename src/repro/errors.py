@@ -168,18 +168,3 @@ class WorkerCrashError(ReproError):
     retried forever.
     """
 
-
-class IterationBudgetError(SearchError):
-    """A search exhausted its outer-iteration budget before terminating.
-
-    Raised only under ``FLoSOptions(on_budget="raise")``; with
-    ``on_budget="degrade"`` the search returns an anytime result instead.
-    """
-
-    def __init__(self, iterations: int, budget: int):
-        super().__init__(
-            f"search ran {iterations} expansion iterations, exhausting its "
-            f"budget of {budget} before the termination criterion was met"
-        )
-        self.iterations = iterations
-        self.budget = budget

@@ -73,12 +73,6 @@ class Measure(abc.ABC):
         (PHP: 1, DHT/THT: 0), else ``None`` (EI, RWR)."""
         return None
 
-    def closer(self, a: float, b: float) -> bool:
-        """True when proximity ``a`` is strictly closer than ``b``."""
-        if self.direction is Direction.HIGHER_IS_CLOSER:
-            return a > b
-        return a < b
-
     def rank_descending(self) -> bool:
         """True when top-k sorts by decreasing proximity."""
         return self.direction is Direction.HIGHER_IS_CLOSER
@@ -109,20 +103,16 @@ class PHPFamilyMeasure(Measure):
     """A measure reducible to penalized hitting probability.
 
     Subclasses declare the decay of the equivalent PHP
-    (:attr:`php_decay`), how ranking weights depend on node degree
-    (:meth:`rank_weight`), and the locally-computable scale factor used to
-    convert PHP values back to native values (:meth:`query_scale`,
-    :meth:`from_php`).
+    (:attr:`php_decay`), whether the ranking weight is the node degree
+    (:meth:`uses_degree_weighting`), and the locally-computable scale
+    factor used to convert PHP values back to native values
+    (:meth:`query_scale`, :meth:`from_php`).
     """
 
     @property
     @abc.abstractmethod
     def php_decay(self) -> float:
         """Decay factor of the PHP whose values determine this measure."""
-
-    def rank_weight(self, degree: float) -> float:
-        """Multiplier on the PHP value used for *ranking* (RWR: ``w_i``)."""
-        return 1.0
 
     def uses_degree_weighting(self) -> bool:
         """True when ranking weights vary with node degree (RWR only)."""

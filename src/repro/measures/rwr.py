@@ -54,9 +54,6 @@ class RWR(PHPFamilyMeasure):
     def php_decay(self) -> float:
         return 1.0 - self.c
 
-    def rank_weight(self, degree: float) -> float:
-        return degree
-
     def uses_degree_weighting(self) -> bool:
         return True
 

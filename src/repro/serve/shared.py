@@ -171,10 +171,6 @@ class SharedGraph:
     def kind(self) -> str:
         return self.descriptor.kind
 
-    def attach(self) -> AttachedGraph:
-        """Attach in *this* process (convenience for tests/tools)."""
-        return attach_shared(self.descriptor)
-
     def close(self) -> None:
         """Release and unlink the segment (idempotent)."""
         if self._closed:

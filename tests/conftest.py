@@ -76,6 +76,29 @@ def schedule_options(monkeypatch, schedule: dict) -> dict:
     return options
 
 
+def expire_deadline_after_first_round(monkeypatch, deadline: float = 1.0):
+    """Drive the engine's deadline check with a clock that jumps.
+
+    Replaces the clock :mod:`repro.core.flos` reads with one whose first
+    reading (the start of one engine run) is 0 and every later reading
+    is ``10 * deadline``, so a run with ``deadline_seconds=deadline``
+    expires at its first check, right after round 1.  Returns the
+    ``FLoSOptions`` fields that arm the deadline.
+    """
+    import types
+
+    from repro.core import flos
+
+    readings = iter([0.0])
+
+    def monotonic() -> float:
+        return next(readings, 10.0 * deadline)
+
+    clock = types.SimpleNamespace(monotonic=monotonic)
+    monkeypatch.setattr(flos, "time", clock)
+    return {"deadline_seconds": deadline}
+
+
 def assert_topk_matches_oracle(graph, measure, result, q, k, *, atol=1e-6):
     """The returned set must be *a* valid top-k under the exact values.
 

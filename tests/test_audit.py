@@ -8,6 +8,8 @@ caught loudly instead of returning a plausible wrong answer.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.errors import AuditError, ConfigurationError
 from repro.graph.generators import erdos_renyi, grid_graph
 from repro.measures import resolve_measure
 
-from .conftest import schedule_options
+from .conftest import expire_deadline_after_first_round, schedule_options
 
 GRAPH = erdos_renyi(80, 240, seed=11)
 QUERY = 3
@@ -65,13 +67,9 @@ REFRESH_PATHS = {
         {"max_visited": 12, "on_budget": "degrade"},
         "visited_budget",
     ),
-    # The budget fires at the top of the loop, where nothing refreshes.
-    "iteration_budget": (
-        GRAPH,
-        K,
-        {"max_iterations": 2, "on_budget": "degrade"},
-        "iteration_budget",
-    ),
+    # The deadline fires between rounds, where nothing refreshes; the
+    # test drives it with a patched clock.
+    "deadline": (GRAPH, K, {"on_budget": "degrade"}, "deadline"),
     "exhausted": (grid_graph(5, 5), 30, {}, "exact"),
 }
 
@@ -292,6 +290,29 @@ class TestCertificateReplay:
         assert [v.check for v in out] == ["certificate"]
         assert "unvisited cap" in out[0].message
 
+    @pytest.mark.parametrize(
+        "measure,kwargs", [("rwr", {"c": 0.5}), ("tht", {"horizon": 5})]
+    )
+    def test_anytime_gap_replayed(self, measure, kwargs):
+        # The recorded anytime gap must equal the one the recorded floats
+        # give, to the last bit.
+        session = _session(
+            measure,
+            kwargs,
+            audit="record",
+            max_visited=12,
+            on_budget="degrade",
+        )
+        cert = session.top_k(QUERY, K).audit.certificate
+        assert not cert.exact and cert.bound_gap > 0.0
+        assert check_certificate(cert) == []
+        planted = dataclasses.replace(
+            cert, bound_gap=float(np.nextafter(cert.bound_gap, np.inf))
+        )
+        out = check_certificate(planted)
+        assert [v.check for v in out] == ["certificate"]
+        assert "bound_gap" in out[0].message
+
     def test_tht_mirror(self):
         # THT records negated hitting-time bounds: lb_score = -upper,
         # ub_score = -lower, and the Lemma-7 cap -min(boundary lower).
@@ -363,6 +384,11 @@ class TestAuditModes:
             return real(self, *args, **kw)
 
         monkeypatch.setattr(kernel, entry, counted)
+        if path == "deadline":
+            options = {
+                **options,
+                **expire_deadline_after_first_round(monkeypatch),
+            }
         session = _session(measure, kwargs, graph, audit="record", **options)
         result = session.top_k(QUERY, k)
         assert result.stats.termination == termination

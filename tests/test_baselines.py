@@ -19,7 +19,7 @@ from repro.baselines import (
     ls_tht_top_k,
     nn_ei_top_k,
 )
-from repro.errors import SearchError
+from repro.errors import ConvergenceError, SearchError
 from repro.graph.generators import erdos_renyi, rmat
 from repro.measures import EI, PHP, RWR, THT, solve_direct
 
@@ -83,6 +83,10 @@ class TestDNE:
             dne_top_k(graph, PHP(0.5), 7, 0)
         with pytest.raises(SearchError):
             dne_top_k(graph, PHP(0.5), 7, 3, budget=0)
+
+    def test_non_convergence_raises(self, graph):
+        with pytest.raises(ConvergenceError):
+            dne_top_k(graph, PHP(0.5), 7, 3, budget=50, max_iterations=1)
 
 
 class TestNNEI:
@@ -220,6 +224,10 @@ class TestClusterIndex:
         a = index.top_k(EI(0.5), 101, 1).stats.visited_nodes
         b = index.top_k(EI(0.5), 101, 20).stats.visited_nodes
         assert a == b
+
+    def test_non_convergence_raises(self, index):
+        with pytest.raises(ConvergenceError):
+            index.top_k(EI(0.5), 101, 10, max_iterations=1)
 
 
 class TestLSTHT:

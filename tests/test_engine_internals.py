@@ -241,6 +241,8 @@ class TestOneDriver:
         "_select_expansion",
         "_expand",
         "_eligible_mask",
+        "_top",
+        "_certificate",
         "_check_termination",
         "_finalize_degraded",
         "_finalize_exhausted",

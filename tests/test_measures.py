@@ -132,8 +132,6 @@ class TestRWR:
     def test_degree_weighting_flags(self):
         assert RWR(0.5).uses_degree_weighting()
         assert not PHP(0.5).uses_degree_weighting()
-        assert RWR(0.5).rank_weight(7.0) == 7.0
-        assert PHP(0.5).rank_weight(7.0) == 1.0
 
 
 class TestTopKFromVector:
@@ -153,5 +151,6 @@ class TestTopKFromVector:
         assert 0 not in top
 
     def test_closer(self):
-        assert PHP(0.5).closer(0.9, 0.3)
-        assert DHT(0.5).closer(0.3, 0.9)
+        # Larger is closer for PHP, smaller for DHT (Sec. 3.1).
+        assert PHP(0.5).rank_descending()
+        assert not DHT(0.5).rank_descending()
