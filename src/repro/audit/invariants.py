@@ -33,7 +33,8 @@ check_flags            API contract: ``exact`` iff the certificate
                        closed (``termination == "exact"``), with a
                        zero residual ``bound_gap``; anytime results
                        name the budget that fired and carry a
-                       non-negative gap.
+                       non-negative gap; the reason is one of
+                       ``result.TERMINATION_REASONS``.
 =====================  =============================================
 
 Tolerances.  The engines stop their inner solvers on a ``tau`` update
@@ -50,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.core.result import TERMINATION_REASONS
 
 __all__ = [
     "AuditReport",
@@ -306,6 +309,12 @@ def check_sandwich(
 def check_flags(cert: CertificateRecord) -> list[InvariantViolation]:
     """Exact/anytime flag consistency (the API contract of TopKResult)."""
     out: list[InvariantViolation] = []
+    if cert.termination not in TERMINATION_REASONS:
+        out.append(
+            InvariantViolation(
+                "flags", f"unknown termination reason {cert.termination!r}"
+            )
+        )
     if cert.exact and cert.termination != "exact":
         out.append(
             InvariantViolation(

@@ -2,18 +2,16 @@
 
 :class:`AuditRecorder` is the runtime half of the audit layer.  The
 FLoS driver (:class:`~repro.core.flos.FLoSDriver`) constructs one when
-``FLoSOptions.audit != "off"``, and it is called:
+``FLoSOptions.audit != "off"`` and feeds it from its consumer of the
+round stream:
 
-* :meth:`AuditRecorder.on_refresh` after every bound refresh, from the
-  driver's one refresh epilogue — checks bound ordering, monotone bound
-  evolution against the previous snapshot, and the
-  :meth:`~repro.core.localgraph.LocalView.check_invariants` state
-  invariants;
-* :meth:`AuditRecorder.on_solver_residuals` from the PHP-space bound
-  model's refresh, just before the ``on_refresh`` of the same refresh,
-  which checks it;
-* :meth:`AuditRecorder.on_certificate` at finalize — replays the
-  termination decision from the recorded final bounds
+* :meth:`AuditRecorder.observe` reads every
+  :class:`~repro.core.flos.Round` — bound ordering of the raw,
+  pre-clamp bounds, monotone bound evolution against the previous
+  snapshot, the :meth:`~repro.core.localgraph.LocalView.check_invariants`
+  state invariants, then the bound model's convergence claim;
+* :meth:`AuditRecorder.seal` at the finish — replays the termination
+  decision from the final bounds
   (:func:`~repro.audit.invariants.check_certificate`).
 
 Under ``audit="check"`` any violation raises
@@ -54,7 +52,7 @@ __all__ = ["AuditRecorder", "shrink_case", "write_repro"]
 
 
 class AuditRecorder:
-    """Runtime invariant checker hooked into one engine run.
+    """Runtime invariant checker fed the rounds of one engine run.
 
     Parameters
     ----------
@@ -70,9 +68,8 @@ class AuditRecorder:
         finite-horizon DP of THT.
     order_slack:
         Allowed ``lower - upper`` inversion within one refresh; same
-        derivation, checked *before* the driver's cosmetic
-        ``min(lb, ub)`` clamp would hide it — which is why the driver
-        invokes :meth:`on_refresh` pre-clamp.
+        derivation, checked on the round's raw bounds, which the
+        driver's cosmetic ``min(lb, ub)`` clamp leaves untouched.
     context:
         Human-readable run label used in raised error messages.
     """
@@ -95,34 +92,26 @@ class AuditRecorder:
         self.violations: list[InvariantViolation] = []
         self._snapshots: list[BoundSnapshot] = []
         self._last: BoundSnapshot | None = None
-        self._certificate: CertificateRecord | None = None
-        self._refreshes = 0
-        self._residuals: tuple[float, float, float] | None = None
 
     # ------------------------------------------------------------------
 
-    def on_refresh(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        dummy_value: float,
-        view,
-        expanded: np.ndarray,
-    ) -> None:
-        """Audit one bound refresh (called by the driver pre-clamp).
+    def observe(self, step, view) -> None:
+        """Audit one :class:`~repro.core.flos.Round` of the driver.
 
-        ``expanded`` holds the local ids this round expanded.
+        Reads the round's raw, pre-clamp bounds: bound ordering,
+        monotone evolution against the previous snapshot and the
+        :meth:`~repro.core.localgraph.LocalView.check_invariants` state
+        invariants first, then the bound model's convergence claim.
         """
-        self._refreshes += 1
         gids = view.global_ids()
         snap = BoundSnapshot(
-            iteration=self._refreshes,
-            lower=lower.copy(),
-            upper=upper.copy(),
-            dummy_value=float(dummy_value),
-            size=len(lower),
+            iteration=1 if self._last is None else self._last.iteration + 1,
+            lower=step.lower.copy(),
+            upper=step.upper.copy(),
+            dummy_value=float(step.dummy_value),
+            size=len(step.lower),
             nodes=gids.copy(),
-            expanded=gids[expanded],
+            expanded=gids[step.expanded],
         )
         found: list[InvariantViolation] = []
 
@@ -148,60 +137,38 @@ class AuditRecorder:
         if self.mode == "record":
             self._snapshots.append(snap)
         self._handle(found)
-        if self._residuals is not None:
-            residuals, self._residuals = self._residuals, None
-            self._check_residuals(*residuals)
-
-    def on_solver_residuals(
-        self, lower_res: float, upper_res: float, tol: float
-    ) -> None:
-        """Hold the solver's convergence claim for the refresh in flight.
-
-        The bound model passes fixed-point residual inf-norms measured by
-        an independent operator application
-        (:meth:`~repro.core.kernels.DualBoundKernel.residual_norms`)
-        before its raw bounds reach the driver; the next
-        :meth:`on_refresh` checks them after that refresh's own
-        invariants.
-        """
-        self._residuals = (lower_res, upper_res, tol)
-
-    def _check_residuals(
-        self, lower_res: float, upper_res: float, tol: float
-    ) -> None:
+        if step.residuals is None:
+            return
         self.checks += 1
-        found = [
-            InvariantViolation(
-                "solver",
-                f"{name}-bound system residual {value:.3g} exceeds the "
-                f"convergence tolerance {tol:.3g} — the solver reported "
-                "convergence it did not reach",
-                iteration=self._refreshes,
-            )
-            for name, value in (("lower", lower_res), ("upper", upper_res))
-            if value > tol
-        ]
-        self._handle(found)
+        *residuals, tol = step.residuals()
+        self._handle(
+            [
+                InvariantViolation(
+                    "solver",
+                    f"{name}-bound system residual {value:.3g} exceeds the "
+                    f"convergence tolerance {tol:.3g} — the solver reported "
+                    "convergence it did not reach",
+                    iteration=snap.iteration,
+                )
+                for name, value in zip(("lower", "upper"), residuals)
+                if value > tol
+            ]
+        )
 
-    def on_certificate(self, cert: CertificateRecord) -> None:
-        """Audit the termination decision (called once at finalize)."""
-        self._certificate = cert
+    def seal(self, cert: CertificateRecord) -> AuditReport:
+        """Audit the termination decision (once, at the finish) and
+        return the audit trail attached to the result."""
         self.checks += 2  # flag consistency + certificate replay
         self._handle(check_certificate(cert))
-
-    def report(self) -> AuditReport:
-        """The accumulated audit trail (attached to the TopKResult)."""
-        snapshots = (
-            self._snapshots
-            if self.mode == "record"
-            else ([self._last] if self._last is not None else [])
-        )
         return AuditReport(
             mode=self.mode,
             checks=self.checks,
             violations=list(self.violations),
-            snapshots=snapshots,
-            certificate=self._certificate,
+            # Every run observes at least one round before its finish.
+            snapshots=(
+                self._snapshots if self.mode == "record" else [self._last]
+            ),
+            certificate=cert,
         )
 
     # ------------------------------------------------------------------

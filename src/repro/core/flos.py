@@ -17,7 +17,8 @@ native values afterwards.  The only measure-dependent piece is the
 scales the cap on unvisited nodes: ``max_{δS} ub`` (Corollary 1), or
 ``w(S̄) · max_{δS} ub`` for RWR.
 
-Loop structure per iteration ``t`` (Algorithm 2):
+One round ``t`` of Algorithm 2 (:meth:`FLoSDriver.rounds` yields a
+:class:`Round` per round; :meth:`FLoSDriver.run` applies the stop rules):
 
 1. **LocalExpansion** (Alg. 3): expand the boundary node maximising
    ``ω_i (lb_i + ub_i) / 2``.
@@ -33,7 +34,7 @@ Loop structure per iteration ``t`` (Algorithm 2):
 4. **CheckTerminationCriteria** (Alg. 6): pick the ``k`` settled nodes
    (all neighbors visited) with largest ``ω·lb``; stop when their minimum
    clears every other eligible visited node's ``ω·ub`` and the model's
-   cap on unvisited nodes.
+   cap on unvisited nodes.  ``Round.blocked`` names the check that failed.
 
 Optionally both bounds are tightened with star-to-mesh self-loops
 (Sec. 5.3, Lemmas 3–4); ``FLoSOptions.tighten`` controls this and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,21 +203,50 @@ class EngineOutcome:
     audit: "object | None" = None
 
 
+@dataclass(frozen=True, slots=True)
+class Round:
+    """One round of Algorithm 2: expand, refresh, certify.
+
+    ``expanded`` holds local ids.  ``lower``/``upper`` are the refresh's
+    raw bounds, before the driver's ``min(lower, upper)`` clamp, which
+    would hide the bound-order inversions the audit exists to catch.
+    ``residuals`` is the model's convergence claim: ``None``, or a
+    zero-argument callable returning ``(lower_residual, upper_residual,
+    tolerance)`` that only the audit calls.  ``blocked`` names the Alg.-6
+    check that kept the certificate for ``top`` open (``"unsettled"``:
+    fewer than ``k`` eligible settled nodes; ``"rival"``: a visited
+    node's upper score; ``"cap"``: the cap on unvisited nodes), ``None``
+    once it closed.  ``exhausted`` marks the last round, run on an empty
+    boundary, which expands nothing.
+    """
+
+    expanded: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    dummy_value: float
+    sweeps: int
+    residuals: Callable[[], tuple[float, float, float]] | None
+    top: np.ndarray
+    blocked: str | None
+    exhausted: bool
+
+
 class FLoSDriver:
     """The measure-independent FLoS loop (Algorithms 2, 3 and 6).
 
     The driver owns every step that is the same for all measures: the
     soft-budget schedule, the excluded-locals mask, best-first
-    expansion, growing the bound vectors, the termination certificate,
-    the anytime and exhausted-component finalizers, the refresh
-    epilogue (:meth:`_update_bounds`: work counters, the per-refresh
-    audit, the bound clamp) and the audit seal.  A subclass is a *bound
-    model*: it computes fresh bounds after each expansion and exposes
-    them to the driver in one orientation, where larger means closer.
+    expansion, growing and clamping the bound vectors, the termination
+    certificate, the round stream (:meth:`rounds`), the stop rules
+    (:meth:`run`) and the one finish (:meth:`_finish`: anytime gap and
+    audit seal).  A subclass is a *bound model*: it computes fresh
+    bounds after each expansion and exposes them to the driver in one
+    orientation, where larger means closer.
 
     * :meth:`_refresh` — Algorithms 4 and 5 (or their THT analogue):
-      returns raw ``(lb, ub, sweeps)``, where a sweep touches every
-      visited row once.  ``boundary`` is ``δS`` *before* this round's
+      returns raw ``(lb, ub, sweeps, residuals)``, where a sweep touches
+      every visited row once and ``residuals`` is the convergence claim
+      of :class:`Round`.  ``boundary`` is ``δS`` *before* this round's
       expansion, which the PHP-space dummy of Alg. 5 line 7 reads.
     * :meth:`_ranking_bounds` — ``(lo, hi)`` ranking scores bracketing
       each visited node.
@@ -303,40 +334,30 @@ class FLoSDriver:
     def run(self) -> EngineOutcome:
         """Execute Algorithm 2 until the top-k set is certified.
 
-        Budgets (``max_visited``, ``deadline_seconds``) are checked once
-        per expansion round.  The deadline is checked between rounds —
-        right after a round's bound refresh and open certificate, so the
-        anytime bounds returned under ``on_budget="degrade"`` are current
-        without extra work; the visited budget is checked right after
-        expansion, followed by one bound refresh so the freshly
-        discovered nodes carry solved rather than trivial bounds.  The
-        first round always runs, guaranteeing the query's neighborhood
-        is in the view before any degraded result is assembled.
+        Consumes :meth:`rounds`, feeds each to the audit, and stops on
+        the first rule that fires, in this order: the component is
+        exhausted, the visited budget is exceeded, the certificate
+        closed, the deadline passed.  Budgets are checked after the
+        round's refresh, so a degraded result carries solved bounds, and
+        only once the query's neighborhood is in the view.
         """
         opts = self.options
         started = time.monotonic()
-        while True:
-            boundary = np.flatnonzero(self.view.boundary_mask())
-            if len(boundary) == 0:
-                # The query's component is fully visited: bounds coincide
-                # with the exact (τ-converged) solution on the component.
-                return self._finalize_exhausted(boundary)
-            expanded = self._select_expansion(boundary)
-            self._expand(expanded)
+        for step in self.rounds():
+            if self._auditor is not None:
+                self._auditor.observe(step, self.view)
+            if step.exhausted:
+                # Component fully visited: the bounds are its τ-solution.
+                return self._finish(step.top, "exact")
             if (
                 opts.max_visited is not None
                 and self.view.size > opts.max_visited
             ):
                 if opts.on_budget == "raise":
                     raise BudgetExceededError(self.view.size, opts.max_visited)
-                self._update_bounds(boundary, expanded)
-                return self._finalize_degraded("visited_budget")
-
-            self._update_bounds(boundary, expanded)
-            done, top_locals = self._check_termination()
-            if done:
-                return self._outcome(top_locals, exact=True)
-
+                return self._finish(None, "visited_budget")
+            if step.blocked is None:
+                return self._finish(step.top, "exact")
             if opts.deadline_seconds is not None:
                 elapsed = time.monotonic() - started
                 if elapsed >= opts.deadline_seconds:
@@ -344,7 +365,40 @@ class FLoSDriver:
                         raise DeadlineExceededError(
                             elapsed, opts.deadline_seconds
                         )
-                    return self._finalize_degraded("deadline")
+                    return self._finish(None, "deadline")
+
+    def rounds(self) -> Iterator[Round]:
+        """Algorithm 2 as a stream of :class:`Round` records.
+
+        Each round expands, refreshes and clamps the bounds, evaluates
+        Alg. 6 and yields; stop rules are the consumer's (:meth:`run`).
+        Once the boundary is empty the dummy mass is zero and both bound
+        systems coincide: that round expands nothing and ends the stream.
+        """
+        while True:
+            boundary = np.flatnonzero(self.view.boundary_mask())
+            exhausted = len(boundary) == 0
+            expanded = boundary
+            if not exhausted:
+                expanded = self._select_expansion(boundary)
+                self._expand(expanded)
+            lb, ub, sweeps, residuals = self._refresh(boundary)
+            self.stats.solver_iterations += sweeps
+            self.stats.rows_swept += self.view.size * sweeps
+            # Both bounds sandwich one fixed point: clamp off solver noise
+            # into fresh arrays, so the record keeps the raw ones.  The
+            # query's value is a constant by definition.
+            self._lb, self._ub = np.minimum(lb, ub), ub.copy()
+            self._lb[0] = self._ub[0] = self._query_value
+            top, blocked = self._certify()
+            yield Round(
+                expanded=expanded, lower=lb, upper=ub,
+                dummy_value=self._dummy_value, sweeps=sweeps,
+                residuals=residuals, top=top, blocked=blocked,
+                exhausted=exhausted,
+            )
+            if exhausted:
+                return
 
     # ------------------------------------------------------------------
     # Algorithm 3 — LocalExpansion
@@ -407,30 +461,6 @@ class FLoSDriver:
                 ]
             )
 
-    def _update_bounds(self, boundary: np.ndarray, expanded: np.ndarray) -> None:
-        """Refresh the bounds after expanding ``expanded`` (local ids).
-
-        The model's :meth:`_refresh` computes them; this epilogue is the
-        same for every model: work counters, the per-refresh audit, the
-        consistency clamp and the query's constant value.
-        """
-        lb, ub, sweeps = self._refresh(boundary)
-        self.stats.solver_iterations += sweeps
-        self.stats.rows_swept += self.view.size * sweeps
-        # Audit before the clamp below — clamping would mask exactly the
-        # bound-order inversions the audit exists to catch.
-        if self._auditor is not None:
-            self._auditor.on_refresh(
-                lb, ub, self._dummy_value, self.view, expanded
-            )
-        # The bounds sandwich the same fixed point; keep them consistent
-        # against solver-tolerance noise.
-        np.minimum(lb, ub, out=lb)
-        # The query's value is a constant by definition.
-        lb[0] = ub[0] = self._query_value
-        self._lb = lb
-        self._ub = ub
-
     # ------------------------------------------------------------------
     # Algorithm 6 — CheckTerminationCriteria
     # ------------------------------------------------------------------
@@ -447,13 +477,6 @@ class FLoSDriver:
             mask &= ~self._excluded
         return mask
 
-    def _rivals(self, top: np.ndarray) -> np.ndarray:
-        """Visited nodes that could still displace a member of ``top`` —
-        excluded nodes cannot, by definition of the query."""
-        others = self._eligible_mask()
-        others[top] = False
-        return np.flatnonzero(others)
-
     def _top(self, candidates: np.ndarray, score: np.ndarray) -> np.ndarray:
         """The ``k`` of ``candidates`` (local ids) with the largest
         ``score``, best first.
@@ -468,83 +491,79 @@ class FLoSDriver:
             top_k_indices(score[candidates], gids[candidates], self.k)
         ]
 
-    def _certificate(
-        self, top: np.ndarray
-    ) -> tuple[float | None, float | None, float | None]:
-        """The three numbers Alg. 6 compares, for the answer ``top``.
+    def _rival(self, top: np.ndarray, hi: np.ndarray) -> float | None:
+        """Best upper score of a visited node that could displace a
+        member of ``top`` (excluded nodes cannot); ``None`` if none."""
+        others = self._eligible_mask()
+        others[top] = False
+        return float(hi[others].max()) if others.any() else None
 
-        In ranking-score space: the k-th (smallest) lower score of
-        ``top``, the best upper score of any other eligible visited node,
-        and the model's cap on every unvisited node (Corollary 1, Sec.
-        5.6, Lemma 7).  Each is ``None`` when its set is empty.
-        Unvisited rivals are reached only through the boundary.  A
-        settled top-k puts every eligible boundary node among the visited
-        rivals, but an *excluded* boundary node is no rival and still
-        leads to unvisited ones, so the cap is read whenever the boundary
-        is non-empty.  The termination check, the anytime gap and the
-        audit record all read this one evaluation.
+    def _cap(self) -> float | None:
+        """The model's cap on every unvisited node (Corollary 1, Sec.
+        5.6, Lemma 7); ``None`` once the boundary is empty.
+
+        A settled top-k puts every eligible boundary node among the
+        visited rivals, but an *excluded* boundary node is no rival and
+        still leads to unvisited ones, so the cap always counts.
         """
-        lo, hi = self._ranking_bounds()
-        kth = float(lo[top].min()) if len(top) else None
-        rest = self._rivals(top)
-        rival = float(hi[rest].max()) if len(rest) else None
         boundary = np.flatnonzero(self.view.boundary_mask())
-        cap = self._unvisited_cap(boundary) if len(boundary) else None
-        return kth, rival, cap
+        return self._unvisited_cap(boundary) if len(boundary) else None
 
-    def _check_termination(self) -> tuple[bool, np.ndarray]:
+    def _certify(self) -> tuple[np.ndarray, str | None]:
+        """Alg. 6: ``(top, blocked)`` of :class:`Round`.
+
+        ``top`` is the best ``k`` eligible settled nodes by lower score.
+        The certificate closes when the k-th lower score plus
+        ``tie_epsilon`` clears the best visited rival, then the unvisited
+        cap; the first check that blocks decides, so the cap is read
+        only when no visited rival blocks.
+        """
         candidates = np.flatnonzero(
             self._eligible_mask(self.view.settled_mask())
         )
         # The next round's shortfall (:meth:`_select_expansion`).
         self._settled = len(candidates)
-        if len(candidates) < self.k:
-            return False, candidates
-
-        top = self._top(candidates, self._ranking_bounds()[0])
-        kth, rival, cap = self._certificate(top)
-        bar = kth + self.options.tie_epsilon
-        blocked = any(v is not None and v > bar for v in (rival, cap))
-        return not blocked, top
-
-    # ------------------------------------------------------------------
-    # Finalizers
-    # ------------------------------------------------------------------
-
-    def _finalize_degraded(self, reason: str) -> EngineOutcome:
-        """Assemble the anytime result after a soft budget fired.
-
-        The current best-k by the ranking midpoint ``(lo + hi) / 2`` is
-        returned with ``exact=False``.  The per-node bounds stay
-        certified — Theorems 3 and 5 hold for *every* visited set, not
-        only the final one — and ``stats.bound_gap`` records how far the
-        best rival (visited, or unvisited via the model's cap) still
-        overlaps the k-th returned lower score (0 means the certificate
-        closed and the result is exact in all but name).
-        """
         lo, hi = self._ranking_bounds()
-        top = self._top(np.flatnonzero(self._eligible_mask()), 0.5 * (lo + hi))
-        kth, rival, cap = self._certificate(top)
-        gap = 0.0
-        if kth is not None:
-            gap = max([0.0] + [v - kth for v in (rival, cap) if v is not None])
-        self.stats.termination = reason
-        self.stats.bound_gap = gap
-        return self._outcome(top, exact=False)
+        top = self._top(candidates, lo)
+        if len(candidates) < self.k:
+            return top, "unsettled"
+        bar = float(lo[top].min()) + self.options.tie_epsilon
+        rival = self._rival(top, hi)
+        if rival is not None and rival > bar:
+            return top, "rival"
+        cap = self._cap()
+        if cap is not None and cap > bar:
+            return top, "cap"
+        return top, None
 
-    def _finalize_exhausted(self, boundary: np.ndarray) -> EngineOutcome:
-        # No boundary left: the dummy mass is zero everywhere, so lower
-        # and upper systems coincide; refresh once more (nothing was
-        # expanded) and rank.
-        self._update_bounds(boundary, np.empty(0, dtype=np.int64))
-        top = self._top(
-            np.flatnonzero(self._eligible_mask()), self._ranking_bounds()[0]
-        )
-        return self._outcome(top, exact=True, exhausted=len(top) < self.k)
+    # ------------------------------------------------------------------
+    # The finish
+    # ------------------------------------------------------------------
 
-    def _outcome(
-        self, top: np.ndarray, *, exact: bool, exhausted: bool = False
+    def _finish(
+        self, top: np.ndarray | None, termination: str
     ) -> EngineOutcome:
+        """Build the outcome, compute the anytime gap, seal the audit.
+
+        ``top=None`` (a soft budget fired) returns the best-k by ranking
+        midpoint with ``exact=False``: its bounds stay certified
+        (Theorems 3 and 5 hold for every visited set), and
+        ``stats.bound_gap`` is how far the best rival, visited or
+        unvisited (the cap), still overlaps the k-th lower score.
+        """
+        exact = termination == "exact"
+        lo, hi = self._ranking_bounds()
+        if top is None:
+            top = self._top(
+                np.flatnonzero(self._eligible_mask()), 0.5 * (lo + hi)
+            )
+        cap = self._cap() if not exact or self._auditor is not None else None
+        if not exact and len(top):
+            kth, rival = float(lo[top].min()), self._rival(top, hi)
+            self.stats.bound_gap = max(
+                [0.0] + [v - kth for v in (rival, cap) if v is not None]
+            )
+        self.stats.termination = termination
         self.stats.visited_nodes = self.view.size
         self.stats.neighbor_queries = self.view.neighbor_queries
         outcome = EngineOutcome(
@@ -553,45 +572,33 @@ class FLoSDriver:
             lower=self._lb.copy(),
             upper=np.maximum(self._lb, self._ub),
             exact=exact,
-            exhausted_component=exhausted,
+            # Only an exhausted component certifies fewer than k nodes.
+            exhausted_component=exact and len(top) < self.k,
             stats=self.stats,
         )
-        self._seal_audit(outcome)
-        return outcome
+        if self._auditor is not None:
+            from repro.audit.invariants import CertificateRecord
 
-    # ------------------------------------------------------------------
-    # Audit hooks (no-ops when ``FLoSOptions.audit == "off"``)
-    # ------------------------------------------------------------------
-
-    def _seal_audit(self, outcome: EngineOutcome) -> None:
-        """Replay the termination certificate and attach the audit trail."""
-        if self._auditor is None:
-            return
-        from repro.audit.invariants import CertificateRecord
-
-        top = np.asarray(outcome.top_locals, dtype=np.int64).copy()
-        lo, hi = self._ranking_bounds()
-        _, _, cap = self._certificate(top)
-        self._auditor.on_certificate(
-            CertificateRecord(
-                k=self.k,
-                tie_epsilon=self.options.tie_epsilon,
-                exact=outcome.exact,
-                exhausted=outcome.exhausted_component,
-                termination=self.stats.termination,
-                bound_gap=self.stats.bound_gap,
-                top=top,
-                lb_score=np.array(lo, dtype=np.float64),
-                ub_score=np.array(hi, dtype=np.float64),
-                eligible=self._eligible_mask(),
-                settled=self.view.settled_mask().copy(),
-                boundary=self.view.boundary_mask().copy(),
-                unvisited_cap=cap,
+            outcome.audit = self._auditor.seal(
+                CertificateRecord(
+                    k=self.k,
+                    tie_epsilon=self.options.tie_epsilon,
+                    exact=exact,
+                    exhausted=outcome.exhausted_component,
+                    termination=termination,
+                    bound_gap=self.stats.bound_gap,
+                    top=np.array(top, dtype=np.int64),
+                    lb_score=np.array(lo, dtype=np.float64),
+                    ub_score=np.array(hi, dtype=np.float64),
+                    eligible=self._eligible_mask(),
+                    settled=self.view.settled_mask().copy(),
+                    boundary=self.view.boundary_mask().copy(),
+                    unvisited_cap=cap,
+                )
             )
-        )
-        self.stats.audit_checks = self._auditor.checks
-        self.stats.audit_violations = len(self._auditor.violations)
-        outcome.audit = self._auditor.report()
+            self.stats.audit_checks = self._auditor.checks
+            self.stats.audit_violations = len(self._auditor.violations)
+        return outcome
 
 
 class PHPSpaceEngine(FLoSDriver):
@@ -669,9 +676,7 @@ class PHPSpaceEngine(FLoSDriver):
     # Algorithms 4, 5 — bound refresh
     # ------------------------------------------------------------------
 
-    def _refresh(
-        self, boundary: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    def _refresh(self, boundary: np.ndarray):
         opts = self.options
         # r_d^t = max upper bound on the boundary of the *previous*
         # iteration (Algorithm 5 line 7); monotone non-increasing.
@@ -698,20 +703,15 @@ class PHPSpaceEngine(FLoSDriver):
         e_upper = e_lower + self.decay * dummy_probs * self._dummy_value
 
         lb, ub, sweeps = self._kernel.refresh(
-            self._lb,
-            self._ub,
-            diag,
-            e_lower,
-            e_upper,
-            tau=opts.tau,
+            self._lb, self._ub, diag, e_lower, e_upper, tau=opts.tau
         )
-        if self._auditor is not None:
+
+        def residuals() -> tuple[float, float, float]:
+            # The convergence claim, checked by an independent operator
+            # application: a tau-stopped solve leaves at most decay * tau.
             res_lb, res_ub = self._kernel.residual_norms(
                 lb, ub, diag, e_lower, e_upper
             )
-            self._auditor.on_solver_residuals(
-                res_lb,
-                res_ub,
-                opts.tau * (1.0 + self.decay) + 1e-12,
-            )
-        return lb, ub, sweeps
+            return res_lb, res_ub, opts.tau * (1.0 + self.decay) + 1e-12
+
+        return lb, ub, sweeps, residuals

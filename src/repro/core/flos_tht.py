@@ -103,9 +103,7 @@ class THTEngine(FLoSDriver):
         # Lemma 7: unvisited hitting times are at least min_{δS} lb.
         return -float(self._lb[boundary].min())
 
-    def _refresh(
-        self, prior_boundary: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    def _refresh(self, prior_boundary: np.ndarray):
         # The step-indexed dummy reads the boundary *after* expansion,
         # not the prior one the driver passes.
         m = self.view.size
@@ -129,5 +127,6 @@ class THTEngine(FLoSDriver):
         # size with trivial [0, L] entries by the driver's expansion.
         np.maximum(lb, self._lb, out=lb)
         np.minimum(ub, self._ub, out=ub)
-        # Two DPs of L steps each, every step a sweep over all m rows.
-        return lb, ub, 2 * self.horizon
+        # Two DPs of L steps each, every step a sweep over all m rows; the
+        # DP is exact, so there is no convergence claim to audit.
+        return lb, ub, 2 * self.horizon, None

@@ -22,7 +22,8 @@ from repro.audit.invariants import (
     check_monotone_evolution,
     check_sandwich,
 )
-from repro.core.flos import FLoSOptions
+from repro.core.flos import FLoSOptions, PHPSpaceEngine
+from repro.core.flos_tht import THTEngine
 from repro.core.kernels import DualBoundKernel, THTDPKernel
 from repro.core.session import QuerySession
 from repro.errors import AuditError, ConfigurationError
@@ -208,6 +209,22 @@ class TestFlags:
             _php_cert(exact=False, termination="deadline", bound_gap=-0.1)
         )
         assert any("negative bound_gap" in v.message for v in out)
+
+    def test_unknown_termination_reason(self):
+        # An engine record is consistent until its reason leaves
+        # ``result.TERMINATION_REASONS`` (here the name of a retired
+        # budget); no other flag rule reads the reason of an anytime run.
+        session = _session(
+            "php", {"c": 0.5}, audit="record", max_visited=12,
+            on_budget="degrade",
+        )
+        cert = session.top_k(QUERY, K).audit.certificate
+        assert not cert.exact and check_flags(cert) == []
+        planted = dataclasses.replace(cert, termination="iteration_budget")
+        out = check_flags(planted)
+        assert [v.message for v in out] == [
+            "unknown termination reason 'iteration_budget'"
+        ]
 
 
 class TestCertificateReplay:
@@ -436,6 +453,76 @@ class TestAuditModes:
         for q in (3, 9, 14):
             total += session.top_k(q, K).stats.audit_checks
         assert session.metrics().audit_checks == total
+
+
+class TestRoundStream:
+    """``FLoSDriver.rounds`` driven directly, against ``run``'s audit."""
+
+    @staticmethod
+    def _driver(engine, graph, k, options):
+        # The bound model as ``QuerySession`` builds it.
+        name, kwargs = ENGINES[engine]
+        measure = resolve_measure(name, **kwargs)
+        opts = FLoSOptions(**options)
+        if engine == "tht":
+            return THTEngine(
+                graph, QUERY, k, horizon=measure.horizon, options=opts
+            )
+        return PHPSpaceEngine(
+            graph, QUERY, k, decay=measure.php_decay, options=opts
+        )
+
+    @pytest.mark.parametrize("path", REFRESH_PATHS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rounds_match_the_audited_run(self, engine, path, monkeypatch):
+        graph, k, options, termination = REFRESH_PATHS[path]
+        if path == "deadline":
+            options = {
+                **options,
+                **expire_deadline_after_first_round(monkeypatch),
+            }
+        measure, kwargs = ENGINES[engine]
+        session = _session(measure, kwargs, graph, audit="record", **options)
+        result = session.top_k(QUERY, k)
+        assert result.stats.termination == termination
+
+        driver = self._driver(engine, graph, k, options)
+        budget = options.get("max_visited")
+        rounds = []
+        for step in driver.rounds():
+            rounds.append(step)
+            if (
+                step.blocked is None
+                or (budget is not None and driver.view.size > budget)
+                or path == "deadline"  # the clock expires after round 1
+            ):
+                break
+        snapshots = result.audit.snapshots
+        assert len(rounds) == len(snapshots)
+        assert sum(r.sweeps for r in rounds) == result.stats.solver_iterations
+        # The records carry the raw bounds the audit snapshots copied.
+        for step, snap in zip(rounds, snapshots):
+            np.testing.assert_array_equal(step.lower, snap.lower)
+            np.testing.assert_array_equal(step.upper, snap.upper)
+        assert [r.exhausted for r in rounds] == [False] * (len(rounds) - 1) + [
+            path == "exhausted"
+        ]
+        if result.exact and not result.exhausted_component:
+            assert rounds[-1].blocked is None
+            assert all(r.blocked is not None for r in rounds[:-1])
+
+    def test_records_keep_the_raw_bounds(self, monkeypatch):
+        """The driver clamps into fresh arrays, so a deflated upper bound
+        reaches the audit as a bound-order inversion."""
+        real = DualBoundKernel.refresh
+
+        def deflated(self, *args, **kwargs):
+            lb, ub, sweeps = real(self, *args, **kwargs)
+            return lb, ub * 0.5, sweeps
+
+        monkeypatch.setattr(DualBoundKernel, "refresh", deflated)
+        result = _session("php", {"c": 0.5}, audit="record").top_k(QUERY, K)
+        assert "bound_order" in {v.check for v in result.audit.violations}
 
 
 class TestCorruptionDetection:

@@ -219,6 +219,38 @@ class TestExpansionSchedule:
         assert shortfall_rounds > 0
 
 
+class TestLazyCap:
+    def test_cap_read_only_when_no_visited_rival_blocks(self, monkeypatch):
+        """Alg. 6 reads the unvisited cap only once no visited rival
+        blocks; an exact, unaudited finish reads it not at all."""
+        g = erdos_renyi(300, 900, seed=3)
+        # RWR with c = 0.9: PHP decay 1 - c, ranked by degree.
+        engine = PHPSpaceEngine(
+            g, 7, 10, decay=0.1, degree_weighted=True, options=FLoSOptions()
+        )
+        calls = []
+        real_cap = PHPSpaceEngine._unvisited_cap
+
+        def counted_cap(self, boundary):
+            calls.append(len(boundary))
+            return real_cap(self, boundary)
+
+        monkeypatch.setattr(PHPSpaceEngine, "_unvisited_cap", counted_cap)
+        blocked = []
+
+        def recorded_rounds():
+            for step in FLoSDriver.rounds(engine):
+                blocked.append(step.blocked)
+                yield step
+
+        engine.rounds = recorded_rounds
+        outcome = engine.run()
+        assert outcome.exact and not outcome.exhausted_component
+        assert engine.view.boundary_mask().any()
+        assert "rival" in blocked  # a round the lazy read skips
+        assert len(calls) == sum(b in ("cap", None) for b in blocked)
+
+
 class TestStatsAccounting:
     def test_solver_iterations_accumulate(self):
         g = erdos_renyi(150, 450, seed=12)
@@ -237,22 +269,23 @@ class TestOneDriver:
     """Both engines are bound models of one driver."""
 
     DRIVER_STEPS = (
+        "rounds",
         "_round_batches",
         "_select_expansion",
         "_expand",
         "_eligible_mask",
         "_top",
-        "_certificate",
-        "_check_termination",
-        "_finalize_degraded",
-        "_finalize_exhausted",
-        "_update_bounds",
-        "_seal_audit",
+        "_rival",
+        "_cap",
+        "_certify",
+        "_finish",
     )
 
     @pytest.mark.parametrize("cls", [PHPSpaceEngine, THTEngine])
     def test_models_define_no_driver_step(self, cls):
         assert issubclass(cls, FLoSDriver)
+        # Every listed step exists, so a rename cannot empty the check.
+        assert set(self.DRIVER_STEPS) <= set(FLoSDriver.__dict__)
         assert not set(self.DRIVER_STEPS) & set(cls.__dict__)
 
     @pytest.mark.parametrize("cls", [PHPSpaceEngine, THTEngine])
