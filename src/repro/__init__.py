@@ -53,7 +53,7 @@ from repro.measures import (
     solve_direct,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "flos_top_k",

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.result import TopKResult
 from repro.errors import SearchError
 from repro.graph.base import GraphAccess
-from repro.graph.memory import CSRGraph
 from repro.measures.base import Measure, PHPFamilyMeasure
 
 __all__ = ["ResultCache", "result_key"]
@@ -81,7 +80,7 @@ class ResultCache:
         ``None`` — is immutable: its entries never go stale.
     measure:
         The resolved measure; degree-weighted PHP-family measures (RWR)
-        on a non-CSR graph with an update log add the ``max_degree``
+        on a graph with an update log add the ``max_degree``
         guard.
     """
 
@@ -93,13 +92,12 @@ class ResultCache:
         self.maxsize = maxsize
         self.graph = graph
         self.update_log = getattr(graph, "update_log", None)
-        # Without a CSR DegreeIndex the Sec. 5.6 guard reads
+        # On a graph that changes, the Sec. 5.6 guard reads
         # ``graph.max_degree``; a kept hit must see that value unchanged.
         self.degree_guard = (
             self.update_log is not None
             and isinstance(measure, PHPFamilyMeasure)
             and measure.uses_degree_weighting()
-            and not isinstance(graph, CSRGraph)
         )
         #: Entries dropped as stale on lookup.
         self.invalidations = 0

@@ -59,7 +59,6 @@ from scipy.sparse import _sparsetools
 
 from repro.errors import TransitionStoreError
 from repro.graph.base import GraphAccess
-from repro.graph.disk.store import DiskGraph
 from repro.nputil import concatenated_ranges, segment_sums
 
 _INITIAL_CAPACITY = 64
@@ -150,10 +149,6 @@ class LocalView:
         #   tight_sum[i] = Σ_{j ∈ N_i unvisited} p_{i,j} (1 - p_{j,i})
         self._loop_sum = _GrowingBuffer(np.float64)
         self._tight_sum = _GrowingBuffer(np.float64)
-
-        # Degrees of seen-but-unvisited nodes (needed for p_{j,i}); only
-        # filled for disk graphs.
-        self._outside_degree: dict[int, float] = {}
 
         self.neighbor_queries = 0
         self._visit_batch(np.array([query], dtype=np.int64))
@@ -466,13 +461,19 @@ class LocalView:
         lut[nodes] = base + np.arange(n_new, dtype=np.int32)
         self._gids.append(nodes)
 
-        ids, probs, counts = self.graph.transition_probabilities_many(nodes)
+        # The two batch reads of the graph contract; rows are normalised
+        # here, 0 for a zero-degree row (paper Table 1).
+        ids, weights, counts = self.graph.neighbors_many(nodes)
+        w_new = self.graph.degrees_of(nodes)
+        inv = np.zeros(n_new, dtype=np.float64)
+        nz = w_new > 0
+        inv[nz] = 1.0 / w_new[nz]
+        probs = weights * np.repeat(inv, counts)
         self.neighbor_queries += n_new
         self._adj_ids.append(ids)
         self._adj_probs.append(probs)
         offset0 = self._adj_offsets.view()[-1]
         self._adj_offsets.append(offset0 + np.cumsum(counts))
-        w_new = self.graph.degrees_of(nodes)
         self._degrees.append(w_new)
 
         owner_rel = np.repeat(np.arange(n_new, dtype=np.int64), counts)
@@ -531,7 +532,7 @@ class LocalView:
         self._unvisited_count.append(count_new)
 
         if self.track_tightening and len(out_probs):
-            w_j = self._degrees_of_outside(ids[outside])
+            w_j = self.graph.degrees_of(ids[outside])
             w_u = w_owner[outside]
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_ju = np.where(w_j > 0, out_probs * (w_u / w_j), 0.0)
@@ -544,27 +545,6 @@ class LocalView:
             tight_new = np.zeros(n_new)
         self._loop_sum.append(loop_new)
         self._tight_sum.append(tight_new)
-
-    def _degrees_of_outside(self, gids: np.ndarray) -> np.ndarray:
-        """Degrees of seen-but-unvisited nodes.
-
-        One batch read for every in-memory substrate; a disk graph is
-        memoized per view instead, so each outside node's degree record
-        goes through the page cache once.
-        """
-        if not isinstance(self.graph, DiskGraph):
-            return self.graph.degrees_of(gids)
-        cache = self._outside_degree
-        graph = self.graph
-        out = np.empty(len(gids), dtype=np.float64)
-        for i, gid in enumerate(gids):
-            gid = int(gid)
-            w = cache.get(gid)
-            if w is None:
-                w = graph.degree(gid)
-                cache[gid] = w
-            out[i] = w
-        return out
 
 
 class TransitionOperator:

@@ -495,7 +495,7 @@ class QuerySession:
             )
         else:
             degree_bound = None
-            if measure.uses_degree_weighting() and isinstance(graph, CSRGraph):
+            if self._degree_order is not None:
                 degree_bound = DegreeIndex(graph, order=self._degree_order)
             engine = PHPSpaceEngine(
                 graph,

@@ -6,11 +6,14 @@ ever asks two questions of the graph:
 * "who are the neighbors of node ``u`` and what are the edge weights?"
 * "what is the weighted degree of node ``u``?"
 
-:class:`GraphAccess` captures exactly that contract.  The in-memory CSR graph
-(:class:`repro.graph.memory.CSRGraph`) and the disk-resident store
-(:class:`repro.graph.disk.store.DiskGraph`) both implement it, which is how
-the paper runs FLoS unchanged on top of Neo4j (Sec. 6.4): FLoS never touches
-anything a key-value neighbor query could not answer.
+:class:`GraphAccess` captures exactly that contract.  Local search asks both
+questions a batch of nodes at a time, through the two abstract reads
+:meth:`~GraphAccess.neighbors_many` and :meth:`~GraphAccess.degrees_of`,
+which the CSR graph, the overlay and the disk store each serve natively; it
+derives the transition probabilities ``p_uv = w_uv / w_u`` itself.  This is
+how the paper runs FLoS unchanged on top of Neo4j (Sec. 6.4): FLoS never
+touches anything a key-value neighbor query could not answer.  The per-node
+reads stay for the baselines, the exact measures and the tests.
 
 One extra global scalar, :attr:`GraphAccess.max_degree`, is exposed because
 the RWR extension (paper Sec. 5.6) needs an upper bound on the maximum
@@ -61,6 +64,27 @@ class GraphAccess(abc.ABC):
     def degree(self, u: int) -> float:
         """Weighted degree ``w_u = sum_j w_uj`` of node ``u``."""
 
+    @abc.abstractmethod
+    def neighbors_many(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbors`: the rows of ``nodes``, back to back.
+
+        Returns ``(ids, weights, counts)`` where ``counts[i]`` is the
+        out-degree of ``nodes[i]`` and its row fills the next
+        ``counts[i]`` entries of ``ids``/``weights``, in the order
+        :meth:`neighbors` returns it.  ``nodes`` may repeat; an
+        out-of-range id raises
+        :class:`~repro.errors.NodeNotFoundError` (see
+        :meth:`validate_nodes`).
+        """
+
+    @abc.abstractmethod
+    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`degree`: weighted degrees of ``nodes`` (float64),
+        bitwise equal to the per-node values, validated the same way as
+        :meth:`neighbors_many`."""
+
     @property
     @abc.abstractmethod
     def max_degree(self) -> float:
@@ -86,36 +110,6 @@ class GraphAccess(abc.ABC):
         if total <= 0.0:
             return ids, np.zeros_like(weights, dtype=np.float64)
         return ids, weights / total
-
-    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Weighted degrees of several nodes (vectorised where possible)."""
-        return np.array([self.degree(int(u)) for u in nodes], dtype=np.float64)
-
-    def transition_probabilities_many(
-        self, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Transition distributions of several nodes, concatenated.
-
-        Returns ``(ids, probs, counts)`` where ``counts[i]`` is the
-        out-degree of ``nodes[i]`` and the neighborhoods are laid out
-        back to back in ``ids``/``probs``.  The generic implementation
-        loops; in-memory substrates override with one gather.
-        """
-        parts_ids: list[np.ndarray] = []
-        parts_probs: list[np.ndarray] = []
-        counts = np.empty(len(nodes), dtype=np.int64)
-        for i, u in enumerate(nodes):
-            ids, probs = self.transition_probabilities(int(u))
-            parts_ids.append(ids)
-            parts_probs.append(probs)
-            counts[i] = len(ids)
-        if not parts_ids:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                counts,
-            )
-        return np.concatenate(parts_ids), np.concatenate(parts_probs), counts
 
     def validate_node(self, u: int) -> None:
         """Raise :class:`~repro.errors.NodeNotFoundError` for bad ids."""

@@ -4,6 +4,12 @@
 file through an :class:`~repro.graph.disk.cache.LRUPageCache`.  Nothing but
 the 64-byte header and the bounded cache lives in memory, so graphs far
 larger than RAM can be searched — the setting of the paper's Sec. 6.4.
+
+There is one read path: the two batch reads of the graph contract
+(:meth:`DiskGraph.neighbors_many`, :meth:`DiskGraph.degrees_of`) read the
+index entries of the whole batch, then gather the ids, weights or degrees
+regions with each needed page going through the cache once per batch.  The
+per-node reads are one-element batches.
 """
 
 from __future__ import annotations
@@ -16,14 +22,8 @@ import numpy as np
 from repro.errors import DiskFormatError
 from repro.graph.base import GraphAccess
 from repro.graph.disk.cache import CacheStats, LRUPageCache
-from repro.graph.disk.format import (
-    DEGREE_ENTRY,
-    HEADER_SIZE,
-    INDEX_ENTRY,
-    INDICES_ENTRY,
-    WEIGHTS_ENTRY,
-    Header,
-)
+from repro.graph.disk.format import HEADER_SIZE, Header
+from repro.nputil import concatenated_ranges
 
 #: Default in-memory budget for the page cache: 64 MiB, a scaled-down
 #: analogue of the paper's 2 GB cap on ~13 GB graphs.
@@ -82,41 +82,33 @@ class DiskGraph(GraphAccess):
         return self._header.max_degree
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        self._check_open()
-        self.validate_node(u)
-        lo, hi = self._row_range(u)
-        count = hi - lo
-        if count == 0:
-            empty = np.empty(0)
-            return empty.astype(np.int64), empty.astype(np.float64)
-        raw = self._cache.read(
-            self._header.indices_offset + lo * INDICES_ENTRY,
-            count * INDICES_ENTRY,
-        )
-        ids = np.frombuffer(raw, dtype="<i8").astype(np.int64)
-        if self._header.weighted:
-            raw_w = self._cache.read(
-                self._header.weights_offset + lo * WEIGHTS_ENTRY,
-                count * WEIGHTS_ENTRY,
-            )
-            weights = np.frombuffer(raw_w, dtype="<f8").astype(np.float64)
-        else:
-            weights = np.ones(count, dtype=np.float64)
+        ids, weights, _ = self.neighbors_many(np.array([u]))
         return ids, weights
 
     def degree(self, u: int) -> float:
-        self._check_open()
-        self.validate_node(u)
-        raw = self._cache.read(
-            self._header.degree_offset + u * DEGREE_ENTRY, DEGREE_ENTRY
-        )
-        return float(np.frombuffer(raw, dtype="<f8")[0])
+        return float(self.degrees_of(np.array([u]))[0])
 
     def out_degree(self, u: int) -> int:
-        self._check_open()
-        self.validate_node(u)
-        lo, hi = self._row_range(u)
-        return hi - lo
+        _, counts = self._row_ranges(self._checked(np.array([u])))
+        return int(counts[0])
+
+    def neighbors_many(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        starts, counts = self._row_ranges(self._checked(nodes))
+        head = self._header
+        ids = self._gather(head.indices_offset, starts, counts, "<i8")
+        if head.weighted:
+            weights = self._gather(head.weights_offset, starts, counts, "<f8")
+        else:
+            weights = np.ones(len(ids), dtype=np.float64)
+        return ids, weights, counts
+
+    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
+        nodes = self._checked(nodes)
+        return self._gather(
+            self._header.degree_offset, nodes, np.ones_like(nodes), "<f8"
+        )
 
     # ------------------------------------------------------------------
     # IO bookkeeping
@@ -164,17 +156,60 @@ class DiskGraph(GraphAccess):
 
     # ------------------------------------------------------------------
 
-    def _row_range(self, u: int) -> tuple[int, int]:
-        raw = self._cache.read(
-            self._header.index_offset + u * INDEX_ENTRY, 2 * INDEX_ENTRY
-        )
-        lo, hi = np.frombuffer(raw, dtype="<u8")
-        if hi < lo or hi > self._header.total_entries:
-            raise DiskFormatError(
-                f"corrupt index entry for node {u}: [{lo}, {hi})"
-            )
-        return int(lo), int(hi)
-
-    def _check_open(self) -> None:
+    def _checked(self, nodes: np.ndarray) -> np.ndarray:
         if self._closed:
             raise DiskFormatError("store is closed")
+        return self.validate_nodes(nodes)
+
+    def _row_ranges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of the rows of ``nodes``: one batch read of
+        their index entries ``indptr[u], indptr[u + 1]``."""
+        bounds = self._gather(
+            self._header.index_offset, nodes, np.full_like(nodes, 2), "<u8"
+        ).reshape(-1, 2)
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        bad = (hi < lo) | (hi > self._header.total_entries)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DiskFormatError(
+                f"corrupt index entry for node {int(nodes[i])}: "
+                f"[{int(lo[i])}, {int(hi[i])})"
+            )
+        return lo.astype(np.int64), (hi - lo).astype(np.int64)
+
+    def _gather(
+        self, offset: int, starts: np.ndarray, counts: np.ndarray, dtype: str
+    ) -> np.ndarray:
+        """Entries ``[starts[i], starts[i] + counts[i])`` of the region at
+        byte ``offset``, back to back.
+
+        Every page the batch touches goes through the cache once: the
+        needed pages are grouped into maximal runs of consecutive pages,
+        and each run is one :meth:`LRUPageCache.read`.  An entry may
+        straddle two pages of a run, so entries are read through a
+        byte-strided view of the joined runs.
+        """
+        width = np.dtype(dtype).itemsize
+        pos = offset + width * concatenated_ranges(starts, counts)
+        if not len(pos):
+            return np.empty(0, dtype=dtype)
+        size = self._cache.page_size
+        pages = np.unique(
+            np.concatenate([pos // size, (pos + width - 1) // size])
+        )
+        run_heads = np.r_[0, np.flatnonzero(np.diff(pages) > 1) + 1]
+        firsts = pages[run_heads]
+        run_pages = np.diff(np.r_[run_heads, len(pages)])
+        blob = b"".join(
+            self._cache.read(first * size, n * size)
+            for first, n in zip(firsts.tolist(), run_pages.tolist())
+        )
+        # Byte position of each entry in ``blob``: its offset within its
+        # run plus the bytes of the runs before it.
+        run = np.searchsorted(firsts, pos // size, side="right") - 1
+        run_start = (np.cumsum(run_pages) - run_pages) * size
+        at = pos - firsts[run] * size + run_start[run]
+        entries = np.ndarray(
+            (len(blob) - width + 1,), dtype=dtype, buffer=blob, strides=(1,)
+        )
+        return entries[at]

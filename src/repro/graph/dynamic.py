@@ -13,14 +13,13 @@ per-node hash maps.  It implements the full
 every other local method in the library — runs on it unchanged.
 
 Reads cost what they cost on the base CSR.  A mutated node's merged
-row (ids, weights, transition probabilities) is built once, on its
-first read after the mutation, and served from a cache until the node
-changes again.  The batch reads local search uses
-(:meth:`~DynamicGraph.transition_probabilities_many`,
-:meth:`~DynamicGraph.degrees_of`) are one base-CSR gather for the
-whole batch plus a splice of the few mutated rows in it.  When the
-delta grows large, :meth:`~DynamicGraph.compact` folds it into a fresh
-CSR graph.
+row (ids, weights) is built once, on its first read after the
+mutation, and served from a cache until the node changes again.  The
+two batch reads local search uses are one base-CSR gather each:
+:meth:`~DynamicGraph.neighbors_many` splices the few mutated rows of
+the batch into it, and :meth:`~DynamicGraph.degrees_of` adds the
+degree delta.  When the delta grows large,
+:meth:`~DynamicGraph.compact` folds it into a fresh CSR graph.
 
 Global baselines, by contrast, would have to rebuild their matrices
 (GI/Castanet) or redo their factorisation/clustering/embedding
@@ -63,11 +62,11 @@ class DynamicGraph(GraphAccess):
         # Per-node delta: {neighbor: weight}; weight None is a tombstone
         # masking a base edge.
         self._delta: dict[int, dict[int, float | None]] = {}
-        # Merged ``(ids, weights, probs)`` row of every mutated node,
+        # Merged ``(ids, weights)`` row of every mutated node,
         # built on its first read after each mutation of the node (a
         # bulk load rebuilds nothing); ``_touched`` marks mutated nodes,
         # so batch reads take every other row from the base.
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._touched = np.zeros(base.num_nodes, dtype=bool)
         self._degree_delta = np.zeros(base.num_nodes, dtype=np.float64)
         self._edge_count_delta = 0
@@ -144,9 +143,7 @@ class DynamicGraph(GraphAccess):
         """
         self.update_log.compact()
         nodes = np.arange(self.num_nodes, dtype=np.int64)
-        ids, weights, counts = self._splice(
-            nodes, *self._base.neighbors_many(nodes), column=1
-        )
+        ids, weights, counts = self.neighbors_many(nodes)
         owners = np.repeat(nodes, counts)
         upper = ids > owners
         builder = GraphBuilder(self.num_nodes, merge="first")
@@ -177,8 +174,7 @@ class DynamicGraph(GraphAccess):
         self.validate_node(u)
         if not self._touched[u]:
             return self._base.neighbors(u)
-        ids, weights, _probs = self._row(u)
-        return ids, weights
+        return self._row(u)
 
     def degree(self, u: int) -> float:
         self.validate_node(u)
@@ -188,15 +184,13 @@ class DynamicGraph(GraphAccess):
         nodes = self.validate_nodes(nodes)
         return self._base.degrees[nodes] + self._degree_delta[nodes]
 
-    def transition_probabilities_many(
+    def neighbors_many(
         self, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched transition rows: one base-CSR gather for the batch,
-        with the merged rows of its mutated nodes spliced in."""
-        gathered = self._base.transition_probabilities_many(nodes)  # validates
-        return self._splice(
-            np.asarray(nodes, dtype=np.int64), *gathered, column=2
-        )
+        """One base-CSR gather for the batch, with the merged rows of
+        its mutated nodes spliced in."""
+        gathered = self._base.neighbors_many(nodes)  # validates
+        return self._splice(np.asarray(nodes, dtype=np.int64), *gathered)
 
     @property
     def max_degree(self) -> float:
@@ -212,35 +206,32 @@ class DynamicGraph(GraphAccess):
         self,
         nodes: np.ndarray,
         ids: np.ndarray,
-        values: np.ndarray,
+        weights: np.ndarray,
         counts: np.ndarray,
-        *,
-        column: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Replace the base rows of mutated ``nodes`` in a batch read.
 
-        ``(ids, values, counts)`` is a base gather of ``nodes`` laid out
-        back to back; ``column`` picks the merged-row array that
-        replaces ``values`` (1 = weights, 2 = probabilities).
+        ``(ids, weights, counts)`` is a base gather of ``nodes`` laid
+        out back to back.
         """
         hit = np.flatnonzero(self._touched[nodes])
         if not len(hit):
-            return ids, values, counts
+            return ids, weights, counts
         ends = np.cumsum(counts).tolist()
         counts = counts.copy()
         id_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
+        weight_parts: list[np.ndarray] = []
         prev = 0
         for i, u in zip(hit.tolist(), nodes[hit].tolist()):
-            row = self._row(u)
+            row_ids, row_weights = self._row(u)
             start = ends[i] - int(counts[i])
-            id_parts += (ids[prev:start], row[0])
-            value_parts += (values[prev:start], row[column])
-            counts[i] = len(row[0])
+            id_parts += (ids[prev:start], row_ids)
+            weight_parts += (weights[prev:start], row_weights)
+            counts[i] = len(row_ids)
             prev = ends[i]
         id_parts.append(ids[prev:])
-        value_parts.append(values[prev:])
-        return np.concatenate(id_parts), np.concatenate(value_parts), counts
+        weight_parts.append(weights[prev:])
+        return np.concatenate(id_parts), np.concatenate(weight_parts), counts
 
     def _mutated(self, u: int, v: int) -> None:
         """Drop the merged rows of an updated edge's endpoints."""
@@ -249,13 +240,12 @@ class DynamicGraph(GraphAccess):
         self._touched[[u, v]] = True
         self._max_degree_dirty = True
 
-    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``u``'s merged ``(ids, weights, probs)``, read-only.
+    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """``u``'s merged ``(ids, weights)``, read-only.
 
         Base entries are matched against the sorted delta ids with one
         ``searchsorted``; delta-only insertions are appended in
-        insertion order.  Probabilities are normalised by the overlay
-        degree the way the base CSR normalises its own rows.
+        insertion order.
         """
         row = self._rows.get(u)
         if row is not None:
@@ -282,14 +272,9 @@ class DynamicGraph(GraphAccess):
             weights = np.concatenate(
                 [np.where(in_delta, override, weights)[keep], d_w[extra]]
             )
-        degree = self._base.degree(u) + float(self._degree_delta[u])
-        if degree > 0:
-            probs = weights * (1.0 / degree)
-        else:
-            probs = np.zeros(len(weights))
-        for arr in (ids, weights, probs):
+        for arr in (ids, weights):
             arr.setflags(write=False)
-        row = self._rows[u] = (ids, weights, probs)
+        row = self._rows[u] = (ids, weights)
         return row
 
     def _check_pair(self, u: int, v: int) -> None:

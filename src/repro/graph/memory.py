@@ -193,11 +193,7 @@ class CSRGraph(GraphAccess):
     def neighbors_many(
         self, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`neighbors` — one CSR gather.
-
-        Returns ``(ids, weights, counts)`` with the rows of ``nodes``
-        laid out back to back, ``counts[i]`` entries for ``nodes[i]``.
-        """
+        """Batched :meth:`neighbors` — one CSR gather."""
         nodes = self.validate_nodes(nodes)
         starts = self._indptr[nodes]
         counts = self._indptr[nodes + 1] - starts
@@ -207,12 +203,11 @@ class CSRGraph(GraphAccess):
     def transition_probabilities_many(
         self, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`transition_probabilities` — one CSR gather.
+        """Batched :meth:`transition_probabilities`: ``(ids, probs, counts)``.
 
-        All requested rows are pulled out of the flat adjacency arrays
-        with a single multi-slice index, and each row is normalised by
-        its node's weighted degree (rows of isolated nodes come out
-        all-zero, matching the scalar method).
+        The search never calls this (``LocalView`` normalises the rows
+        of :meth:`neighbors_many` itself); it is kept because the
+        ``perfbench`` harness wraps it by name.
         """
         ids, weights, counts = self.neighbors_many(nodes)
         degrees = self._degrees[np.asarray(nodes, dtype=np.int64)]

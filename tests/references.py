@@ -52,25 +52,6 @@ def overlay_neighbors(dyn: DynamicGraph, u: int) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def overlay_transition_many(
-    dyn: DynamicGraph, nodes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node loop over :func:`overlay_neighbors`, each row divided by
-    the node's scalar ``degree``, concatenated as ``(ids, probs, counts)``."""
-    ids, probs, counts = [], [], []
-    for u in nodes:
-        row_ids, row_w = overlay_neighbors(dyn, int(u))
-        w_u = dyn.degree(int(u))
-        ids.append(row_ids)
-        probs.append(row_w / w_u if w_u > 0 else np.zeros(len(row_w)))
-        counts.append(len(row_ids))
-    return (
-        np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
-        np.concatenate(probs) if probs else np.empty(0),
-        np.array(counts, dtype=np.int64),
-    )
-
-
 class ScalarLocalView(LocalView):
     """``LocalView`` restored one node at a time, with per-node graph reads.
 
@@ -152,7 +133,7 @@ class ScalarLocalView(LocalView):
         if track and outside_count and node != self.query:
             out_ids = ids[outside]
             out_probs = probs[outside]
-            w_j = self._degrees_of_outside(out_ids)
+            w_j = self.graph.degrees_of(out_ids)
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_ju = np.where(w_j > 0, out_probs * (w_u / w_j), 0.0)
             self._loop_sum.append_scalar(float((out_probs * p_ju).sum()))

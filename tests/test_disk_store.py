@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import PHP, FLoSOptions, flos_top_k
+from repro import PHP, RWR, FLoSOptions, flos_top_k
 from repro.errors import DiskFormatError
 from repro.graph.disk import DiskGraph, write_disk_graph
 from repro.graph.disk.format import Header
@@ -123,15 +123,49 @@ class TestErrors:
 
 class TestSearchOnDisk:
     def test_flos_identical_on_disk_and_memory(self, tmp_path):
-        """The paper's Sec. 6.4 claim: FLoS runs unchanged on the store."""
+        """The paper's Sec. 6.4 claim: FLoS runs unchanged on the store,
+        and answers it bit for bit as in memory, weighted or not."""
+        graphs = {
+            "unweighted": rmat(10, 4000, seed=8),
+            "weighted": erdos_renyi(400, 1600, seed=9, weighted=True),
+        }
+        for name, g in graphs.items():
+            path = tmp_path / f"{name}.flos"
+            write_disk_graph(g, path)
+            q = 12
+            mem = flos_top_k(g, PHP(0.5), q, 10)
+            with DiskGraph(path, memory_budget=1 << 20) as d:
+                disk = flos_top_k(d, PHP(0.5), q, 10)
+                assert disk.stats.visited_nodes == mem.stats.visited_nodes
+                assert d.cache_stats.bytes_read > 0
+            for field in ("nodes", "values", "lower", "upper"):
+                np.testing.assert_array_equal(
+                    getattr(disk, field), getattr(mem, field), err_msg=name
+                )
+
+    @pytest.mark.parametrize(
+        "measure", [PHP(0.5), RWR(0.5)], ids=["php", "rwr"]
+    )
+    def test_search_uses_only_batch_reads(
+        self, tmp_path, monkeypatch, measure
+    ):
+        """FLoS reads the store only through ``neighbors_many`` and
+        ``degrees_of``: with the per-node reads disabled, a disk query
+        still returns the in-memory answer bit for bit."""
         g = rmat(10, 4000, seed=8)
         path = tmp_path / "g.flos"
-        write_disk_graph(g, path)
-        q = 12
-        mem = flos_top_k(g, PHP(0.5), q, 10)
+        write_disk_graph(g, path, page_size=4096)
+        mem = flos_top_k(g, measure, 12, 10)
+
+        def per_node_read(self, u):
+            raise AssertionError("per-node read on the search path")
+
+        monkeypatch.setattr(DiskGraph, "neighbors", per_node_read)
+        monkeypatch.setattr(DiskGraph, "degree", per_node_read)
         with DiskGraph(path, memory_budget=1 << 20) as d:
-            disk = flos_top_k(d, PHP(0.5), q, 10)
-            assert disk.stats.visited_nodes == mem.stats.visited_nodes
-            assert d.cache_stats.bytes_read > 0
-        assert list(disk.nodes) == list(mem.nodes)
-        np.testing.assert_allclose(disk.values, mem.values, rtol=1e-9)
+            disk = flos_top_k(d, measure, 12, 10)
+        for field in ("nodes", "values", "lower", "upper"):
+            np.testing.assert_array_equal(
+                getattr(disk, field), getattr(mem, field)
+            )
+        assert disk.stats.visited_nodes == mem.stats.visited_nodes

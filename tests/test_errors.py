@@ -13,6 +13,7 @@ from repro.errors import (
     ReproError,
     SearchError,
 )
+from repro.graph.disk import DiskGraph, write_disk_graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import path_graph
 
@@ -54,17 +55,23 @@ def test_catchable_at_base():
         raise NodeNotFoundError(1, 1)
 
 
-@pytest.fixture(params=["csr", "overlay"])
-def substrate(request):
-    """A five-node path, plain or as an overlay with one mutated row."""
+@pytest.fixture(params=["csr", "overlay", "disk"])
+def substrate(request, tmp_path):
+    """A five-node path: plain, as an overlay with one mutated row, or
+    as a disk store."""
     if request.param == "csr":
-        return path_graph(5)
-    dyn = DynamicGraph(path_graph(5))
-    dyn.add_edge(0, 4, 2.0)
-    return dyn
+        yield path_graph(5)
+    elif request.param == "overlay":
+        dyn = DynamicGraph(path_graph(5))
+        dyn.add_edge(0, 4, 2.0)
+        yield dyn
+    else:
+        write_disk_graph(path_graph(5), tmp_path / "path.flos")
+        with DiskGraph(tmp_path / "path.flos") as disk:
+            yield disk
 
 
-BATCH_READS = ["degrees_of", "transition_probabilities_many"]
+BATCH_READS = ["degrees_of", "neighbors_many"]
 
 
 class TestBatchReadErrors:
@@ -86,7 +93,7 @@ class TestBatchReadErrors:
 
     def test_empty_batch(self, substrate):
         assert substrate.degrees_of(np.array([], dtype=np.int64)).shape == (0,)
-        ids, probs, counts = substrate.transition_probabilities_many(
+        ids, weights, counts = substrate.neighbors_many(
             np.array([], dtype=np.int64)
         )
-        assert ids.shape == probs.shape == counts.shape == (0,)
+        assert ids.shape == weights.shape == counts.shape == (0,)

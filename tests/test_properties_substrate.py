@@ -52,22 +52,33 @@ def build(n, edges, weights) -> CSRGraph:
 
 
 @SETTINGS
-@given(edge_sets())
-def test_disk_store_is_semantically_identical(tmp_path_factory, spec):
+@given(edge_sets(), st.integers(0, 2**31))
+def test_disk_store_is_semantically_identical(tmp_path_factory, spec, seed):
     n, edges, weights = spec
     g = build(n, edges, weights)
-    path = tmp_path_factory.mktemp("p") / "g.flos"
-    write_disk_graph(g, path, page_size=256)  # tiny pages stress paging
-    with DiskGraph(path, memory_budget=1024) as d:
-        assert d.num_nodes == g.num_nodes
-        assert d.num_edges == g.num_edges
-        assert d.max_degree == g.max_degree
-        for u in range(n):
-            ids_m, w_m = g.neighbors(u)
-            ids_d, w_d = d.neighbors(u)
-            np.testing.assert_array_equal(ids_m, ids_d)
-            np.testing.assert_allclose(w_m, w_d)
-            assert d.degree(u) == g.degree(u)
+    # A shuffled batch with repeats, read back as the CSR reads it.
+    batch = np.random.default_rng(seed).integers(0, n, size=2 * n)
+    # Tiny pages stress paging; at 100 bytes an 8-byte entry can
+    # straddle two pages.
+    for page_size in (256, 100):
+        path = tmp_path_factory.mktemp("p") / "g.flos"
+        write_disk_graph(g, path, page_size=page_size)
+        with DiskGraph(path, memory_budget=1024) as d:
+            assert d.num_nodes == g.num_nodes
+            assert d.num_edges == g.num_edges
+            assert d.max_degree == g.max_degree
+            for u in range(n):
+                ids_m, w_m = g.neighbors(u)
+                ids_d, w_d = d.neighbors(u)
+                np.testing.assert_array_equal(ids_m, ids_d)
+                np.testing.assert_array_equal(w_m, w_d)
+                assert d.degree(u) == g.degree(u)
+            got, want = d.neighbors_many(batch), g.neighbors_many(batch)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+            np.testing.assert_array_equal(
+                d.degrees_of(batch), g.degrees_of(batch)
+            )
 
 
 @SETTINGS

@@ -6,7 +6,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_top_level_exports():

@@ -710,6 +710,12 @@ class _OpaqueGraph(GraphAccess):
     def degree(self, u):
         return self._inner.degree(u)
 
+    def neighbors_many(self, nodes):
+        return self._inner.neighbors_many(nodes)
+
+    def degrees_of(self, nodes):
+        return self._inner.degrees_of(nodes)
+
 
 class TestBackendGating:
     def test_multi_worker_non_csr_backend_raises(self):
