@@ -24,7 +24,10 @@ check_monotone         Thm 4 (restoration only tightens) plus the
                        visited.
 check_sandwich         Thms 3 and 5 against ground truth: the exact
                        (globally computed) proximity of every visited
-                       node lies inside its ``[lower, upper]``.
+                       node lies inside its ``[lower, upper]``.  The
+                       same check, named ``"bracket"``, runs at a
+                       global finish against the bound model's own
+                       global solve.
 check_certificate      Alg. 6 / Alg. 2 stopping condition replayed
                        from the recorded final bounds, including the
                        model's cap on unvisited nodes (Corollary 1,
@@ -72,10 +75,12 @@ class InvariantViolation:
     """One failed invariant check, locatable for debugging.
 
     ``check`` names the checker (``"bound_order"``, ``"monotone"``,
-    ``"sandwich"``, ``"certificate"``, ``"flags"``, ``"local_view"``,
-    ``"differential"``); ``node`` is a *local* id inside the engine's
-    visited set for the runtime checks, a global id for the fuzzer's
-    offline checks, or ``None`` when the violation is not per-node.
+    ``"sandwich"``, ``"bracket"``, ``"certificate"``, ``"flags"``,
+    ``"local_view"``, ``"differential"``); ``node`` is a *local* id
+    inside the engine's visited set for the runtime checks, a global id
+    for the fuzzer's offline checks, the bracket check and the
+    certificate of a global finish, or ``None`` when the violation is
+    not per-node.
     """
 
     check: str
@@ -118,7 +123,8 @@ class BoundSnapshot:
 class CertificateRecord:
     """Everything needed to replay the termination decision offline.
 
-    All arrays are indexed by *local* id and copied at finalize time.
+    All arrays are indexed by *local* id (by global id after a global
+    finish, whose frame is every node) and copied at finalize time.
     ``lb_score`` / ``ub_score`` are the bound model's ranking scores,
     oriented so that larger means closer: PHP-space bounds times the
     ranking weight ``omega`` (the weighted degree for RWR, 1 otherwise),
@@ -265,12 +271,13 @@ def check_sandwich(
     slack: float,
     iteration: int | None = None,
     nodes: np.ndarray | None = None,
+    check: str = "sandwich",
 ) -> list[InvariantViolation]:
     """``lower - slack <= truth <= upper + slack`` per node (Thms 3/5).
 
     ``truth`` holds the exact values (global oracle) aligned with the
     bound arrays; ``nodes`` optionally maps positions to global ids for
-    reporting.
+    reporting; ``check`` names the violations.
     """
     out: list[InvariantViolation] = []
 
@@ -282,7 +289,7 @@ def check_sandwich(
         i = int(low_bad[np.argmax(lower[low_bad] - truth[low_bad])])
         out.append(
             InvariantViolation(
-                "sandwich",
+                check,
                 f"exact value {float(truth[i]):.9g} below lower bound "
                 f"{float(lower[i]):.9g} (slack {slack:.3g}, "
                 f"{len(low_bad)} node(s))",
@@ -295,7 +302,7 @@ def check_sandwich(
         i = int(up_bad[np.argmax(truth[up_bad] - upper[up_bad])])
         out.append(
             InvariantViolation(
-                "sandwich",
+                check,
                 f"exact value {float(truth[i]):.9g} above upper bound "
                 f"{float(upper[i]):.9g} (slack {slack:.3g}, "
                 f"{len(up_bad)} node(s))",

@@ -10,6 +10,8 @@ round stream:
   pre-clamp bounds, monotone bound evolution against the previous
   snapshot, the :meth:`~repro.core.localgraph.LocalView.check_invariants`
   state invariants, then the bound model's convergence claim;
+* :meth:`AuditRecorder.bracket` at a global finish — every visited
+  node's certified local bounds must contain its globally solved value;
 * :meth:`AuditRecorder.seal` at the finish — replays the termination
   decision from the final bounds
   (:func:`~repro.audit.invariants.check_certificate`).
@@ -44,6 +46,7 @@ from repro.audit.invariants import (
     check_bound_order,
     check_certificate,
     check_monotone_evolution,
+    check_sandwich,
 )
 from repro.errors import AuditError
 from repro.graph.memory import CSRGraph
@@ -153,6 +156,29 @@ class AuditRecorder:
                 for name, value in zip(("lower", "upper"), residuals)
                 if value > tol
             ]
+        )
+
+    def bracket(
+        self,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        values: np.ndarray,
+        nodes: np.ndarray,
+    ) -> None:
+        """Audit a switch to the global finish: each visited node's
+        certified ``[lower, upper]`` must contain its global ``value``
+        (``nodes``: global ids), within the round-off slack."""
+        self.checks += 1
+        self._handle(
+            check_sandwich(
+                lower,
+                upper,
+                values,
+                slack=self.order_slack,
+                iteration=self._last.iteration,
+                nodes=nodes,
+                check="bracket",
+            )
         )
 
     def seal(self, cert: CertificateRecord) -> AuditReport:

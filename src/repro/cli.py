@@ -257,6 +257,11 @@ def cmd_query(args) -> int:
         f"bound refresh: {stats.solver_iterations} sweeps, "
         f"{stats.rows_swept} row updates"
     )
+    if stats.global_finish:
+        print(
+            "global finish: the local work reached the cost of one global "
+            "solve, which computed every node's exact value"
+        )
     if not result.exact:
         print(
             f"anytime result: {stats.termination} budget fired before the "

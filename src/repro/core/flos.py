@@ -39,6 +39,12 @@ One round ``t`` of Algorithm 2 (:meth:`FLoSDriver.rounds` yields a
 Optionally both bounds are tightened with star-to-mesh self-loops
 (Sec. 5.3, Lemmas 3–4); ``FLoSOptions.tighten`` controls this and the
 ablation benchmark measures its effect.
+
+A bound model with a cheap exact global solve (THT's ``L``-step DP) may
+also finish globally: :meth:`FLoSDriver.run` counts the local work of
+each round and, once it reaches the global solve's cost, switches to it
+(ski rental; ``docs/performance.md``).  The PHP-space model has no
+global finish and never switches.
 """
 
 from __future__ import annotations
@@ -69,6 +75,14 @@ from repro.graph.base import GraphAccess
 EXPAND_BATCH = 1
 #: Upper limit on one round's expansion batch.
 MAX_BATCH = 4096
+#: Ski rental (:meth:`FLoSDriver.run`), in the currency of the switch
+#: rule, entries of a global CSR product; both measured in
+#: ``docs/performance.md`` ("Global finish").  The fixed cost of one
+#: round; minus infinity never switches, which pins a search to the
+#: local path.
+ROUND_CHARGE = 160_000
+#: The cost of restoring one adjacency entry.
+RESTORE_WEIGHT = 50
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,9 @@ class EngineOutcome:
     """Raw engine output in the model's bound space (PHP space or
     hitting time); wrappers convert to native values."""
 
-    view: LocalView
+    #: The frame the bound vectors are indexed by: the visited set, or
+    #: every node after a global finish.
+    view: "LocalView | GlobalFrame"
     top_locals: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -210,6 +226,9 @@ class Round:
     ``expanded`` holds local ids.  ``lower``/``upper`` are the refresh's
     raw bounds, before the driver's ``min(lower, upper)`` clamp, which
     would hide the bound-order inversions the audit exists to catch.
+    ``restored`` counts the adjacency entries the expansion read and
+    ``stored`` the entries of the symmetric store each of the refresh's
+    ``sweeps`` applied: the round's local work (:meth:`FLoSDriver.run`).
     ``residuals`` is the model's convergence claim: ``None``, or a
     zero-argument callable returning ``(lower_residual, upper_residual,
     tolerance)`` that only the audit calls.  ``blocked`` names the Alg.-6
@@ -229,6 +248,33 @@ class Round:
     top: np.ndarray
     blocked: str | None
     exhausted: bool
+    restored: int
+    stored: int
+
+
+class GlobalFrame:
+    """The frame of a global finish: every node, in global ids.
+
+    It stands in for the :class:`~repro.core.localgraph.LocalView` once
+    the bounds are the exact values of every node, and answers the reads
+    the finish and the session make of a view: every node is visited
+    and settled, and the boundary is empty.  Only a ``CSRGraph``, which
+    never changes, finishes globally, so no cached result needs its
+    visited ball.
+    """
+
+    def __init__(self, num_nodes: int, neighbor_queries: int):
+        self.size = num_nodes
+        self.neighbor_queries = neighbor_queries
+
+    def global_ids(self) -> np.ndarray:
+        return np.arange(self.size)
+
+    def settled_mask(self) -> np.ndarray:
+        return np.ones(self.size, dtype=bool)
+
+    def boundary_mask(self) -> np.ndarray:
+        return np.zeros(self.size, dtype=bool)
 
 
 class FLoSDriver:
@@ -255,6 +301,9 @@ class FLoSDriver:
       every unvisited node, given the current boundary.
     * :attr:`growth_divisor` — the adaptive schedule's growth rule
       (:meth:`_round_batches`).
+    * :meth:`_global_cost` and :meth:`_global_solve` — optional: the
+      exact values of every node and their cost, for the global finish
+      (:meth:`run`).
 
     Deadlines are measured on ``time.monotonic()`` — the contract for
     every deadline check in this library.  A wall-clock source
@@ -307,9 +356,10 @@ class FLoSDriver:
         # (PHP 1, hitting time 0; Sec. 3.2).
         self._lb = np.array([query_value])
         self._ub = np.array([query_value])
-        # Excluded-locals mask, extended as nodes are visited, so the
-        # termination check never rescans the whole visited set.
-        self._excluded = np.array([query in exclude])
+        # Ineligible-locals mask (the query, local 0, and the excluded
+        # nodes), extended as nodes are visited, so the termination
+        # check never rescans the whole visited set.
+        self._ineligible = np.array([True])
         # Eligible settled nodes as of the last termination check (the
         # query itself is never eligible).
         self._settled = 0
@@ -337,12 +387,24 @@ class FLoSDriver:
         Consumes :meth:`rounds`, feeds each to the audit, and stops on
         the first rule that fires, in this order: the component is
         exhausted, the visited budget is exceeded, the certificate
-        closed, the deadline passed.  Budgets are checked after the
+        closed, the deadline passed, the local work reached the cost of
+        the model's global solve.  Budgets are checked after the
         round's refresh, so a degraded result carries solved bounds, and
         only once the query's neighborhood is in the view.
+
+        The last rule is ski rental.  Each round's work is the entries
+        it restored, weighted by :data:`RESTORE_WEIGHT`, plus its sweeps
+        times the entries of the store they applied, plus
+        :data:`ROUND_CHARGE`; once the sum reaches the global solve's
+        cost (:meth:`_switch_budget`), the search finishes globally
+        (:meth:`_global_finish`).  A search whose certificate closes
+        first never pays for the global solve, and one that switches
+        pays at most about twice the cheaper path, plus one round.
         """
         opts = self.options
         started = time.monotonic()
+        budget = self._switch_budget()
+        work = 0
         for step in self.rounds():
             if self._auditor is not None:
                 self._auditor.observe(step, self.view)
@@ -366,6 +428,11 @@ class FLoSDriver:
                             elapsed, opts.deadline_seconds
                         )
                     return self._finish(None, "deadline")
+            if budget is not None:
+                work += RESTORE_WEIGHT * step.restored + ROUND_CHARGE
+                work += step.sweeps * step.stored
+                if work >= budget:
+                    return self._global_finish()
 
     def rounds(self) -> Iterator[Round]:
         """Algorithm 2 as a stream of :class:`Round` records.
@@ -379,9 +446,11 @@ class FLoSDriver:
             boundary = np.flatnonzero(self.view.boundary_mask())
             exhausted = len(boundary) == 0
             expanded = boundary
+            restored = self.view.restored_entries
             if not exhausted:
                 expanded = self._select_expansion(boundary)
                 self._expand(expanded)
+            restored = self.view.restored_entries - restored
             lb, ub, sweeps, residuals = self._refresh(boundary)
             self.stats.solver_iterations += sweeps
             self.stats.rows_swept += self.view.size * sweeps
@@ -395,7 +464,8 @@ class FLoSDriver:
                 expanded=expanded, lower=lb, upper=ub,
                 dummy_value=self._dummy_value, sweeps=sweeps,
                 residuals=residuals, top=top, blocked=blocked,
-                exhausted=exhausted,
+                exhausted=exhausted, restored=restored,
+                stored=self.view.stored_entries,
             )
             if exhausted:
                 return
@@ -448,9 +518,9 @@ class FLoSDriver:
             lo, hi = self._trivial
             self._lb = np.concatenate([self._lb, np.full(grow, lo)])
             self._ub = np.concatenate([self._ub, np.full(grow, hi)])
-            self._excluded = np.concatenate(
+            self._ineligible = np.concatenate(
                 [
-                    self._excluded,
+                    self._ineligible,
                     np.fromiter(
                         (gid in self.exclude for gid in newly),
                         dtype=bool,
@@ -469,13 +539,8 @@ class FLoSDriver:
         """``base`` (default: every visited node) minus the query and the
         excluded nodes."""
         if base is None:
-            mask = np.ones(self.view.size, dtype=bool)
-        else:
-            mask = base.copy()
-        mask[0] = False  # the query itself
-        if self.exclude:
-            mask &= ~self._excluded
-        return mask
+            return ~self._ineligible
+        return base & ~self._ineligible
 
     def _top(self, candidates: np.ndarray, score: np.ndarray) -> np.ndarray:
         """The ``k`` of ``candidates`` (local ids) with the largest
@@ -535,6 +600,63 @@ class FLoSDriver:
         if cap is not None and cap > bar:
             return top, "cap"
         return top, None
+
+    # ------------------------------------------------------------------
+    # The global finish (ski rental)
+    # ------------------------------------------------------------------
+
+    def _global_cost(self) -> int | None:
+        """Cost of :meth:`_global_solve` in entries of a global CSR
+        product, or ``None``: a model without a global solve keeps this
+        and never switches."""
+        return None
+
+    def _switch_budget(self) -> int | None:
+        """The local work at which :meth:`run` switches to the global
+        finish, or ``None`` when this search never switches.
+
+        It never switches without a global solve, under the paper's
+        schedule (``adaptive_batching=False``, run verbatim), or under a
+        visited budget smaller than the graph, which a global finish
+        would exceed.
+        """
+        opts = self.options
+        if not opts.adaptive_batching or (
+            opts.max_visited is not None
+            and opts.max_visited < self.graph.num_nodes
+        ):
+            return None
+        return self._global_cost()
+
+    def _global_finish(self) -> EngineOutcome:
+        """Finish with the exact values of every node.
+
+        The model's global solve replaces the local bounds (under the
+        audit, every visited node's certified ``[lb, ub]`` must contain
+        its global value), the frame becomes the whole graph
+        (:class:`GlobalFrame`) and the answer is the best ``k`` eligible
+        nodes of the query's connected component, the only nodes the
+        local search could ever have returned.
+        """
+        values, sweeps = self._global_solve()
+        n = len(values)
+        if self._auditor is not None:
+            gids = self.view.global_ids()
+            self._auditor.bracket(self._lb, self._ub, values[gids], gids)
+        self.stats.solver_iterations += sweeps
+        self.stats.rows_swept += n * sweeps
+        self.stats.global_finish = True
+        labels = self.graph.component_labels()
+        ineligible = labels != labels[self.query]
+        ineligible[self.query] = True
+        barred = np.array(sorted(self.exclude), dtype=np.int64)
+        ineligible[barred[(barred >= 0) & (barred < n)]] = True
+        self.view = GlobalFrame(n, self.view.neighbor_queries)
+        self._lb = self._ub = values
+        self._ineligible = ineligible
+        lo, _hi = self._ranking_bounds()
+        top = self._top(np.flatnonzero(~ineligible), lo)
+        return self._finish(top, "exact")
 
     # ------------------------------------------------------------------
     # The finish

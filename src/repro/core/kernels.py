@@ -29,11 +29,15 @@ The two columns are solved one after the other rather than as one
 ``(m, 2)`` block: scipy's multi-vector products cost more per apply than
 two 1-D products, and each column's iterate sequence is the same either
 way (see ``docs/performance.md``).
+
+:func:`tht_global_dp` is the THT bound model's global finish: the same
+``L``-step DP over every node, on the graph's own CSR.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from repro.core.iterative import jacobi_solve
 
@@ -130,3 +134,35 @@ class THTDPKernel:
         for _ in range(horizon):
             ub = self._op.apply(ub) + e_upper
         return lb, ub
+
+
+def tht_global_dp(graph, query: int, horizon: int) -> np.ndarray:
+    """THT of every node of a :class:`~repro.graph.memory.CSRGraph`.
+
+    The ``L``-step DP ``r ← 1 + (A r) / w`` from ``r = 0``, with
+    ``r[q] = 0`` throughout and zero-degree nodes pinned at ``L``
+    (:class:`~repro.measures.tht.THT`).  The steps are the measure's
+    definition, so the result is exact, not converged.  Each step is
+    one compiled product over the graph's CSR arrays in place: no
+    per-query matrix is built.  Values are clamped to ``[0, L]``, the
+    measure's range, as the local bounds are.
+    """
+    indptr, indices, weights = graph._indptr, graph._indices, graph._weights
+    degrees = graph.degrees
+    n = len(degrees)
+    has_edges = degrees > 0
+    # ``s = 1 / w`` turns ``A r`` into ``T r``; zero on the query row,
+    # which ``T`` zeroes, and on zero-degree rows.
+    scale = np.zeros(n)
+    np.divide(1.0, degrees, out=scale, where=has_edges)
+    scale[query] = 0.0
+    e = np.where(has_edges, 1.0, float(horizon))
+    e[query] = 0.0
+    r, nxt = np.zeros(n), np.empty(n)
+    for _ in range(horizon):
+        nxt.fill(0.0)
+        _sparsetools.csr_matvec(n, n, indptr, indices, weights, r, nxt)
+        nxt *= scale
+        nxt += e
+        r, nxt = nxt, r
+    return np.minimum(r, float(horizon), out=r)

@@ -162,6 +162,16 @@ class LocalView:
         """|S| — number of visited nodes."""
         return len(self._gids)
 
+    @property
+    def restored_entries(self) -> int:
+        """Adjacency entries read so far: every visited node's full row."""
+        return len(self._adj_ids)
+
+    @property
+    def stored_entries(self) -> int:
+        """Entries of the symmetric store: the edges within S, once each."""
+        return len(self._indices)
+
     def is_visited(self, node: int) -> bool:
         return self._lut[node] >= 0
 

@@ -43,6 +43,12 @@ class SearchStats:
     THT counts ``2L`` DP steps per refresh) and ``rows_swept`` counts
     row updates — a sweep over ``m`` visited nodes adds ``m``.
 
+    ``global_finish`` marks a search that finished with its bound
+    model's global solve (THT on a ``CSRGraph``: the ``L``-step DP over
+    every node, which adds ``L`` sweeps over ``num_nodes`` rows).  Such
+    a result is exact, with ``termination == "exact"`` and
+    ``visited_nodes`` equal to the graph's node count.
+
     ``audit_checks`` counts the invariant checks the runtime audit layer
     ran for this query (0 when ``FLoSOptions.audit="off"``);
     ``audit_violations`` counts recorded failures — always 0 under
@@ -67,6 +73,7 @@ class SearchStats:
     #: Always False: every search runs from scratch.  Kept because the
     #: ``perfbench`` harness reads it.
     warm_started: bool = False
+    global_finish: bool = False
 
     def visited_ratio(self, num_nodes: int) -> float:
         return self.visited_nodes / num_nodes if num_nodes else 0.0
@@ -84,6 +91,7 @@ class SearchStats:
             "rows_swept": int(self.rows_swept),
             "audit_checks": int(self.audit_checks),
             "audit_violations": int(self.audit_violations),
+            "global_finish": bool(self.global_finish),
         }
 
 

@@ -58,17 +58,27 @@ def community_graph(
     )
     active = np.flatnonzero(targets > 0)
 
-    # The per-community draws, in community order, are the RNG stream
-    # that defines the graph; everything else is one vectorised pass.
-    draws_u, draws_v = [], []
-    for size, target in zip(sizes[active].tolist(), targets[active].tolist()):
-        draws_u.append(rng.integers(0, size, size=target * 2, dtype=np.int64))
-        draws_v.append(rng.integers(0, size, size=target * 2, dtype=np.int64))
+    # The per-community draws, in community order (each community's u
+    # half, then its v half), are the RNG stream that defines the graph;
+    # everything else is one vectorised pass.  Equal-size communities
+    # draw from one range, so each run of them is one ``(run, 2, half)``
+    # call: bounded draws below 2**32 take the same 32-bit words from
+    # the stream in one call as in many.
+    draws = []
+    sizes_active = sizes[active]
+    starts = np.flatnonzero(np.diff(sizes_active, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(active)]):
+        size = int(sizes_active[start])
+        half = 2 * int(targets[active[start]])
+        draws.append(
+            rng.integers(0, size, size=(stop - start, 2, half), dtype=np.int64)
+        )
     pieces_u, pieces_v = [], []
-    if draws_u:
-        u = np.concatenate(draws_u)
-        v = np.concatenate(draws_v)
-        del draws_u, draws_v
+    if draws:
+        # u holds every community's u half, in community order; v too.
+        u = np.concatenate([d[:, 0] for d in draws], axis=None)
+        v = np.concatenate([d[:, 1] for d in draws], axis=None)
+        del draws
         # Keep the first ``target`` pairs with u != v of each community.
         drawn = 2 * targets[active]
         kept = np.flatnonzero(u != v)

@@ -73,6 +73,7 @@ class CSRGraph(GraphAccess):
         for arr in (self._indptr, self._indices, self._weights, self._degrees):
             if arr.flags.writeable:
                 arr.setflags(write=False)
+        self._components: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -275,12 +276,23 @@ class CSRGraph(GraphAccess):
                 break
         return np.array(sorted(seen), dtype=np.int64)
 
+    def component_labels(self) -> np.ndarray:
+        """Connected-component label per node (read-only).
+
+        Computed on first use and kept: the graph is immutable.
+        """
+        if self._components is None:
+            _count, labels = sp.csgraph.connected_components(
+                self.to_scipy(), directed=False
+            )
+            labels.setflags(write=False)
+            self._components = labels
+        return self._components
+
     def is_connected(self) -> bool:
         """True when the graph has a single connected component."""
-        if self.num_nodes == 0:
-            return True
-        n_comp, _ = sp.csgraph.connected_components(self.to_scipy(), directed=False)
-        return n_comp == 1
+        # Labels count up from 0 at node 0's component.
+        return not self.component_labels().any()
 
     # ------------------------------------------------------------------
 

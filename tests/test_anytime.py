@@ -174,9 +174,12 @@ class TestDeadline:
         assert excinfo.value.deadline == 0.001
         assert excinfo.value.elapsed >= 0.001
 
-    def test_deadline_degrade_tht(self, hard_graph):
+    def test_deadline_degrade_tht(self, hard_graph, monkeypatch):
         from repro.measures import THT
 
+        # The local schedule: on this graph the global finish would
+        # answer within the millisecond, before the deadline fires.
+        monkeypatch.setattr(flos, "ROUND_CHARGE", -np.inf)
         measure = THT(10)
         result = flos_top_k(
             hard_graph,

@@ -22,6 +22,7 @@ from repro.audit.invariants import (
     check_monotone_evolution,
     check_sandwich,
 )
+from repro.core import flos
 from repro.core.flos import FLoSOptions, PHPSpaceEngine
 from repro.core.flos_tht import THTEngine
 from repro.core.kernels import DualBoundKernel, THTDPKernel
@@ -475,6 +476,9 @@ class TestRoundStream:
     @pytest.mark.parametrize("path", REFRESH_PATHS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_rounds_match_the_audited_run(self, engine, path, monkeypatch):
+        # The local schedule: the round stream has no global finish, so
+        # the audited run must not switch to THT's global DP either.
+        monkeypatch.setattr(flos, "ROUND_CHARGE", -np.inf)
         graph, k, options, termination = REFRESH_PATHS[path]
         if path == "deadline":
             options = {

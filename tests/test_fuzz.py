@@ -16,12 +16,22 @@ from repro.graph.memory import CSRGraph
 
 
 class TestRunFuzz:
-    def test_small_sweep_is_clean(self):
+    def test_small_sweep_is_clean(self, monkeypatch):
+        measures = []
+        real = fuzz_mod._case_messages
+
+        def recorded(graph, name, *args, **kwargs):
+            measures.append(name)
+            return real(graph, name, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz_mod, "_case_messages", recorded)
         summary = run_fuzz(8, 42)
         assert summary.ok
         assert summary.cases == 8
-        # Default + anytime + excluded per case.
-        assert summary.runs == 3 * 8
+        # Default + anytime + excluded per case, and the paper's
+        # schedule for each THT case.
+        assert "tht" in measures
+        assert summary.runs == 3 * 8 + measures.count("tht")
         assert summary.checks > 0
 
     def test_deterministic_in_seed(self):
