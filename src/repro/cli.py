@@ -285,7 +285,7 @@ def cmd_fuzz(args) -> int:
 
     print(
         f"fuzzing {args.cases} cases (seed {args.seed}): "
-        "default + anytime + excluded runs, "
+        "default + paper-schedule + anytime + excluded runs, "
         "vs direct solve + GI oracle"
     )
     summary = run_fuzz(

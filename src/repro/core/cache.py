@@ -54,7 +54,7 @@ class _Entry:
     """One cached result plus the graph state it was computed at.
 
     ``version`` is fast-forwarded on access when no event touched the
-    ball.  ``ball`` is the closed visited ball (sorted ``int32``,
+    ball.  ``ball`` is the closed visited ball (sorted, compact,
     read-only) and ``max_degree`` the graph's max degree — the Sec. 5.6
     RWR guard read it, so a kept hit must see it unchanged.
     """

@@ -75,6 +75,14 @@ from repro.graph.base import GraphAccess
 EXPAND_BATCH = 1
 #: Upper limit on one round's expansion batch.
 MAX_BATCH = 4096
+#: Divisor of the growth rule, ``|S| // GROWTH_DIVISOR``: a warm-started
+#: refresh costs what changed, so a large divisor keeps the ball tight,
+#: and blocker rounds cover the searches it would slow down.
+GROWTH_DIVISOR = 24
+#: The doubling cap's floor: a round's extra nodes may reach
+#: ``max(|S|, MIN_REACH)`` unvisited neighbors, so a small ball is not
+#: held to doubling rounds.
+MIN_REACH = 64
 #: Ski rental (:meth:`FLoSDriver.run`), in the currency of the switch
 #: rule, entries of a global CSR product; both measured in
 #: ``docs/performance.md`` ("Global finish").  The fixed cost of one
@@ -93,7 +101,7 @@ class FLoSOptions:
     ``tau = 1e-5``, self-loop tightening on — except the expansion
     schedule: the paper expands one node per iteration, while the
     default ``adaptive_batching=True`` sizes each round by the visited
-    set and by the Alg.-6 settle shortfall (see ``adaptive_batching``).
+    set and by what blocks Alg. 6 (see ``adaptive_batching``).
     ``adaptive_batching=False`` restores the single-node schedule.
     """
 
@@ -101,22 +109,25 @@ class FLoSOptions:
     tau: float = 1e-5
     #: Apply the star-to-mesh self-loop tightening of Sec. 5.3.
     tighten: bool = True
-    #: Size each expansion round by two rules.  Growth: the base batch is
-    #: ``max(EXPAND_BATCH, |S| // divisor)``, which keeps the number of
-    #: bound refreshes logarithmic in the visited-set size.  The bound
-    #: model owns the divisor: 24 PHP-space, 4 THT (why: see
-    #: ``FLoSDriver.growth_divisor``).
+    #: Size each expansion round by three rules.  Growth: the base batch
+    #: is ``max(EXPAND_BATCH, |S| // GROWTH_DIVISOR)``, which keeps the
+    #: number of bound refreshes logarithmic in the visited-set size.
     #: Shortfall: Alg. 6 cannot close before ``k`` eligible nodes are
     #: settled, so while fewer are, a round expands at least the missing
-    #: count ``k - settled``; the extra nodes are cut before the chosen
-    #: nodes' unvisited neighbors outnumber ``|S|``, so such a round at
-    #: most doubles the ball.  Both are capped at ``MAX_BATCH``.  The
-    #: paper's C++ implementation expands one node per iteration;
-    #: re-solving the bounds after every single expansion is what a
-    #: Python reproduction cannot afford.  Exactness is unaffected
-    #: (bounds and termination are checked identically); the only cost
-    #: is a bounded overshoot in visited nodes.  Set to False to
-    #: reproduce the paper's expansion schedule verbatim.
+    #: count ``k - settled``.  Blockers: after a round whose certificate
+    #: a visited rival kept open, a round expands at least as many nodes
+    #: as there were eligible boundary nodes whose upper score beat the
+    #: k-th lower score (K-dash's pruning rule: only those need exact
+    #: work).  Nodes are taken best-first; the extra nodes of the last
+    #: two rules are cut before the chosen nodes' unvisited neighbors
+    #: outnumber ``max(|S|, MIN_REACH)``, so such a round at most
+    #: doubles a ball past ``MIN_REACH`` nodes.  All are capped at
+    #: ``MAX_BATCH``.  The paper's C++ implementation expands one node
+    #: per iteration; re-solving the bounds after every single expansion
+    #: is what a Python reproduction cannot afford.  Exactness is
+    #: unaffected (bounds and termination are checked identically); the
+    #: only cost is a bounded overshoot in visited nodes.  Set to False
+    #: to reproduce the paper's expansion schedule verbatim.
     adaptive_batching: bool = True
     #: Visited-node budget (soft under ``on_budget="degrade"``).
     max_visited: int | None = None
@@ -235,8 +246,11 @@ class Round:
     check that kept the certificate for ``top`` open (``"unsettled"``:
     fewer than ``k`` eligible settled nodes; ``"rival"``: a visited
     node's upper score; ``"cap"``: the cap on unvisited nodes), ``None``
-    once it closed.  ``exhausted`` marks the last round, run on an empty
-    boundary, which expands nothing.
+    once it closed.  ``blockers`` counts, on a ``"rival"`` round, the
+    eligible boundary nodes whose upper score is above the bar (0 on
+    every other outcome); the next round expands at least that many.
+    ``exhausted`` marks the last round, run on an empty boundary, which
+    expands nothing.
     """
 
     expanded: np.ndarray
@@ -247,6 +261,7 @@ class Round:
     residuals: Callable[[], tuple[float, float, float]] | None
     top: np.ndarray
     blocked: str | None
+    blockers: int
     exhausted: bool
     restored: int
     stored: int
@@ -299,8 +314,6 @@ class FLoSDriver:
     * :meth:`_expansion_scores` — the best-first key of Algorithm 3.
     * :meth:`_unvisited_cap` — an upper bound on the ranking score of
       every unvisited node, given the current boundary.
-    * :attr:`growth_divisor` — the adaptive schedule's growth rule
-      (:meth:`_round_batches`).
     * :meth:`_global_cost` and :meth:`_global_solve` — optional: the
       exact values of every node and their cost, for the global finish
       (:meth:`run`).
@@ -312,14 +325,6 @@ class FLoSDriver:
     and the engines would make per-call deadline accounting
     inconsistent.
     """
-
-    #: Divisor of the adaptive growth rule, ``|S| // growth_divisor``
-    #: (smaller = more aggressive).  A refresh that restarts from zero
-    #: wants geometric rounds: total work is about ``1 + divisor`` final
-    #: refreshes and the overshoot at most ``|S| / divisor`` nodes.  A
-    #: warm-started refresh costs what changed, so small rounds are
-    #: cheap and a large divisor keeps the ball tight.
-    growth_divisor: int
 
     def __init__(
         self,
@@ -360,9 +365,10 @@ class FLoSDriver:
         # nodes), extended as nodes are visited, so the termination
         # check never rescans the whole visited set.
         self._ineligible = np.array([True])
-        # Eligible settled nodes as of the last termination check (the
-        # query itself is never eligible).
+        # Eligible settled nodes and boundary blockers as of the last
+        # termination check (the query itself is never eligible).
         self._settled = 0
+        self._blockers = 0
         self.stats = SearchStats()
         # Lazy import keeps audit="off" runs free of the audit package
         # (and avoids a core <-> audit import cycle at module load).
@@ -464,8 +470,8 @@ class FLoSDriver:
                 expanded=expanded, lower=lb, upper=ub,
                 dummy_value=self._dummy_value, sweeps=sweeps,
                 residuals=residuals, top=top, blocked=blocked,
-                exhausted=exhausted, restored=restored,
-                stored=self.view.stored_entries,
+                blockers=self._blockers, exhausted=exhausted,
+                restored=restored, stored=self.view.stored_entries,
             )
             if exhausted:
                 return
@@ -478,15 +484,17 @@ class FLoSDriver:
         """``(base, batch)`` of a round over ``size`` visited nodes.
 
         ``base`` is the growth rule; ``batch`` also covers the settle
-        shortfall.  The paper's schedule expands ``EXPAND_BATCH``.
+        shortfall and the last check's blockers.  The paper's schedule
+        expands ``EXPAND_BATCH``.
         """
         if not self.options.adaptive_batching:
             return EXPAND_BATCH, EXPAND_BATCH
-        base = min(max(EXPAND_BATCH, size // self.growth_divisor), MAX_BATCH)
-        # Settle-shortfall round: Alg. 6 cannot close before k eligible
-        # nodes are settled, so expand at least as many boundary nodes
-        # as are still missing.
-        return base, min(max(base, self.k - self._settled), MAX_BATCH)
+        base = min(max(EXPAND_BATCH, size // GROWTH_DIVISOR), MAX_BATCH)
+        # Alg. 6 cannot close before k eligible nodes are settled, nor
+        # while a boundary node's upper score beats the bar: expand at
+        # least as many boundary nodes as are missing or blocking.
+        need = max(base, self.k - self._settled, self._blockers)
+        return base, min(need, MAX_BATCH)
 
     def _select_expansion(self, boundary: np.ndarray) -> np.ndarray:
         size = self.view.size
@@ -500,11 +508,13 @@ class FLoSDriver:
             boundary, scores = boundary[part], scores[part]
         chosen = boundary[np.lexsort((boundary, -scores))]
         if batch > base:
-            # Cap the shortfall's extra nodes so the round at most doubles
-            # the ball: keep them only while the chosen nodes' unvisited
-            # neighbors (an over-count of the new nodes) number <= |S|.
+            # Cap the extra nodes so the round at most doubles a ball
+            # past MIN_REACH: keep them only while the chosen nodes'
+            # unvisited neighbors (an over-count of the new nodes)
+            # number <= max(|S|, MIN_REACH).
             reach = np.cumsum(self.view.unvisited_counts()[chosen])
-            keep = int(np.searchsorted(reach, size, side="right"))
+            limit = max(size, MIN_REACH)
+            keep = int(np.searchsorted(reach, limit, side="right"))
             chosen = chosen[: max(base, keep)]
         return chosen
 
@@ -579,15 +589,16 @@ class FLoSDriver:
 
         ``top`` is the best ``k`` eligible settled nodes by lower score.
         The certificate closes when the k-th lower score plus
-        ``tie_epsilon`` clears the best visited rival, then the unvisited
-        cap; the first check that blocks decides, so the cap is read
-        only when no visited rival blocks.
+        ``tie_epsilon`` (the bar) clears the best visited rival, then the
+        unvisited cap; the first check that blocks decides, so the cap is
+        read only when no visited rival blocks.
         """
         candidates = np.flatnonzero(
             self._eligible_mask(self.view.settled_mask())
         )
-        # The next round's shortfall (:meth:`_select_expansion`).
+        # The next round's shortfall and blockers (:meth:`_round_batches`).
         self._settled = len(candidates)
+        self._blockers = 0
         lo, hi = self._ranking_bounds()
         top = self._top(candidates, lo)
         if len(candidates) < self.k:
@@ -595,6 +606,8 @@ class FLoSDriver:
         bar = float(lo[top].min()) + self.options.tie_epsilon
         rival = self._rival(top, hi)
         if rival is not None and rival > bar:
+            blockers = self._eligible_mask(self.view.boundary_mask())
+            self._blockers = int(np.count_nonzero(blockers & (hi > bar)))
             return top, "rival"
         cap = self._cap()
         if cap is not None and cap > bar:
@@ -725,8 +738,6 @@ class FLoSDriver:
 
 class PHPSpaceEngine(FLoSDriver):
     """FLoS over the PHP recursion ``r = decay · T r + e_q``."""
-
-    growth_divisor = 24  # warm-started refresh; see FLoSDriver
 
     def __init__(
         self,

@@ -60,8 +60,6 @@ from repro.graph.memory import CSRGraph
 class THTEngine(FLoSDriver):
     """FLoS for truncated hitting time with horizon ``L``."""
 
-    growth_divisor = 4  # the DP restarts from zero; see FLoSDriver
-
     def __init__(
         self,
         graph: GraphAccess,

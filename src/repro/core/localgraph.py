@@ -228,7 +228,9 @@ class LocalView:
         return self._indptr.view(), self._indices.view(), self._weights.view()
 
     def closed_ball(self) -> np.ndarray:
-        """Sorted closed visited ball ``S ∪ N(S)`` as global ``int32`` ids.
+        """Sorted closed visited ball ``S ∪ N(S)`` as global ids, in the
+        narrowest unsigned dtype that holds every node id of the graph
+        (``uint16`` up to 65,536 nodes).
 
         This is every node whose graph record the search *read*: the
         visited set plus its one-hop boundary (boundary degrees enter the
@@ -241,7 +243,10 @@ class LocalView:
         ball = np.unique(
             np.concatenate([self._gids.view(), self._adj_ids.view()])
         )
-        return ball.astype(np.int32, copy=False)
+        # A result keeps its ball for as long as a caller or the cache
+        # holds it, so the ball is stored as compactly as the ids allow.
+        dtype = np.min_scalar_type(self.graph.num_nodes - 1)
+        return ball.astype(dtype, copy=False)
 
     def visit_sequence(self, nodes: np.ndarray) -> None:
         """Visit ``nodes`` (global ids, unvisited, distinct) as one batch.

@@ -67,7 +67,8 @@ class SearchStats:
     audit_checks: int = 0
     audit_violations: int = 0
     #: Sorted closed visited ball (visited ∪ one-hop boundary) as a
-    #: compact read-only ``int32`` array, recorded on versioned graphs so
+    #: compact read-only unsigned array (the narrowest dtype that holds
+    #: the graph's node ids), recorded on versioned graphs so
     #: the serving cache can localize invalidation; ``None`` elsewhere.
     visited_ball: np.ndarray | None = None
     #: Always False: every search runs from scratch.  Kept because the

@@ -543,7 +543,7 @@ class QuerySession:
         )
         if self._cache.update_log is not None:
             # Persist the closed visited ball on the result so the cache
-            # can localize later invalidation (a compact sorted int32 in
+            # can localize later invalidation (a compact sorted array in
             # ``TopKResult.stats``; the query alone when it is
             # isolated).  Read-only — ``copy()`` shares it by reference.
             ball = view.closed_ball()

@@ -60,10 +60,9 @@ def schedule_options(monkeypatch, schedule: dict) -> dict:
     """``FLoSOptions`` fields of an expansion schedule.
 
     Upper-case keys name schedule constants of :mod:`repro.core.flos`
-    (``EXPAND_BATCH``, ``MAX_BATCH``) and are set through
-    ``monkeypatch``; the remaining keys are returned.  The growth
-    rule's divisor is a bound-model attribute
-    (``FLoSDriver.growth_divisor``), patched on the model class.
+    (``EXPAND_BATCH``, ``GROWTH_DIVISOR``, ``MIN_REACH``,
+    ``MAX_BATCH``) and are set through ``monkeypatch``; the remaining
+    keys are returned.
     """
     from repro.core import flos
 

@@ -111,8 +111,14 @@ class TestVisitedBudgetDegradation:
 
 
 class TestDeadline:
-    def test_hard_rwr_instance_degrades_and_stays_certified(self, hard_graph):
-        """Acceptance criterion: 1 ms deadline on a hard RWR instance."""
+    def test_hard_rwr_instance_degrades_and_stays_certified(
+        self, hard_graph, monkeypatch
+    ):
+        """Acceptance criterion: 1 ms deadline on a hard RWR instance.
+
+        The instance certifies in a few ms, so the deadline is driven by
+        a clock that expires it after the first round.
+        """
         measure = RWR(0.9)
         baseline = flos_top_k(hard_graph, measure, QUERY, K)
         assert baseline.exact
@@ -122,7 +128,10 @@ class TestDeadline:
             measure,
             QUERY,
             K,
-            options=FLoSOptions(deadline_seconds=0.001, on_budget="degrade"),
+            options=FLoSOptions(
+                **expire_deadline_after_first_round(monkeypatch, 0.001),
+                on_budget="degrade",
+            ),
         )
         assert anytime.exact is False
         assert anytime.stats.termination == "deadline"

@@ -1,5 +1,6 @@
 """White-box tests of the FLoS engine internals (paper Secs. 5.1–5.3)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -133,12 +134,15 @@ class TestTHTEngineInternals:
         for snap in outcome.audit.snapshots:
             assert np.all(snap.upper <= 6.0 + 1e-12)
 
-    # THT refreshes restart the DP from zero, so its rounds grow
-    # geometrically (``THTEngine.growth_divisor`` = 4, not 24).
+    # THT refreshes restart the DP from zero, so a search that needs the
+    # whole component must not crawl: blocker rounds make its rounds
+    # grow geometrically under the one growth divisor.
 
     @staticmethod
-    def tht_run(g, q, k):
-        outcome = THTEngine(g, q, k, horizon=10).run()
+    def tht_run(g, q, k, **opts):
+        outcome = THTEngine(
+            g, q, k, horizon=10, options=FLoSOptions(**opts)
+        ).run()
         rounds = outcome.stats.solver_iterations // (2 * 10)
         top = set(outcome.view.global_ids()[outcome.top_locals].tolist())
         return outcome, rounds, top
@@ -153,21 +157,31 @@ class TestTHTEngineInternals:
         assert outcome.exact and outcome.stats.visited_nodes > 2500
         bound = math.log(outcome.stats.visited_nodes) / math.log(1.25)
         assert rounds <= bound
-        # The PHP-space growth rule takes far more rounds on this search.
-        monkeypatch.setattr(THTEngine, "growth_divisor", 24)
+        # Without blocker rounds the growth rule alone takes far more.
+        certify = FLoSDriver._certify
+
+        def without_blockers(self):
+            checked = certify(self)
+            self._blockers = 0
+            return checked
+
+        monkeypatch.setattr(FLoSDriver, "_certify", without_blockers)
         _, slow_rounds, slow_top = self.tht_run(g, 1418, 20)
         assert slow_rounds > bound
         assert slow_top == top
 
     @pytest.mark.parametrize("q", [60 * 120 + 60, 1926])
-    def test_grid_locality_cost_bounded(self, q, monkeypatch):
-        # A small THT ball: the coarser rounds may overshoot it a little.
+    def test_grid_locality_cost_bounded(self, q):
+        # A small THT ball: the coarser rounds may overshoot the paper's
+        # one-node schedule a little.
         g = grid_graph(120, 120)
-        fast, _, fast_top = self.tht_run(g, q, 20)
-        monkeypatch.setattr(THTEngine, "growth_divisor", 24)
-        slow, _, slow_top = self.tht_run(g, q, 20)
-        assert fast.stats.visited_nodes <= 1.15 * slow.stats.visited_nodes
-        assert fast_top == slow_top
+        fast, fast_rounds, fast_top = self.tht_run(g, q, 20)
+        paper, paper_rounds, paper_top = self.tht_run(
+            g, q, 20, adaptive_batching=False
+        )
+        assert fast.stats.visited_nodes <= 1.15 * paper.stats.visited_nodes
+        assert fast_rounds <= paper_rounds / 10
+        assert fast_top == paper_top
 
 
 class TestExpansionSchedule:
@@ -221,9 +235,160 @@ class TestExpansionSchedule:
         for snap in outcome.audit.snapshots:
             if len(snap.expanded) > engine._round_batches(size)[0]:
                 shortfall_rounds += 1
-                assert snap.size - size <= size  # newly visited nodes
+                # Newly visited nodes: at most doubles a ball past
+                # MIN_REACH.
+                assert snap.size - size <= max(size, flos.MIN_REACH)
             size = snap.size
         assert shortfall_rounds > 0
+
+
+class TestBlockerRounds:
+    """A round after a ``"rival"`` round expands every boundary blocker
+    the doubling cap admits; the paper's schedule ignores blockers."""
+
+    # (graph, query, degree-weighted): graphs are built per test.
+    INSTANCES = [
+        (lambda: erdos_renyi(300, 900, seed=3), 3, False),
+        (lambda: erdos_renyi(2000, 8000, seed=11), 1, False),
+        (lambda: erdos_renyi(2000, 8000, seed=11), 1, True),
+        (lambda: rmat(11, 16000, seed=3), 12, True),
+    ]
+
+    @staticmethod
+    def engine(graph, q, degree_weighted, **opts):
+        return PHPSpaceEngine(
+            graph, q, 20,
+            decay=0.1 if degree_weighted else 0.5,
+            degree_weighted=degree_weighted,
+            exclude=frozenset(int(v) for v in graph.neighbors(q)[0][:2]),
+            options=FLoSOptions(tie_epsilon=1e-5, **opts),
+        )
+
+    @staticmethod
+    def blockers(engine, step):
+        """Recount a round's blockers from the engine's state."""
+        lo, hi = engine._ranking_bounds()
+        bar = lo[step.top].min() + engine.options.tie_epsilon
+        gids = engine.view.global_ids()
+        eligible = np.array(
+            [g != engine.query and g not in engine.exclude for g in gids]
+        )
+        blocking = engine.view.boundary_mask() & eligible & (hi > bar)
+        return int(np.count_nonzero(blocking))
+
+    @staticmethod
+    def cap_limited(engine):
+        """``(|boundary|, n)``: the best-first boundary prefix of ``n``
+        nodes whose unvisited neighbors number <= max(|S|, MIN_REACH)."""
+        view = engine.view
+        boundary = np.flatnonzero(view.boundary_mask())
+        scores = engine._expansion_scores()[boundary]
+        order = boundary[np.lexsort((boundary, -scores))]
+        reach = np.cumsum(view.unvisited_counts()[order])
+        limit = max(view.size, flos.MIN_REACH)
+        return len(boundary), int(np.searchsorted(reach, limit, "right"))
+
+    @pytest.mark.parametrize("i", range(len(INSTANCES)))
+    def test_next_round_expands_the_blockers(self, i):
+        make, q, weighted = self.INSTANCES[i]
+        engine = self.engine(make(), q, weighted)
+        checked, driven = 0, 0
+        previous = None
+        for step in engine.rounds():
+            if previous is not None:
+                blockers, boundary, capped, base = previous
+                want = min(blockers, boundary, capped, flos.MAX_BATCH)
+                assert len(step.expanded) >= want
+                checked += 1
+                driven += want > base and len(step.expanded) >= want
+            if step.blocked is None:
+                break
+            previous = None
+            if step.blocked == "rival":
+                previous = (
+                    step.blockers,
+                    *self.cap_limited(engine),
+                    engine._round_batches(engine.view.size)[0],
+                )
+        assert checked > 0 and driven > 0
+
+    @pytest.mark.parametrize("i", range(len(INSTANCES)))
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_blockers_counted_on_rival_rounds_only(self, i, adaptive):
+        make, q, weighted = self.INSTANCES[i]
+        engine = self.engine(make(), q, weighted, adaptive_batching=adaptive)
+        outcomes = set()
+        for step in engine.rounds():
+            outcomes.add(step.blocked)
+            if step.blocked == "rival":
+                assert step.blockers == self.blockers(engine, step)
+            else:
+                assert step.blockers == 0
+            if step.blocked is None:
+                break
+        assert {"unsettled", "rival"} <= outcomes
+
+    def test_tht_rounds_carry_blockers(self, monkeypatch):
+        monkeypatch.setattr(flos, "ROUND_CHARGE", -np.inf)
+        engine = THTEngine(erdos_renyi(300, 900, seed=3), 3, 10, horizon=10)
+        steps = list(engine.rounds())
+        assert any(s.blockers > 0 for s in steps if s.blocked == "rival")
+        assert all(s.blockers == 0 for s in steps if s.blocked != "rival")
+
+
+class TestPaperScheduleTrace:
+    """``adaptive_batching=False`` is the paper's schedule verbatim: its
+    round stream is pinned, bit for bit, to a recorded trace."""
+
+    # (expanded local ids per round, sweeps per round, SHA-256 of every
+    # round's raw lower then upper bound vector as float64 bytes), on
+    # ``erdos_renyi(120, 360, seed=3)``, query 5, k = 6, run to the
+    # first closed certificate.
+    TRACES = {
+        "php": (
+            [0, 5, 4, 1, 3, 2, 8, 7],
+            [13, 17, 15, 15, 15, 16, 14, 15],
+            "702a7fdcba6600f0d9e200bc5c8dd3fa85813bd3a84638b3dd022b18e9579e93",
+        ),
+        "rwr": (
+            [0, 2, 1, 4, 3, 5, 19, 9, 7, 14, 6, 29, 20, 28, 27, 22, 17, 16,
+             26, 23, 21, 24, 25],
+            [7, 8, 8, 8, 8, 8, 7, 7, 7, 6, 6, 6, 7, 7, 7, 6, 6, 6, 7, 7, 6,
+             6, 6],
+            "964da173fecc5c730e98bfc063369052976c9f539bde3b322e3087992121e124",
+        ),
+        "tht": (
+            [0, 5, 4, 1, 3, 2, 8, 7, 10, 28, 6, 11, 9, 24, 12, 23, 13, 22,
+             17, 15, 29, 27, 14, 20, 30, 19, 16, 35, 21, 26, 38, 52, 36, 33,
+             31, 64, 47, 40, 49, 65, 51, 41, 48, 57, 39, 58, 54, 42, 75, 46,
+             67, 92],
+            [20] * 52,
+            "2c49fc9a0af1bf007a2d8b69a069ec3f8ec21465fd6d50676b6c5612081c2b97",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_round_stream_matches_recorded_trace(self, name):
+        g = erdos_renyi(120, 360, seed=3)
+        options = FLoSOptions(adaptive_batching=False)
+        engine = {
+            "php": lambda: PHPSpaceEngine(
+                g, 5, 6, decay=0.5, options=options
+            ),
+            "rwr": lambda: PHPSpaceEngine(
+                g, 5, 6, decay=0.1, degree_weighted=True, options=options
+            ),
+            "tht": lambda: THTEngine(g, 5, 6, horizon=10, options=options),
+        }[name]()
+        expanded, sweeps, digest = [], [], hashlib.sha256()
+        for step in engine.rounds():
+            expanded += step.expanded.tolist()
+            sweeps.append(step.sweeps)
+            digest.update(np.asarray(step.lower, dtype=np.float64).tobytes())
+            digest.update(np.asarray(step.upper, dtype=np.float64).tobytes())
+            if step.blocked is None:
+                break
+        assert (expanded, sweeps, digest.hexdigest()) == self.TRACES[name]
 
 
 class TestLazyCap:
@@ -231,9 +396,12 @@ class TestLazyCap:
         """Alg. 6 reads the unvisited cap only once no visited rival
         blocks; an exact, unaudited finish reads it not at all."""
         g = erdos_renyi(300, 900, seed=3)
-        # RWR with c = 0.9: PHP decay 1 - c, ranked by degree.
+        # RWR with c = 0.9: PHP decay 1 - c, ranked by degree.  The lazy
+        # read does not depend on the schedule; the paper's one-node
+        # rounds give this query both "rival" and "cap" rounds.
         engine = PHPSpaceEngine(
-            g, 7, 10, decay=0.1, degree_weighted=True, options=FLoSOptions()
+            g, 3, 10, decay=0.1, degree_weighted=True,
+            options=FLoSOptions(adaptive_batching=False),
         )
         calls = []
         real_cap = PHPSpaceEngine._unvisited_cap

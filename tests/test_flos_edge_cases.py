@@ -43,17 +43,19 @@ class TestOptionsValidation:
         assert php._round_batches(5)[0] == 1
         assert php._round_batches(240)[0] == 10
         assert php._round_batches(10**9)[0] == flos.MAX_BATCH == 4096
-        # The growth rule is the bound model's: THT grows by |S| / 4.
+        # One growth rule for every bound model.
         tht = engine(THTEngine, True)
-        assert tht._round_batches(240)[0] == 60
+        assert flos.GROWTH_DIVISOR == 24
+        assert tht._round_batches(240)[0] == 10
         assert tht._round_batches(10**9)[0] == flos.MAX_BATCH
         fixed = [engine(cls, False) for cls in (PHPSpaceEngine, THTEngine)]
         assert [e._round_batches(10**6)[0] for e in fixed] == [1, 1]
-        # The schedule constants and the divisor are read at call time.
+        # The schedule constants are read at call time.
         monkeypatch.setattr(flos, "EXPAND_BATCH", 3)
-        monkeypatch.setattr(PHPSpaceEngine, "growth_divisor", 10)
+        monkeypatch.setattr(flos, "GROWTH_DIVISOR", 10)
         assert php._round_batches(5)[0] == 3
         assert php._round_batches(100)[0] == 10
+        assert tht._round_batches(100)[0] == 10
         assert [e._round_batches(10**6)[0] for e in fixed] == [3, 3]
 
 

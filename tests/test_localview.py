@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.localgraph import LocalView
-from repro.graph.generators import erdos_renyi, paper_example_graph, rmat
+from repro.graph.generators import (
+    erdos_renyi,
+    paper_example_graph,
+    path_graph,
+    rmat,
+)
 
 from .references import ScalarLocalView
 
@@ -150,6 +155,21 @@ def test_degrees_array_matches_graph():
     view.expand(0)
     for local, gid in enumerate(view.global_ids()):
         assert view.local_degree(local) == pytest.approx(g.degree(int(gid)))
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(200, np.uint8), (300, np.uint16), (70_000, np.uint32)]
+)
+def test_closed_ball_is_compact_and_exact(n, dtype):
+    # The narrowest unsigned dtype that holds every node id, values kept.
+    g = path_graph(n)
+    q = n - 3
+    view = LocalView(g, q)
+    view.expand(0)
+    view.expand_batch(np.flatnonzero(view.boundary_mask()))
+    ball = view.closed_ball()
+    assert ball.dtype == dtype
+    assert ball.tolist() == list(range(q - 3, n))
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
